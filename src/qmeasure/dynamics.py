@@ -15,13 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NotHermitian, UnresolvableWidth
-from .hilbert import (
-    HERMITIAN_TOL,
-    LinearOperator,
-    Observable,
-    PureState,
-    hermiticity_defect,
-)
+from .hilbert import LinearOperator, Observable, PureState, _hermitian_within_tol, \
+    hermiticity_defect
 
 UNITARITY_TOL = 1e-9
 
@@ -37,10 +32,8 @@ class Hamiltonian:
     __slots__ = ("op", "dim", "_evals", "_evecs")
 
     def __init__(self, op: LinearOperator):
-        defect = hermiticity_defect(op.matrix)
-        scale = max(1.0, float(np.max(np.abs(op.matrix))))
-        if defect > HERMITIAN_TOL * scale:
-            raise NotHermitian(f"hermiticity defect {defect:.3e}")
+        if not _hermitian_within_tol(op.matrix):
+            raise NotHermitian(f"hermiticity defect {hermiticity_defect(op.matrix):.3e}")
         self.op = op
         self.dim = op.dim
         self._evals = None
@@ -82,9 +75,6 @@ class Propagator:
 
     def apply(self, state: PureState) -> PureState:
         return PureState(self.matrix @ state.amplitudes)
-
-    def as_operator(self) -> LinearOperator:
-        return LinearOperator(self.matrix)
 
     def __repr__(self):
         return f"Propagator(t={self.t}, dim={self.dim})"

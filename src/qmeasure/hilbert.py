@@ -42,6 +42,24 @@ def hermiticity_defect(matrix: np.ndarray) -> float:
     return float(np.max(np.abs(matrix - matrix.conj().T))) if matrix.size else 0.0
 
 
+def _hermitian_within_tol(matrix: np.ndarray) -> bool:
+    """Whether the Hermiticity defect is at most 1e-10 * max(1, max|m|)."""
+    scale = max(1.0, float(np.max(np.abs(matrix)))) if matrix.size else 1.0
+    return hermiticity_defect(matrix) <= HERMITIAN_TOL * scale
+
+
+def _projector_defect(matrix: np.ndarray) -> float:
+    """max(||P^2 - P||_max, ||P - P^dag||_max)."""
+    return max(float(np.max(np.abs(matrix @ matrix - matrix))), hermiticity_defect(matrix))
+
+
+def _cluster_slices(evals: np.ndarray, gap: float) -> list[slice]:
+    """Split ascending eigenvalues into runs whose neighbours lie within ``gap``."""
+    ev = evals.tolist()
+    cuts = [j for j in range(1, len(ev)) if ev[j] - ev[j - 1] > gap]
+    return [slice(a, b) for a, b in zip([0, *cuts], [*cuts, len(ev)]) if b > a]
+
+
 class PureState:
     """A normalized state vector.
 
@@ -141,9 +159,8 @@ class DensityOperator:
 
     def __init__(self, matrix):
         mat = _as_complex_matrix(matrix)
-        defect = hermiticity_defect(mat)
-        if defect > HERMITIAN_TOL:
-            raise NotHermitian(f"density matrix hermiticity defect {defect:.3e}")
+        if not _hermitian_within_tol(mat):
+            raise NotHermitian(f"density matrix hermiticity defect {hermiticity_defect(mat):.3e}")
         trace = complex(np.trace(mat))
         if abs(trace - 1.0) > HERMITIAN_TOL:
             raise ValueError(f"trace {trace} differs from 1")
@@ -300,23 +317,19 @@ def spectral_decompose(op: LinearOperator, cluster_tol: float | None = None) -> 
 
     Raises NotHermitian if ``op`` is not Hermitian within 1e-10.
     """
-    defect = hermiticity_defect(op.matrix)
-    if defect > HERMITIAN_TOL * max(1.0, float(np.max(np.abs(op.matrix))) if op.matrix.size else 1.0):
-        raise NotHermitian(f"hermiticity defect {defect:.3e}")
+    if not _hermitian_within_tol(op.matrix):
+        raise NotHermitian(f"hermiticity defect {hermiticity_defect(op.matrix):.3e}")
     evals, evecs = np.linalg.eigh(op.matrix)
     radius = float(np.max(np.abs(evals))) if len(evals) else 0.0
-    if cluster_tol is None:
-        threshold = 1e-9 * radius
-    else:
-        threshold = float(cluster_tol)
-    vals, slices = [], []
-    start = 0
-    for j in range(1, len(evals) + 1):
-        if j == len(evals) or evals[j] - evals[j - 1] > threshold:
-            vals.append(float(np.mean(evals[start:j])))
-            slices.append(slice(start, j))
-            start = j
+    slices = _cluster_slices(evals, 1e-9 * radius if cluster_tol is None else float(cluster_tol))
+    vals = [float(np.mean(evals[sl])) for sl in slices]
     return Observable(op, vals, evecs, slices)
+
+
+def _born_weights(obs: Observable, psi: np.ndarray) -> np.ndarray:
+    """<psi|Pi_i|psi> for each eigenspace i of ``obs``, in ascending order."""
+    return np.array([float(np.sum(np.abs(obs.eigenbasis(i).conj().T @ psi) ** 2))
+                     for i in range(obs.n_outcomes)])
 
 
 def _kind(obj) -> str:

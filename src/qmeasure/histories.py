@@ -18,7 +18,8 @@ import numpy as np
 
 from .errors import InconsistentFamily, InvalidIndex
 from .dynamics import Hamiltonian, propagate
-from .hilbert import DensityOperator, LinearOperator, PureState
+from .hilbert import DensityOperator, LinearOperator, PureState, _hermitian_within_tol, \
+    _projector_defect
 from .measurement import OutcomeDistribution
 
 FAMILY_TOL = 1e-9
@@ -56,8 +57,7 @@ class HistorySet:
                     for p in family]
             total = np.zeros((dim, dim), dtype=complex)
             for a, mat in enumerate(mats):
-                defect = max(float(np.max(np.abs(mat @ mat - mat))),
-                             float(np.max(np.abs(mat - mat.conj().T))))
+                defect = _projector_defect(mat)
                 if defect > FAMILY_TOL:
                     raise ValueError(
                         f"family {m} entry {a} is not a projector: defect {defect:.3e}")
@@ -117,7 +117,7 @@ class DecoherenceFunctional:
         n = len(histories)
         if mat.shape != (n, n):
             raise ValueError("one matrix entry per history pair required")
-        if float(np.max(np.abs(mat - mat.conj().T))) > 1e-10:
+        if not _hermitian_within_tol(mat):
             raise ValueError("decoherence functional must be Hermitian")
         diag = np.diagonal(mat)
         if float(np.max(np.abs(diag.imag))) > 1e-10 or float(diag.real.min()) < -1e-10:
@@ -180,15 +180,12 @@ def is_consistent(D: DecoherenceFunctional,
     Returns (verdict, worst ratio).  Pairs with a zero diagonal weight pass
     vacuously: an impossible history cannot interfere with anything.
     """
-    diag = D.diagonal()
-    n = len(diag)
-    worst = 0.0
-    for a in range(n):
-        for b in range(a + 1, n):
-            scale = np.sqrt(max(diag[a], 0.0) * max(diag[b], 0.0))
-            if scale == 0.0:
-                continue
-            worst = max(worst, abs(D.matrix[a, b]) / scale)
+    diag = np.clip(D.diagonal(), 0.0, None)
+    scale = np.sqrt(np.outer(diag, diag))
+    pairs = np.triu(scale > 0.0, k=1)
+    # hypot rounds as scalar abs() does; np.abs on complex arrays may differ in the last bit
+    ratios = np.hypot(D.matrix.real[pairs], D.matrix.imag[pairs]) / scale[pairs]
+    worst = float(ratios.max(initial=0.0))
     return worst <= eps, worst
 
 

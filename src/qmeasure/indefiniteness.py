@@ -16,7 +16,8 @@ import numpy as np
 
 from .errors import DimensionMismatch, EmptyRegion
 from .dynamics import GridSpace, Hamiltonian
-from .hilbert import LinearOperator, Observable, PureState
+from .hilbert import LinearOperator, Observable, PureState, _born_weights, \
+    _cluster_slices, _projector_defect
 
 DEFAULT_ZERO_THRESHOLD = 1e-10
 
@@ -52,11 +53,7 @@ def ee_link_status(state: PureState, obs: Observable,
     """
     if state.dim != obs.dim:
         raise DimensionMismatch(f"state dim {state.dim} vs observable dim {obs.dim}")
-    psi = state.amplitudes
-    weights = np.empty(obs.n_outcomes)
-    for i in range(obs.n_outcomes):
-        block = obs.eigenbasis(i)
-        weights[i] = float(np.sum(np.abs(block.conj().T @ psi) ** 2))
+    weights = _born_weights(obs, state.amplitudes)
     # ||psi - Pi psi||^2 = 1 - <Pi> for a normalized state
     residuals = np.sqrt(np.clip(1.0 - weights, 0.0, None))
     best = int(np.argmin(residuals))
@@ -143,8 +140,7 @@ class IndefinitenessScan:
 
 def _projector_matrix(projector) -> np.ndarray:
     mat = projector.matrix if isinstance(projector, LinearOperator) else np.asarray(projector, complex)
-    defect = max(float(np.max(np.abs(mat @ mat - mat))),
-                 float(np.max(np.abs(mat - mat.conj().T))))
+    defect = _projector_defect(mat)
     if defect > 1e-9:
         raise ValueError(f"not a projector: defect {defect:.3e}")
     return mat
@@ -161,15 +157,11 @@ def _kernel_criterion(H: Hamiltonian, psi0: PureState, proj: np.ndarray,
     evals, evecs = H._eigensystem()
     coeff = evecs.conj().T @ psi0.amplitudes
     radius = float(np.max(np.abs(evals))) if len(evals) else 0.0
-    gap = 1e-9 * max(radius, 1.0)
-    start = 0
-    for j in range(1, len(evals) + 1):
-        if j == len(evals) or evals[j] - evals[j - 1] > gap:
-            component = evecs[:, start:j] @ coeff[start:j]
-            norm = float(np.linalg.norm(component))
-            if norm > threshold and float(np.linalg.norm(proj @ component)) > threshold * norm:
-                return False
-            start = j
+    for sl in _cluster_slices(evals, 1e-9 * max(radius, 1.0)):
+        component = evecs[:, sl] @ coeff[sl]
+        norm = float(np.linalg.norm(component))
+        if norm > threshold and float(np.linalg.norm(proj @ component)) > threshold * norm:
+            return False
     return True
 
 

@@ -16,7 +16,8 @@ import numpy as np
 from .dynamics import GridSpace, fourier_map, gaussian_packet
 from .errors import DimensionMismatch, ImpossibleOutcome, IncompleteTiling, \
     InvalidPovm, InvalidSmearing
-from .hilbert import LinearOperator, Observable, PureState, State
+from .hilbert import LinearOperator, Observable, PureState, State, _born_weights, \
+    _hermitian_within_tol, hermiticity_defect
 
 NEGATIVE_CLAMP_LIMIT = 1e-9
 PSD_TOL = 1e-9
@@ -75,13 +76,11 @@ def born_distribution(state: State, obs: Observable) -> OutcomeDistribution:
     """Pr(o_i) = <psi|Pi_i|psi> (or Tr(rho Pi_i)), ascending eigenvalue order."""
     if state.dim != obs.dim:
         raise DimensionMismatch(f"state dim {state.dim} vs observable dim {obs.dim}")
-    probs = np.empty(obs.n_outcomes)
-    for i in range(obs.n_outcomes):
-        block = obs.eigenbasis(i)
-        if isinstance(state, PureState):
-            probs[i] = float(np.sum(np.abs(block.conj().T @ state.amplitudes) ** 2))
-        else:
-            probs[i] = float(np.real(np.sum(block.conj() * (state.matrix @ block))))
+    if isinstance(state, PureState):
+        probs = _born_weights(obs, state.amplitudes)
+    else:
+        probs = [float(np.real(np.sum(block.conj() * (state.matrix @ block))))
+                 for block in map(obs.eigenbasis, range(obs.n_outcomes))]
     return OutcomeDistribution([float(v) for v in obs.eigenvalues], probs)
 
 
@@ -122,15 +121,16 @@ def sample_outcome(dist: OutcomeDistribution, seed: int):
 class Povm:
     """A finite family of positive effects summing to the identity.
 
-    Construction validates positivity of each effect (minimum eigenvalue
-    >= -1e-9) and completeness (||sum M - 1||_max <= 1e-8).  Families of
-    weighted rank-one effects can be stored compactly via
-    :meth:`from_rank_one`, which keeps only the vectors; this is what the
-    phase-space family uses (a dense 64-point family would otherwise carry
-    thousands of full matrices).
+    Every family is stored as weighted rank-one terms w_k |v_k><v_k|, each
+    tagged with the index of the effect it belongs to.  The constructor
+    factors dense effects with ``eigh``, rejecting non-Hermitian ones and
+    eigenvalues below -1e-9; positive eigenvalues become terms, so a zero
+    effect owns none.  :meth:`from_rank_one` takes one term per effect, as
+    the phase-space family needs.  Completeness (||sum M - 1||_max <= 1e-8)
+    is evaluated once, at construction.
     """
 
-    __slots__ = ("labels", "dim", "_dense", "_weights", "_vectors")
+    __slots__ = ("labels", "dim", "_weights", "_vectors", "_owner", "_deficit")
 
     def __init__(self, elements: Sequence[tuple[Hashable, LinearOperator]]):
         if not elements:
@@ -139,22 +139,19 @@ class Povm:
         mats = [m.matrix if isinstance(m, LinearOperator) else np.asarray(m, complex)
                 for _, m in elements]
         dim = mats[0].shape[0]
-        total = np.zeros((dim, dim), dtype=complex)
-        for lab, mat in zip(labels, mats):
+        terms = []
+        for i, (lab, mat) in enumerate(zip(labels, mats)):
             if mat.shape != (dim, dim):
                 raise InvalidPovm(f"effect {lab} has shape {mat.shape}")
-            min_eig = float(np.linalg.eigvalsh((mat + mat.conj().T) / 2).min())
-            if min_eig < -PSD_TOL:
-                raise InvalidPovm(f"effect {lab} has eigenvalue {min_eig:.3e}")
-            total += mat
-        deficit = float(np.max(np.abs(total - np.eye(dim))))
-        if deficit > COMPLETENESS_TOL:
-            raise InvalidPovm(f"effects sum to identity with defect {deficit:.3e}")
-        self.labels = tuple(labels)
-        self.dim = dim
-        self._dense = [m.copy() for m in mats]
-        self._weights = None
-        self._vectors = None
+            if not _hermitian_within_tol(mat):
+                raise InvalidPovm(f"effect {lab} hermiticity defect {hermiticity_defect(mat):.3e}")
+            evals, evecs = np.linalg.eigh((mat + mat.conj().T) / 2)
+            if evals[0] < -PSD_TOL:
+                raise InvalidPovm(f"effect {lab} has eigenvalue {float(evals[0]):.3e}")
+            keep = evals > 0.0
+            terms.append((evals[keep], evecs[:, keep].T, np.full(np.count_nonzero(keep), i)))
+        weights, vectors, owner = (np.concatenate(parts) for parts in zip(*terms))
+        self._set_terms(labels, weights, vectors, owner, COMPLETENESS_TOL)
 
     @classmethod
     def from_rank_one(cls, labels: Sequence[Hashable], weights, vectors,
@@ -164,27 +161,26 @@ class Povm:
         vectors = np.asarray(vectors, dtype=complex)
         if weights.min() < -PSD_TOL:
             raise InvalidPovm(f"negative weight {weights.min():.3e}")
+        povm = object.__new__(cls)
+        povm._set_terms(labels, weights, vectors, np.arange(len(weights)), completeness_tol)
+        return povm
+
+    def _set_terms(self, labels, weights, vectors, owner, completeness_tol):
         dim = vectors.shape[1]
         total = np.einsum("kr,k,kc->rc", vectors, weights, vectors.conj())
         deficit = float(np.max(np.abs(total - np.eye(dim))))
         if deficit > completeness_tol:
             raise InvalidPovm(f"effects sum to identity with defect {deficit:.3e}")
-        povm = object.__new__(cls)
-        povm.labels = tuple(labels)
-        povm.dim = dim
-        povm._dense = None
-        povm._weights = weights
-        povm._vectors = vectors
-        return povm
+        self.labels, self.dim, self._deficit = tuple(labels), dim, deficit
+        self._weights, self._vectors, self._owner = weights, vectors, owner
 
     def __len__(self):
         return len(self.labels)
 
     def effect(self, i: int) -> LinearOperator:
-        if self._dense is not None:
-            return LinearOperator(self._dense[i])
-        v = self._vectors[i]
-        return LinearOperator._wrap(self._weights[i] * np.outer(v, v.conj()))
+        terms = self._owner == i
+        v = self._vectors[terms]
+        return LinearOperator._wrap((v.T * self._weights[terms]) @ v.conj())
 
     @property
     def elements(self) -> list[tuple[Hashable, LinearOperator]]:
@@ -192,12 +188,7 @@ class Povm:
 
     def completeness_deficit(self) -> float:
         """||sum_k M_k - 1||_max, a diagnostic for discretized families."""
-        if self._dense is not None:
-            total = sum(self._dense)
-        else:
-            total = np.einsum("kr,k,kc->rc", self._vectors, self._weights,
-                              self._vectors.conj())
-        return float(np.max(np.abs(total - np.eye(self.dim))))
+        return self._deficit
 
     def __repr__(self):
         return f"Povm(dim={self.dim}, n_effects={len(self.labels)})"
@@ -207,19 +198,13 @@ def povm_distribution(state: State, povm: Povm) -> OutcomeDistribution:
     """Pr(k) = <psi|M_k|psi> (or Tr(rho M_k)) over the family's labels."""
     if state.dim != povm.dim:
         raise DimensionMismatch(f"state dim {state.dim} vs POVM dim {povm.dim}")
-    if povm._vectors is not None:
-        if isinstance(state, PureState):
-            amps = povm._vectors.conj() @ state.amplitudes
-            probs = povm._weights * np.abs(amps) ** 2
-        else:
-            probs = povm._weights * np.real(np.einsum(
-                "kr,rc,kc->k", povm._vectors.conj(), state.matrix, povm._vectors))
+    if isinstance(state, PureState):
+        amps = povm._vectors.conj() @ state.amplitudes
+        terms = povm._weights * np.abs(amps) ** 2
     else:
-        if isinstance(state, PureState):
-            psi = state.amplitudes
-            probs = np.array([np.real(np.vdot(psi, m @ psi)) for m in povm._dense])
-        else:
-            probs = np.array([np.real(np.trace(state.matrix @ m)) for m in povm._dense])
+        terms = povm._weights * np.real(np.einsum(
+            "kr,rc,kc->k", povm._vectors.conj(), state.matrix, povm._vectors))
+    probs = np.bincount(povm._owner, weights=terms, minlength=len(povm.labels))
     return OutcomeDistribution(povm.labels, probs, sum_tol=1e-8)
 
 

@@ -15,12 +15,13 @@ i -> |phi_i>: only |phi_i> = |o_i> gives repeatable outcomes.
 
 from __future__ import annotations
 
+import itertools
 from typing import Sequence
 
 import numpy as np
 
 from .errors import DimensionMismatch, NonExtendable
-from .hilbert import LinearOperator, Observable, PureState
+from .hilbert import LinearOperator, Observable, PureState, _born_weights
 from .measurement import OutcomeDistribution
 
 MODEL_TOL = 1e-9
@@ -200,11 +201,6 @@ def collapse_rule_joint(state: PureState, obs: Observable) -> OutcomeDistributio
     """
     if state.dim != obs.dim:
         raise DimensionMismatch(f"state dim {state.dim} vs observable dim {obs.dim}")
-    probs, labels = [], []
-    for i, vi in enumerate(obs.eigenvalues):
-        block = obs.eigenbasis(i)
-        weight = float(np.sum(np.abs(block.conj().T @ state.amplitudes) ** 2))
-        for j, vj in enumerate(obs.eigenvalues):
-            labels.append((float(vi), float(vj)))
-            probs.append(weight if i == j else 0.0)
-    return OutcomeDistribution(labels, probs)
+    vals = [float(v) for v in obs.eigenvalues]
+    return OutcomeDistribution(list(itertools.product(vals, vals)),
+                               np.diag(_born_weights(obs, state.amplitudes)).ravel())

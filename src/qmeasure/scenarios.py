@@ -92,6 +92,9 @@ class ParamSpec:
                 violations.append(f"{path}: expected number, got {value!r}")
                 return None
             value = float(value)
+            if not np.isfinite(value):
+                violations.append(f"{path}: expected a finite number, got {value!r}")
+                return None
         if self.low is not None and value < self.low:
             violations.append(f"{path}: {value} below minimum {self.low}")
         if self.high is not None and value > self.high:
@@ -453,6 +456,9 @@ def _two_slit_grid(params: dict):
 
 
 def _run_two_slit(params: dict, seed: int) -> tuple[list, list, list]:
+    if params["n_points"] % params["n_cells"]:
+        raise RangeError([f"params.n_cells: {params['n_cells']} must divide "
+                          f"n_points={params['n_points']}"])
     g, psi0, slit_family, screen_family = _two_slit_grid(params)
     H = free_hamiltonian(g, params["mass"])
     t2 = params["screen_time"]

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from qmeasure import (
+    DecoherenceFunctional,
     GridSpace,
     Hamiltonian,
     HistorySet,
@@ -164,6 +165,29 @@ class TestConsistency:
         assert ratio > 0.1
         with pytest.raises(InconsistentFamily):
             history_probabilities(D, 1e-8)
+
+
+    def test_zero_weight_history_passes_vacuously(self):
+        # history 2 has zero diagonal weight; its off-diagonal entry with
+        # history 0 is not a ratio and must not count
+        D = DecoherenceFunctional([(0,), (1,), (2,)],
+                                  [[0.5, 0.05, 0.1], [0.05, 0.2, 0.0], [0.1, 0.0, 0.0]])
+        worst = 0.05 / np.sqrt(0.5 * 0.2)
+        assert is_consistent(D, 1.0) == (True, pytest.approx(worst, rel=1e-15))
+        assert is_consistent(D, 0.1) == (False, pytest.approx(worst, rel=1e-15))
+
+    def test_worst_ratio_matches_pairwise_loop(self, rng):
+        hs = HistorySet(Hamiltonian(random_hermitian(rng, 6)), random_state(rng, 6),
+                        [0.3, 0.9], random_families(rng, 6, [3, 4]))
+        D = decoherence_functional(hs)
+        diag = D.diagonal()
+        loop = 0.0
+        for a in range(len(diag)):
+            for b in range(a + 1, len(diag)):
+                scale = np.sqrt(max(diag[a], 0.0) * max(diag[b], 0.0))
+                if scale != 0.0:
+                    loop = max(loop, abs(D.matrix[a, b]) / scale)
+        assert is_consistent(D)[1] == loop
 
 
 class TestHistoryProbabilities:

@@ -211,6 +211,40 @@ class TestPovm:
             d = povm_distribution(random_state(rng, 2), povm)
             assert abs(sum(d.probabilities) - 1.0) < 1e-8
 
+    def test_rejects_non_hermitian_effects(self):
+        a = np.array([[0.0, 0.3], [-0.3, 0.0]])
+        with pytest.raises(InvalidPovm, match="hermiticity"):
+            Povm([("a", LinearOperator(np.eye(2) / 2 + a)),
+                  ("b", LinearOperator(np.eye(2) / 2 - a))])
+
+    def test_zero_effect_has_probability_zero(self, rng):
+        povm = build_fuzzy_povm(OBS_Z, [[1.0, 0.2], [0.0, 0.8], [0.0, 0.0]])
+        assert np.array_equal(povm.effect(2).matrix, np.zeros((2, 2)))
+        for state in (random_state(rng, 2), random_density(rng, 2)):
+            assert povm_distribution(state, povm).probability(2) == 0.0
+
+    def test_rank_two_effect_round_trips(self, rng):
+        q, _ = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
+        m = (q * [0.3, 0.7, 0.0]) @ q.conj().T
+        povm = Povm([("m", LinearOperator(m)), ("rest", LinearOperator(np.eye(3) - m))])
+        np.testing.assert_allclose(povm.effect(0).matrix, m, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(povm.effect(1).matrix, np.eye(3) - m, rtol=0, atol=1e-12)
+
+    def test_dense_and_rank_one_constructions_agree(self, rng):
+        # the columns of a 3 x 5 matrix with orthonormal rows resolve the identity
+        q, _ = np.linalg.qr(rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3)))
+        columns = q.conj().T
+        weights = np.sum(np.abs(columns) ** 2, axis=0)
+        vectors = (columns / np.sqrt(weights)).T
+        labels = list(range(5))
+        compact = Povm.from_rank_one(labels, weights, vectors)
+        dense = Povm([(k, LinearOperator(w * np.outer(v, v.conj())))
+                      for k, w, v in zip(labels, weights, vectors)])
+        for state in (random_state(rng, 3), random_density(rng, 3)) * 5:
+            np.testing.assert_allclose(povm_distribution(state, dense).probabilities,
+                                       povm_distribution(state, compact).probabilities,
+                                       rtol=0, atol=1e-12)
+
     def test_density_input(self, rng):
         eps = 0.2
         povm = build_fuzzy_povm(OBS_Z, [[1 - eps, eps], [eps, 1 - eps]])

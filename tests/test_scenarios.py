@@ -32,6 +32,14 @@ class TestValidateConfig:
             validate_config("scenario: zeno_decay\nparams:\n  tau: -1.0")
         assert any("tau" in v for v in err.value.violations)
 
+    @pytest.mark.parametrize("scenario,name,value", [("zeno_decay", "tau", ".nan"),
+                                                     ("wavepacket_spread", "box_length", ".inf")])
+    def test_non_finite_numbers_rejected(self, scenario, name, value):
+        with pytest.raises(RangeError) as err:
+            validate_config(f"scenario: {scenario}\nparams:\n  {name}: {value}\n")
+        assert err.value.violations == [
+            f"params.{name}: expected a finite number, got {value[1:]}"]
+
     def test_every_violation_reported(self):
         raw = ("scenario: zeno_decay\n"
                "params:\n  tau: -1.0\n  n_modes: 10\n  unknown_knob: 3\n")
@@ -181,6 +189,18 @@ class TestCli:
         assert cli_main(["validate", str(cfg)]) == 2
         err = capsys.readouterr().err
         assert err.count("RANGE") == 2
+
+    def test_validate_rejects_nan(self, tmp_path, capsys):
+        cfg = tmp_path / "nan.yaml"
+        cfg.write_text("scenario: zeno_decay\nparams:\n  tau: .nan\n")
+        assert cli_main(["validate", str(cfg)]) == 2
+        assert "RANGE params.tau: expected a finite number" in capsys.readouterr().err
+
+    def test_run_rejects_n_cells_not_dividing_n_points(self, tmp_path, capsys):
+        cfg = tmp_path / "cells.yaml"
+        cfg.write_text("scenario: two_slit\nparams:\n  n_cells: 24\n")
+        assert cli_main(["run", str(cfg), "--out-dir", str(tmp_path)]) == 2
+        assert "params.n_cells" in capsys.readouterr().err
 
     def test_list_shows_scenarios(self, capsys):
         assert cli_main(["list"]) == 0
