@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NotHermitian, UnresolvableWidth
-from .hilbert import LinearOperator, Observable, PureState, _hermitian_within_tol, \
-    hermiticity_defect
+from .hilbert import LinearOperator, Observable, PureState, _freeze, _hermitian_within_tol, \
+    _identity_defect, hermiticity_defect
 
 UNITARITY_TOL = 1e-9
 
@@ -24,32 +24,71 @@ UNITARITY_TOL = 1e-9
 class Hamiltonian:
     """A Hermitian generator of time evolution.
 
-    The eigendecomposition is computed once on first use and cached, so
-    propagating to many times costs one diagonalization plus cheap phase
-    sums.
+    Every propagation is U(t) = V e^{-iEt} V^dag from the eigensystem (E, V),
+    in :meth:`evolve_amplitudes`.  An operator is diagonalized once, on first
+    use; :meth:`from_eigenbasis` takes a spectrum that is already known.
     """
 
-    __slots__ = ("op", "dim", "_evals", "_evecs")
+    __slots__ = ("_op", "dim", "_evals", "_evecs")
 
     def __init__(self, op: LinearOperator):
         if not _hermitian_within_tol(op.matrix):
             raise NotHermitian(f"hermiticity defect {hermiticity_defect(op.matrix):.3e}")
-        self.op = op
-        self.dim = op.dim
-        self._evals = None
-        self._evecs = None
+        self._op, self.dim, self._evals, self._evecs = op, op.dim, None, None
 
-    def _eigensystem(self):
+    @classmethod
+    def from_eigenbasis(cls, energies, basis) -> "Hamiltonian":
+        """H = V diag(E) V^dag from finite real energies E and their eigenvectors V.
+
+        Raises ValueError unless max|V^dag V - 1| <= 1e-9.  Columns are
+        reordered so the energies ascend; the arrays become read-only.
+        """
+        evals = np.asarray(energies)
+        evecs = np.asarray(basis, dtype=complex)
+        if (evals.ndim != 1 or not np.isrealobj(evals) or not np.all(np.isfinite(evals))
+                or evecs.shape != (evals.size, evals.size)):
+            raise ValueError("need finite real energies and a square basis, a column per energy")
+        defect = _identity_defect(evecs.conj().T @ evecs)
+        if defect > UNITARITY_TOL:
+            raise ValueError(f"eigenbasis unitarity defect {defect:.3e}")
+        order = np.argsort(evals, kind="stable")
+        H = object.__new__(cls)
+        H._op, H.dim = None, evals.size
+        H._evals, H._evecs = _freeze(evals[order].astype(float)), _freeze(evecs[:, order])
+        return H
+
+    @property
+    def op(self) -> LinearOperator:
+        """The dense operator; for a known eigenbasis, V diag(E) V^dag built on first read."""
+        if self._op is None:
+            m = self._evecs @ (self._evals[:, None] * self._evecs.conj().T)
+            self._op = LinearOperator._wrap((m + m.conj().T) / 2)
+        return self._op
+
+    def eigensystem(self) -> tuple[np.ndarray, np.ndarray]:
+        """Ascending energies and the unitary whose columns are their eigenvectors."""
         if self._evals is None:
-            evals, evecs = np.linalg.eigh(self.op.matrix)
-            self._evals, self._evecs = evals, evecs
+            evals, evecs = np.linalg.eigh(self._op.matrix)
+            self._evals, self._evecs = _freeze(evals), _freeze(evecs)
         return self._evals, self._evecs
+
+    def evolve_amplitudes(self, amplitudes, t) -> np.ndarray:
+        """V e^{-iEt} V^dag applied to unnormalized amplitudes: the one evolution kernel.
+
+        Columns of a matrix all evolve by ``t``; a vector with a 1-d array of
+        times gives one column per time.  Raises ValueError for a non-finite t.
+        """
+        times = np.asarray(t, dtype=float)
+        if not np.all(np.isfinite(times)):
+            raise ValueError(f"time must be finite, got {t}")
+        evals, evecs = self.eigensystem()
+        coeff = (np.asarray(amplitudes).conj().T @ evecs).conj().T  # V^dag a, V not copied
+        phases = np.exp(-1j * np.multiply.outer(evals, times))
+        return evecs @ (phases.T * coeff.T).T  # broadcast over columns or times
 
     def evolve(self, state: PureState, t: float) -> PureState:
         """exp(-iHt)|psi> without materializing the propagator matrix."""
-        evals, evecs = self._eigensystem()
-        coeff = evecs.conj().T @ state.amplitudes
-        return PureState(evecs @ (np.exp(-1j * evals * t) * coeff))
+        return PureState(self.evolve_amplitudes(state.amplitudes, t))
 
     def __repr__(self):
         return f"Hamiltonian(dim={self.dim})"
@@ -62,16 +101,14 @@ class Propagator:
 
     def __init__(self, t: float, matrix):
         mat = np.asarray(matrix, dtype=complex)
-        dim = mat.shape[0]
-        defect = np.max(np.abs(mat.conj().T @ mat - np.eye(dim)))
+        defect = _identity_defect(mat.conj().T @ mat)
         if defect > UNITARITY_TOL:
             raise ValueError(f"propagator unitarity defect {defect:.3e}")
-        if t == 0.0 and np.max(np.abs(mat - np.eye(dim))) > UNITARITY_TOL:
+        if t == 0.0 and _identity_defect(mat) > UNITARITY_TOL:
             raise ValueError("U(0) must be the identity")
         self.t = float(t)
-        self.matrix = mat
-        self.matrix.setflags(write=False)
-        self.dim = dim
+        self.matrix = _freeze(mat)
+        self.dim = mat.shape[0]
 
     def apply(self, state: PureState) -> PureState:
         return PureState(self.matrix @ state.amplitudes)
@@ -81,18 +118,13 @@ class Propagator:
 
 
 def propagate(H: Hamiltonian | LinearOperator, t: float) -> Propagator:
-    """Build U(t) = exp(-iHt) via the Hermitian eigendecomposition of H.
+    """U(t) = exp(-iHt) as a matrix: the evolution kernel applied to the identity.
 
-    Eigendecomposition keeps U exactly unitary up to roundoff and gives the
-    group law U(a)U(b) = U(a+b) to the same accuracy.
+    U is unitary, and obeys U(a)U(b) = U(a+b), up to roundoff.
     """
-    if not np.isfinite(t):
-        raise ValueError(f"time must be finite, got {t}")
     if isinstance(H, LinearOperator):
         H = Hamiltonian(H)
-    evals, evecs = H._eigensystem()
-    U = (evecs * np.exp(-1j * evals * t)) @ evecs.conj().T
-    return Propagator(t, U)
+    return Propagator(t, H.evolve_amplitudes(np.eye(H.dim, dtype=complex), t))
 
 
 @dataclass(frozen=True)
@@ -112,8 +144,8 @@ class GridSpace:
     def __post_init__(self):
         if self.n_points < 8 or self.n_points % 2 != 0:
             raise ValueError("n_points must be even and at least 8")
-        if self.box_length <= 0:
-            raise ValueError("box_length must be positive")
+        if not (np.isfinite(self.box_length) and self.box_length > 0):
+            raise ValueError(f"box_length must be finite and positive, got {self.box_length}")
         object.__setattr__(self, "dx", self.box_length / self.n_points)
 
     @property
@@ -201,13 +233,10 @@ def truncated_gaussian_packet(g: GridSpace, x0: float, k0: float, width: float,
 
 
 def free_hamiltonian(g: GridSpace, mass: float = 1.0) -> Hamiltonian:
-    """H = P^2 / 2m on the grid, built spectrally from the Fourier map."""
+    """H = P^2 / 2m on the grid from its known eigensystem: energies k^2 / 2m, basis F^dag."""
     if mass <= 0:
         raise ValueError("mass must be positive")
-    k = g.wavenumbers
-    F = fourier_map(g)
-    H = F.conj().T @ ((k ** 2 / (2 * mass))[:, None] * F)
-    return Hamiltonian(LinearOperator._wrap((H + H.conj().T) / 2))
+    return Hamiltonian.from_eigenbasis(g.wavenumbers ** 2 / (2 * mass), fourier_map(g).conj().T)
 
 
 def barrier_hamiltonian(g: GridSpace, mass: float, height: float,
@@ -218,11 +247,9 @@ def barrier_hamiltonian(g: GridSpace, mass: float, height: float,
     ``height``.  Finite barriers leak: a state confined to one side acquires
     support on the other under evolution.
     """
-    base = free_hamiltonian(g, mass)
     v = np.zeros(g.n_points)
-    lo, hi = int(window[0]), int(window[1])
-    v[lo:hi] = height
-    H = base.op.matrix + np.diag(v.astype(complex))
+    v[int(window[0]):int(window[1])] = height
+    H = free_hamiltonian(g, mass).op.matrix + np.diag(v.astype(complex))
     return Hamiltonian(LinearOperator._wrap(H))
 
 

@@ -53,6 +53,11 @@ def _projector_defect(matrix: np.ndarray) -> float:
     return max(float(np.max(np.abs(matrix @ matrix - matrix))), hermiticity_defect(matrix))
 
 
+def _identity_defect(matrix: np.ndarray) -> float:
+    """max|m - 1|: the unitarity defect of V^dag V, or the deficit of a resolution of 1."""
+    return float(np.max(np.abs(matrix - np.eye(matrix.shape[0]))))
+
+
 def _cluster_slices(evals: np.ndarray, gap: float) -> list[slice]:
     """Split ascending eigenvalues into runs whose neighbours lie within ``gap``."""
     ev = evals.tolist()
@@ -219,7 +224,7 @@ class Observable:
             raise ValueError("one slice per distinct eigenvalue required")
         if len(vals) > 1 and np.any(np.diff(vals) <= 0):
             raise ValueError("eigenvalues must be distinct and ascending")
-        unitarity = np.max(np.abs(basis.conj().T @ basis - np.eye(dim)))
+        unitarity = _identity_defect(basis.conj().T @ basis)
         if unitarity > SPECTRAL_TOL:
             raise ValueError(f"eigenbasis not orthonormal: defect {unitarity:.3e}")
         full = np.concatenate([np.full(sl.stop - sl.start, v)

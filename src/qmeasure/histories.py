@@ -17,9 +17,9 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InconsistentFamily, InvalidIndex
-from .dynamics import Hamiltonian, propagate
+from .dynamics import Hamiltonian
 from .hilbert import DensityOperator, LinearOperator, PureState, _hermitian_within_tol, \
-    _projector_defect
+    _identity_defect, _projector_defect
 from .measurement import OutcomeDistribution
 
 FAMILY_TOL = 1e-9
@@ -62,7 +62,7 @@ class HistorySet:
                     raise ValueError(
                         f"family {m} entry {a} is not a projector: defect {defect:.3e}")
                 total += mat
-            deficit = float(np.max(np.abs(total - np.eye(dim))))
+            deficit = _identity_defect(total)
             if deficit > FAMILY_TOL:
                 raise ValueError(f"family {m} sums to identity with defect {deficit:.3e}")
             checked.append(tuple(LinearOperator(m_) for m_ in mats))
@@ -102,8 +102,7 @@ def class_operator(hs: HistorySet, alpha: Sequence[int]) -> LinearOperator:
             raise InvalidIndex(f"index {a} invalid for family {m}")
     C = np.eye(hs.dim, dtype=complex)
     for m, dt in enumerate(hs._steps()):
-        U = propagate(hs.hamiltonian, dt).matrix
-        C = hs.families[m][alpha[m]].matrix @ U @ C
+        C = hs.families[m][alpha[m]].matrix @ hs.hamiltonian.evolve_amplitudes(C, dt)
     return LinearOperator._wrap(C)
 
 
@@ -137,17 +136,17 @@ class DecoherenceFunctional:
 
 
 def _branch_vectors(hs: HistorySet, start: np.ndarray) -> np.ndarray:
-    """Evolve-and-split a single initial vector through every history."""
-    branches = [start]
+    """Evolve-and-split a single initial vector; one row per history.
+
+    Splitting v into [P_0 v, P_1 v, ...] nests the newest choice fastest,
+    which is the lexicographic order of the labels.
+    """
+    branches = start[:, None]
     for m, dt in enumerate(hs._steps()):
-        U = propagate(hs.hamiltonian, dt).matrix
-        evolved = [U @ b for b in branches]
-        branches = [proj.matrix @ v
-                    for v in evolved
-                    for proj in hs.families[m]]
-    # reorder: the loop above nests newest choice fastest, which already
-    # matches lexicographic order when splitting [v] -> [P_0 v, P_1 v, ...]
-    return np.stack(branches, axis=0)
+        evolved = hs.hamiltonian.evolve_amplitudes(branches, dt)
+        branches = np.stack([proj.matrix @ v for v in evolved.T for proj in hs.families[m]],
+                            axis=1)
+    return branches.T
 
 
 def decoherence_functional(hs: HistorySet) -> DecoherenceFunctional:

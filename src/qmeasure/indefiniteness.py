@@ -154,7 +154,7 @@ def _kernel_criterion(H: Hamiltonian, psi0: PureState, proj: np.ndarray,
     psi(t) remains in the kernel iff Pi kills every energy-eigenspace
     projection of psi0.
     """
-    evals, evecs = H._eigensystem()
+    evals, evecs = H.eigensystem()
     coeff = evecs.conj().T @ psi0.amplitudes
     radius = float(np.max(np.abs(evals))) if len(evals) else 0.0
     for sl in _cluster_slices(evals, 1e-9 * max(radius, 1.0)):
@@ -176,14 +176,10 @@ def indefiniteness_scan(H: Hamiltonian, psi0: PureState, projector,
     times = np.asarray(times, dtype=float)
     if times.size < 1000:
         raise ValueError(f"need a time grid of at least 1000 points, got {times.size}")
-    evals, evecs = H._eigensystem()
-    coeff = evecs.conj().T @ psi0.amplitudes
-    proj_eig = evecs.conj().T @ (proj @ evecs)
-    series = np.empty(len(times))
-    for idx, t in enumerate(times):
-        c = np.exp(-1j * evals * t) * coeff
-        series[idx] = float(np.real(np.vdot(c, proj_eig @ c)))
-    series = np.clip(series, 0.0, None)
+    blocks = np.array_split(times, 1 + times.size // 4096)  # bounds memory to 4096 times
+    psi_t = (H.evolve_amplitudes(psi0.amplitudes, b) for b in blocks)  # a column per time
+    series = np.clip(np.concatenate([np.real(np.sum(c.conj() * (proj @ c), axis=0))
+                                     for c in psi_t]), 0.0, None)
     kernel_invariant = _kernel_criterion(H, psi0, proj, threshold)
     below = series <= threshold
     if below.all() and kernel_invariant:

@@ -17,7 +17,7 @@ from .dynamics import GridSpace, fourier_map, gaussian_packet
 from .errors import DimensionMismatch, ImpossibleOutcome, IncompleteTiling, \
     InvalidPovm, InvalidSmearing
 from .hilbert import LinearOperator, Observable, PureState, State, _born_weights, \
-    _hermitian_within_tol, hermiticity_defect
+    _hermitian_within_tol, _identity_defect, hermiticity_defect
 
 NEGATIVE_CLAMP_LIMIT = 1e-9
 PSD_TOL = 1e-9
@@ -168,7 +168,7 @@ class Povm:
     def _set_terms(self, labels, weights, vectors, owner, completeness_tol):
         dim = vectors.shape[1]
         total = np.einsum("kr,k,kc->rc", vectors, weights, vectors.conj())
-        deficit = float(np.max(np.abs(total - np.eye(dim))))
+        deficit = _identity_defect(total)
         if deficit > completeness_tol:
             raise InvalidPovm(f"effects sum to identity with defect {deficit:.3e}")
         self.labels, self.dim, self._deficit = tuple(labels), dim, deficit

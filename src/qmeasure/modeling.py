@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DimensionMismatch, NonExtendable
-from .hilbert import LinearOperator, Observable, PureState, _born_weights
+from .hilbert import LinearOperator, Observable, PureState, _born_weights, _identity_defect
 from .measurement import OutcomeDistribution
 
 MODEL_TOL = 1e-9
@@ -127,21 +127,20 @@ def build_measurement_unitary(obs: Observable,
             raise DimensionMismatch("post-measurement state lives off the system")
     record_indices = [m for m in range(pointer_dim) if m != ready_index][:n_out]
 
-    dim = ds * pointer_dim
     ready = _pointer_vec(pointer_dim, ready_index)
     sources = np.stack([np.kron(obs.eigenbasis(i)[:, 0], ready)
                         for i in range(n_out)], axis=1)
     images = np.stack([np.kron(phi.amplitudes, _pointer_vec(pointer_dim, rec))
                        for phi, rec in zip(post_states, record_indices)], axis=1)
     gram = images.conj().T @ images
-    defect = float(np.max(np.abs(gram - np.eye(n_out))))
+    defect = _identity_defect(gram)
     if defect > MODEL_TOL:
         raise NonExtendable(f"image vectors not orthonormal: defect {defect:.3e}")
 
     source_full = np.hstack([sources, _orthonormal_complement(sources)])
     image_full = np.hstack([images, _orthonormal_complement(images)])
     U = image_full @ source_full.conj().T
-    unitarity = float(np.max(np.abs(U.conj().T @ U - np.eye(dim))))
+    unitarity = _identity_defect(U.conj().T @ U)
     if unitarity > MODEL_TOL:
         raise NonExtendable(f"completion failed: unitarity defect {unitarity:.3e}")
     return MeasurementModel(obs, pointer_dim, ready_index, record_indices,

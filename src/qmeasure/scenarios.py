@@ -23,7 +23,7 @@ from .dynamics import (
     GridSpace,
     Hamiltonian,
     barrier_hamiltonian,
-    build_grid_operators,
+    fourier_map,
     free_hamiltonian,
     gaussian_packet,
     packet_width,
@@ -35,6 +35,7 @@ from .hilbert import (
     PureState,
     SIGMA_X,
     SIGMA_Z,
+    _identity_defect,
     basis_state,
     partial_trace,
     spectral_decompose,
@@ -91,7 +92,10 @@ class ParamSpec:
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 violations.append(f"{path}: expected number, got {value!r}")
                 return None
-            value = float(value)
+            try:
+                value = float(value)
+            except OverflowError:  # an integer beyond the double range
+                value = np.inf
             if not np.isfinite(value):
                 violations.append(f"{path}: expected a finite number, got {value!r}")
                 return None
@@ -308,9 +312,9 @@ def _run_zeno_decay(params: dict, seed: int) -> tuple[list, list, list]:
     monotone = all(b >= a - 1e-12 for a, b in zip(survivals, survivals[1:]))
 
     ts = np.linspace(0.2 * tau, 3 * tau, 141)
-    rel_errs = [abs(survival_probability(model, t) - np.exp(-t / tau)) / np.exp(-t / tau)
-                for t in ts]
-    slope = float(np.polyfit(ts, np.log([survival_probability(model, t) for t in ts]), 1)[0])
+    survival = [survival_probability(model, t) for t in ts]
+    rel_errs = [abs(s - np.exp(-t / tau)) / np.exp(-t / tau) for s, t in zip(survival, ts)]
+    slope = float(np.polyfit(ts, np.log(survival), 1)[0])
 
     columns = [("delta", "s"), ("n_cycles", ""), ("survival", "")]
     assertions = [
@@ -373,16 +377,15 @@ def _run_wavepacket_spread(params: dict, seed: int) -> tuple[list, list, list]:
         worst = max(worst, rel)
         rows.append((float(t), float(w_num), float(w_ref), float(rel)))
 
-    F = build_grid_operators(g)[2]
+    F = fourier_map(g)
     x = g.positions
     k = g.wavenumbers
     px = np.abs(psi0.amplitudes) ** 2
     sx = np.sqrt(float(np.sum(px * x ** 2) - np.sum(px * x) ** 2))
-    pk = np.abs(F.matrix @ psi0.amplitudes) ** 2
+    pk = np.abs(F @ psi0.amplitudes) ** 2
     sk = np.sqrt(float(np.sum(pk * k ** 2) - np.sum(pk * k) ** 2))
     mean_p = float(np.sum(pk * k))
-    fourier_unitarity = float(np.max(np.abs(
-        F.matrix.conj().T @ F.matrix - np.eye(g.n_points))))
+    fourier_unitarity = _identity_defect(F.conj().T @ F)
 
     columns = [("t", "s"), ("width_numeric", "length"), ("width_predicted", "length"),
                ("rel_error", "")]
@@ -417,8 +420,7 @@ def _run_delocalization(params: dict, seed: int) -> tuple[list, list, list]:
         rows.append((float(eps), float(outside)))
 
     report = ee_link_status(psi0, region_projector(g, (center - 2, center + 3)))
-    momentum_amps = np.abs(
-        (build_grid_operators(g)[2].matrix @ psi0.amplitudes))
+    momentum_amps = np.abs(fourier_map(g) @ psi0.amplitudes)
     min_momentum = float(momentum_amps.min())
 
     barrier_lo = window[1] + 2
@@ -485,15 +487,14 @@ def _run_two_slit(params: dict, seed: int) -> tuple[list, list, list]:
         rows.append((float(c), float(p1), float(p2), float(p_joint[c]), float(interf)))
 
     # which-way variant: a two-level tag records the slit at preparation
-    n = g.n_points
-    tagged = np.zeros(2 * n, dtype=complex)
-    left_part = slit_family[0].matrix @ psi0.amplitudes
-    right_part = slit_family[1].matrix @ psi0.amplitudes
-    tagged[0::2] = left_part
-    tagged[1::2] = right_part
-    psi_tagged = PureState(tagged)
+    # amplitude of (x, slit s) at index 2x + s
+    psi_tagged = PureState(np.stack([p.matrix @ psi0.amplitudes for p in slit_family],
+                                    axis=1).ravel())
     pointer_identity = np.eye(2, dtype=complex)
-    H_tagged = Hamiltonian(LinearOperator(np.kron(H.op.matrix, pointer_identity)))
+    # the tag does not move: H's eigensystem, each level doubled
+    energies, basis = H.eigensystem()
+    H_tagged = Hamiltonian.from_eigenbasis(np.repeat(energies, 2),
+                                           np.kron(basis, pointer_identity))
     slit_tagged = [LinearOperator(np.kron(p.matrix, pointer_identity))
                    for p in slit_family]
     screen_tagged = [LinearOperator(np.kron(p.matrix, pointer_identity))
@@ -636,7 +637,7 @@ def _run_hegerfeldt_scan(params: dict, seed: int) -> tuple[list, list, list]:
     generic = indefiniteness_scan(H, psi0, proj, times)
 
     # projector commuting with H, initial state in its kernel
-    evals, evecs = np.linalg.eigh(H.op.matrix)
+    evals, evecs = H.eigensystem()
     proj_comm = LinearOperator(evecs[:, :rank] @ evecs[:, :rank].conj().T)
     psi_kernel = PureState(evecs[:, -1])
     kernel_scan = indefiniteness_scan(H, psi_kernel, proj_comm, times)

@@ -13,8 +13,8 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InvalidRegime, OutsideValidityWindow
-from .hilbert import LinearOperator, PureState
-from .dynamics import Hamiltonian, propagate
+from .hilbert import LinearOperator, PureState, basis_state
+from .dynamics import Hamiltonian
 
 MIN_BAND_DECAY_PRODUCT = 20.0
 MIN_MODES = 200
@@ -42,7 +42,7 @@ class DecayModel:
     """
 
     __slots__ = ("tau", "n_modes", "bandwidth", "coupling", "delta_omega",
-                 "t0", "t_valid", "hamiltonian", "_evals", "_weights", "_evecs")
+                 "t0", "t_valid", "hamiltonian")
 
     def __init__(self, tau: float, n_modes: int, bandwidth: float):
         if tau <= 0 or bandwidth <= 0:
@@ -68,19 +68,13 @@ class DecayModel:
         H[0, 1:] = self.coupling
         H[1:, 0] = self.coupling
         self.hamiltonian = Hamiltonian(LinearOperator._wrap(H))
-        evals, evecs = self.hamiltonian._eigensystem()
-        self._evals = evals
-        self._evecs = evecs
-        self._weights = np.abs(evecs[0, :]) ** 2
 
     @property
     def dim(self) -> int:
         return self.n_modes + 1
 
     def undecayed_state(self) -> PureState:
-        vec = np.zeros(self.dim, dtype=complex)
-        vec[0] = 1.0
-        return PureState(vec)
+        return basis_state(self.dim, 0)
 
     def decay_products_state(self) -> PureState:
         """Uniform superposition over the band modes."""
@@ -97,12 +91,13 @@ class DecayModel:
                 f"T_valid/3 = {self.t_valid / 3:.4g}")
 
     def survival_amplitude(self, t: float) -> complex:
-        return complex(np.sum(self._weights * np.exp(-1j * self._evals * t)))
+        """<undecayed|U(t)|undecayed>."""
+        return self.autocorrelation(self.undecayed_state(), t)
 
     def autocorrelation(self, state: PureState, t: float) -> complex:
-        """<state|U(t)|state> from the cached eigendecomposition."""
-        coeff = self._evecs.conj().T @ state.amplitudes
-        return complex(np.sum(np.abs(coeff) ** 2 * np.exp(-1j * self._evals * t)))
+        """<state|U(t)|state>, evolved by the Hamiltonian."""
+        amps = state.amplitudes
+        return complex(np.vdot(amps, self.hamiltonian.evolve_amplitudes(amps, t)))
 
     def __repr__(self):
         return (f"DecayModel(tau={self.tau}, n_modes={self.n_modes}, "
@@ -132,9 +127,10 @@ def iterated_projection_survival(model: DecayModel, delta: float, horizon: float
 
     Each cycle evolves the kept state for ``delta``, records the probability
     of still finding it undecayed, and keeps the renormalized undecayed
-    branch (the decayed branch is dropped).  Runs floor(horizon / delta) full
-    cycles and returns the product of per-cycle survival probabilities: the
-    prediction of applying the projection rule every ``delta`` seconds.
+    branch, which is the undecayed level itself: each of the
+    n = floor(horizon / delta) cycles survives with the same |A(delta)|^2,
+    so the projection rule applied every ``delta`` seconds predicts
+    |A(delta)|^(2n), with A the survival amplitude.
     """
     if delta <= 0:
         raise ValueError("projection interval must be positive")
@@ -142,42 +138,18 @@ def iterated_projection_survival(model: DecayModel, delta: float, horizon: float
     if n_cycles < 1:
         raise ValueError(f"horizon {horizon} shorter than one cycle of {delta}")
     model._check_window(n_cycles * delta)
-    evals, evecs = model._evals, model._evecs
-    phases = np.exp(-1j * evals * delta)
-    undecayed = np.zeros(model.dim, dtype=complex)
-    undecayed[0] = 1.0
-    state = undecayed
-    survival = 1.0
-    for _ in range(n_cycles):
-        state = evecs @ (phases * (evecs.conj().T @ state))
-        p = abs(state[0]) ** 2
-        survival *= p
-        if survival == 0.0:
-            break
-        # keep the undecayed branch, renormalized, phase included
-        state = (state[0] / abs(state[0])) * undecayed
-    return float(survival)
+    return float(abs(model.survival_amplitude(delta)) ** (2 * n_cycles))
 
 
 def rabi_zeno(theta: float, n_projections: int) -> float:
     """Survival of a two-level rotation interrupted by N projections.
 
     A spin is rotated by total angle theta in N equal steps; after each step
-    it is projected back onto its initial state.  Simulated as actual
-    evolve-project cycles (the closed form is cos^2N(theta / 2N)).
+    it is projected back onto its initial state, so the survival is
+    |<up|U(theta/N)|up>|^2N (closed form cos^2N(theta / 2N)).
     """
     if n_projections < 1:
         raise ValueError("need at least one projection")
-    generator = LinearOperator([[0, 0.5], [0.5, 0]])  # rotation by t radians under U(t)
-    step = propagate(generator, theta / n_projections)
-    up = np.array([1.0, 0.0], dtype=complex)
-    survival = 1.0
-    state = up
-    for _ in range(n_projections):
-        state = step.matrix @ state
-        p = abs(state[0]) ** 2
-        survival *= p
-        if survival == 0.0:
-            break
-        state = (state[0] / abs(state[0])) * up
-    return float(survival)
+    generator = Hamiltonian(LinearOperator([[0, 0.5], [0.5, 0]]))  # rotation by t radians
+    amplitude = generator.evolve_amplitudes(basis_state(2, 0).amplitudes, theta / n_projections)[0]
+    return float(abs(amplitude) ** (2 * n_projections))

@@ -71,6 +71,12 @@ class TestPropagate:
         with pytest.raises(ValueError):
             propagate(SIGMA_X, np.inf)
 
+    def test_evolve_rejects_non_finite_time(self, rng):
+        H = Hamiltonian(random_hermitian(rng, 3))
+        for t in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="time must be finite"):
+                H.evolve(random_state(rng, 3), t)
+
     def test_hamiltonian_evolve_matches_propagator(self, rng):
         H = Hamiltonian(random_hermitian(rng, 5))
         s = random_state(rng, 5)
@@ -86,6 +92,11 @@ class TestGridSpace:
             GridSpace(6, 10.0)
         with pytest.raises(ValueError):
             GridSpace(9, 10.0)
+
+    def test_rejects_non_finite_box_length(self):
+        for length in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="box_length"):
+                GridSpace(16, length)
 
     def test_spacing(self):
         g = GridSpace(16, 8.0)
@@ -203,6 +214,90 @@ class TestFreeSpreading:
             w_num = packet_width(g, H.evolve(psi0, float(t)))
             w_ref = L * math.sqrt(1.0 + (t / natural) ** 2)
             assert w_num == pytest.approx(w_ref, rel=0.02)
+
+
+def _dense_free_matrix(g, mass):
+    # the kinetic operator written out densely, F^dag diag(k^2 / 2m) F
+    F = np.exp(-1j * np.outer(g.wavenumbers, g.positions)) / np.sqrt(g.n_points)
+    return F.conj().T @ ((g.wavenumbers ** 2 / (2 * mass))[:, None] * F)
+
+
+def _eigh_evolution(matrix, psi, t):
+    # independent oracle: diagonalize the dense matrix and sum the phases
+    evals, evecs = np.linalg.eigh(matrix)
+    return evecs @ (np.exp(-1j * evals * t) * (evecs.conj().T @ psi))
+
+
+class TestKnownEigenbasis:
+    def test_free_evolution_matches_dense_eigh(self):
+        g = GridSpace(256, 60.0)
+        H = free_hamiltonian(g, 1.3)
+        dense = _dense_free_matrix(g, 1.3)
+        psi = gaussian_packet(g, -3.0, 1.1, 2.0)
+        for t in (0.0, 0.37, 2.5, 11.0, 40.0):
+            oracle = _eigh_evolution(dense, psi.amplitudes, t)
+            assert np.max(np.abs(H.evolve(psi, t).amplitudes - oracle)) <= 1e-12
+
+    def test_free_operator_is_dense_kinetic_matrix(self):
+        g = GridSpace(64, 20.0)
+        H = free_hamiltonian(g, 0.7)
+        assert np.max(np.abs(H.op.matrix - _dense_free_matrix(g, 0.7))) <= 1e-12
+
+    def test_which_way_hamiltonian_matches_kron_eigh(self, rng):
+        g = GridSpace(64, 20.0)
+        energies, basis = free_hamiltonian(g, 1.0).eigensystem()
+        eye2 = np.eye(2, dtype=complex)
+        H_tag = Hamiltonian.from_eigenbasis(np.repeat(energies, 2), np.kron(basis, eye2))
+        dense_tag = np.kron(_dense_free_matrix(g, 1.0), eye2)
+        psi = random_state(rng, 128)
+        for t in (0.0, 0.8, 6.5):
+            oracle = _eigh_evolution(dense_tag, psi.amplitudes, t)
+            assert np.max(np.abs(H_tag.evolve(psi, t).amplitudes - oracle)) <= 1e-12
+
+    def test_energies_ascend_with_their_columns(self, rng):
+        H0 = Hamiltonian(random_hermitian(rng, 4))
+        evals, evecs = H0.eigensystem()
+        order = [2, 0, 3, 1]
+        H = Hamiltonian.from_eigenbasis(evals[order], evecs[:, order])
+        energies, basis = H.eigensystem()
+        np.testing.assert_array_equal(energies, evals)
+        np.testing.assert_array_equal(basis, evecs)
+        np.testing.assert_allclose(H.op.matrix, H0.op.matrix, atol=1e-12)
+
+    def test_rejects_invalid_eigensystems(self):
+        basis = np.eye(3, dtype=complex)
+        for energies in ([0.0, np.nan, 1.0], [0.0, 1j, 1.0], [0.0, 1.0]):
+            with pytest.raises(ValueError, match="finite real energies and a square basis"):
+                Hamiltonian.from_eigenbasis(energies, basis)
+        with pytest.raises(ValueError, match="unitarity defect"):
+            Hamiltonian.from_eigenbasis([0.0, 1.0, 2.0], 1.001 * basis)
+
+    def test_kernel_batches_columns_and_times(self, rng):
+        H = Hamiltonian(random_hermitian(rng, 5))
+        columns = rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3))
+        evolved = H.evolve_amplitudes(columns, 1.7)
+        times = np.array([0.0, 0.4, 2.2])
+        per_time = H.evolve_amplitudes(columns[:, 0], times)
+        U = propagate(H, 1.7).matrix
+        for j in range(3):
+            np.testing.assert_allclose(evolved[:, j], U @ columns[:, j], atol=1e-12)
+            np.testing.assert_allclose(per_time[:, j],
+                                       propagate(H, times[j]).matrix @ columns[:, 0],
+                                       atol=1e-12)
+
+    def test_known_eigensystems_are_not_diagonalized(self, monkeypatch):
+        from qmeasure import run_scenario, validate_config
+
+        def no_eigh(*args, **kwargs):
+            raise AssertionError("np.linalg.eigh called")
+
+        monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+        g = GridSpace(128, 40.0)
+        psi = free_hamiltonian(g, 1.0).evolve(gaussian_packet(g, 0.0, 1.0, 2.0), 3.0)
+        assert abs(np.linalg.norm(psi.amplitudes) - 1.0) < 1e-12
+        cfg = validate_config("scenario: two_slit\nparams:\n  n_points: 32\n"
+                              "  n_cells: 4\n  box_length: 10.5\n  separation: 2.0\n")
+        assert len(run_scenario(cfg).rows) == 4
 
 
 class TestTruncatedPacket:

@@ -131,6 +131,33 @@ class TestDecoherenceFunctional:
                 oracle = np.trace(Ca @ rho.matrix @ Cb.conj().T)
                 assert abs(D.matrix[a, b] - oracle) < 1e-10
 
+    def test_pure_state_matches_taylor_branches(self, rng):
+        # oracle: branch vectors built with a Taylor-series propagator, no
+        # eigendecomposition; D is their Gram matrix
+        def expm(a):
+            squarings = max(0, int(np.ceil(np.log2(np.linalg.norm(a, 1) / 0.25))))
+            a = a / 2 ** squarings
+            term = total = np.eye(len(a), dtype=complex)
+            for k in range(1, 25):
+                term = term @ a / k
+                total = total + term
+            for _ in range(squarings):
+                total = total @ total
+            return total
+
+        dim = 5
+        h = random_hermitian(rng, dim)
+        families = random_families(rng, dim, [2, 3])
+        psi = random_state(rng, dim)
+        times = [0.3, 1.1]
+        hs = HistorySet(Hamiltonian(h), psi, times, families)
+        U1 = expm(-1j * h.matrix * 0.3)
+        U2 = expm(-1j * h.matrix * 0.8)
+        branches = [P2.matrix @ U2 @ P1.matrix @ U1 @ psi.amplitudes
+                    for P1 in families[0] for P2 in families[1]]
+        Y = np.array(branches)
+        assert np.max(np.abs(decoherence_functional(hs).matrix - Y @ Y.conj().T)) < 1e-12
+
     def test_invariants_random(self, rng):
         dim = 5
         H = Hamiltonian(random_hermitian(rng, dim))

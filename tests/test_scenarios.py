@@ -40,6 +40,11 @@ class TestValidateConfig:
         assert err.value.violations == [
             f"params.{name}: expected a finite number, got {value[1:]}"]
 
+    def test_integer_beyond_double_range_rejected(self):
+        with pytest.raises(RangeError) as err:
+            validate_config("scenario: zeno_decay\nparams:\n  tau: 1" + "0" * 400 + "\n")
+        assert err.value.violations == ["params.tau: expected a finite number, got inf"]
+
     def test_every_violation_reported(self):
         raw = ("scenario: zeno_decay\n"
                "params:\n  tau: -1.0\n  n_modes: 10\n  unknown_knob: 3\n")
@@ -193,6 +198,12 @@ class TestCli:
     def test_validate_rejects_nan(self, tmp_path, capsys):
         cfg = tmp_path / "nan.yaml"
         cfg.write_text("scenario: zeno_decay\nparams:\n  tau: .nan\n")
+        assert cli_main(["validate", str(cfg)]) == 2
+        assert "RANGE params.tau: expected a finite number" in capsys.readouterr().err
+
+    def test_validate_rejects_integer_beyond_double_range(self, tmp_path, capsys):
+        cfg = tmp_path / "huge.yaml"
+        cfg.write_text("scenario: zeno_decay\nparams:\n  tau: 1" + "0" * 400 + "\n")
         assert cli_main(["validate", str(cfg)]) == 2
         assert "RANGE params.tau: expected a finite number" in capsys.readouterr().err
 

@@ -18,6 +18,26 @@ def model():
     return build_decay_model(tau=1.0, n_modes=400, bandwidth=40.0)
 
 
+def _cycle_loop(U, n_cycles):
+    """Independent oracle: evolve by the dense U, record the survival, project, repeat.
+
+    Keeps the renormalized undecayed branch (phase included) after every
+    cycle and multiplies the per-cycle survival probabilities.
+    """
+    kept = np.zeros(U.shape[0], dtype=complex)
+    kept[0] = 1.0
+    state = kept
+    survival = 1.0
+    for _ in range(n_cycles):
+        state = U @ state
+        p = abs(state[0]) ** 2
+        survival *= p
+        if survival == 0.0:
+            break
+        state = (state[0] / abs(state[0])) * kept
+    return survival
+
+
 class TestBuildDecayModel:
     def test_derived_scales(self, model):
         assert model.delta_omega == pytest.approx(0.1)
@@ -90,14 +110,14 @@ class TestIteratedProjection:
             survival_probability(model, T), abs=1e-12)
 
     def test_product_identity_oracle(self, model):
-        # the kept branch after each projection is exactly the undecayed
-        # level, so the survival must equal the per-cycle probability to the
-        # power floor(T / delta)
+        # the closed form |A(delta)|^(2n) against the evolve-and-project cycle
+        # loop run with a dense U(delta) from the test's own diagonalization
+        evals, evecs = np.linalg.eigh(model.hamiltonian.op.matrix)
         for delta in (0.25, 0.0625, model.t0 / 10):
             n = int(np.floor(1.0 / delta + 1e-12))
-            oracle = survival_probability(model, delta) ** n
+            U = (evecs * np.exp(-1j * evals * delta)) @ evecs.conj().T
             assert iterated_projection_survival(model, delta, 1.0) == pytest.approx(
-                oracle, rel=1e-10)
+                _cycle_loop(U, n), rel=1e-10)
 
     def test_infrequent_projection_leaves_decay_law_alone(self, model):
         # delta well above the band correlation time: statistics unaffected
@@ -140,6 +160,15 @@ class TestRabiZeno:
         values = [rabi_zeno(math.pi, n) for n in counts]
         assert all(b > a for a, b in zip(values, values[1:]))
         assert values[-1] > 0.99
+
+    def test_matches_cycle_loop(self):
+        # oracle: exp(-i sigma_x t / 2) = cos(t/2) 1 - i sin(t/2) sigma_x
+        for theta, n in ((math.pi, 1), (math.pi, 7), (2.3, 40), (0.4, 300)):
+            step = theta / n
+            U = np.array([[math.cos(step / 2), -1j * math.sin(step / 2)],
+                          [-1j * math.sin(step / 2), math.cos(step / 2)]])
+            oracle = _cycle_loop(U, n)
+            assert rabi_zeno(theta, n) == pytest.approx(oracle, rel=1e-10, abs=1e-30)
 
     def test_rejects_zero_projections(self):
         with pytest.raises(ValueError):
