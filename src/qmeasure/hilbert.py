@@ -119,14 +119,8 @@ class LinearOperator:
         op.dim = matrix.shape[0]
         return op
 
-    def adjoint(self) -> "LinearOperator":
-        return LinearOperator._wrap(self.matrix.conj().T.copy())
-
     def apply(self, vector: np.ndarray) -> np.ndarray:
         return self.matrix @ vector
-
-    def is_hermitian(self, tol: float = HERMITIAN_TOL) -> bool:
-        return hermiticity_defect(self.matrix) <= tol
 
     def _check_dim(self, other):
         if self.dim != other.dim:

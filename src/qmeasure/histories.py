@@ -27,11 +27,14 @@ DEFAULT_CONSISTENCY_EPS = 1e-8
 
 
 class HistorySet:
-    """Projector families at ordered times, with dynamics and initial state.
+    """Complete projector families at ordered times, with dynamics and initial state.
 
-    ``families[m]`` is the complete projector family applied at ``times[m]``;
-    each family must consist of Hermitian idempotents summing to the
-    identity.  Evolution starts from ``initial_state`` at ``t0``.
+    ``families[m]`` is applied at ``times[m]``.  An entry is a projector
+    ``LinearOperator``, checked and factored once into its range, or a
+    ``dim x r`` array ``B`` with orthonormal columns standing for ``B B^dag``
+    (so a raw square array is a block, not a projector).  A family's blocks
+    side by side must form a unitary; only the blocks are stored.
+    Evolution starts from ``initial_state`` at ``t0``.
     """
 
     __slots__ = ("hamiltonian", "initial_state", "t0", "times", "families")
@@ -39,7 +42,7 @@ class HistorySet:
     def __init__(self, hamiltonian: Hamiltonian,
                  initial_state: PureState | DensityOperator,
                  times: Sequence[float],
-                 families: Sequence[Sequence[LinearOperator]],
+                 families: Sequence[Sequence[LinearOperator | np.ndarray]],
                  t0: float = 0.0):
         times = [float(t) for t in times]
         if len(times) != len(families):
@@ -53,19 +56,30 @@ class HistorySet:
             raise ValueError("initial state does not match the Hamiltonian")
         checked = []
         for m, family in enumerate(families):
-            mats = [p.matrix if isinstance(p, LinearOperator) else np.asarray(p, complex)
-                    for p in family]
-            total = np.zeros((dim, dim), dtype=complex)
-            for a, mat in enumerate(mats):
-                defect = _projector_defect(mat)
-                if defect > FAMILY_TOL:
-                    raise ValueError(
-                        f"family {m} entry {a} is not a projector: defect {defect:.3e}")
-                total += mat
-            deficit = _identity_defect(total)
-            if deficit > FAMILY_TOL:
+            blocks = []
+            for a, entry in enumerate(family):
+                if isinstance(entry, LinearOperator):
+                    defect = _projector_defect(entry.matrix)
+                    if not defect <= FAMILY_TOL:
+                        raise ValueError(
+                            f"family {m} entry {a} is not a projector: defect {defect:.3e}")
+                    evals, evecs = np.linalg.eigh(entry.matrix)
+                    block = evecs[:, evals > 0.5]
+                else:   # a view, so freezing it leaves the caller's array writable
+                    block = np.asarray(entry, dtype=complex).view()
+                if block.ndim != 2 or block.shape[0] != dim:
+                    raise ValueError(f"family {m} entry {a} has shape {block.shape}, "
+                                     f"expected ({dim}, r)")
+                block.setflags(write=False)
+                blocks.append(block)
+            V = np.hstack(blocks) if blocks else np.zeros((dim, 0), dtype=complex)
+            if V.shape[1] != dim:
+                raise ValueError(f"family {m} spans {V.shape[1]} of {dim} dimensions "
+                                 "and cannot sum to identity")
+            deficit = _identity_defect(V.conj().T @ V)
+            if not deficit <= FAMILY_TOL:
                 raise ValueError(f"family {m} sums to identity with defect {deficit:.3e}")
-            checked.append(tuple(LinearOperator(m_) for m_ in mats))
+            checked.append(tuple(blocks))
         self.hamiltonian = hamiltonian
         self.initial_state = initial_state
         self.t0 = float(t0)
@@ -93,7 +107,7 @@ class HistorySet:
 
 
 def class_operator(hs: HistorySet, alpha: Sequence[int]) -> LinearOperator:
-    """C_alpha = Pi^n U(t_n - t_{n-1}) ... Pi^1 U(t_1 - t_0)."""
+    """C_alpha = Pi^n U(t_n - t_{n-1}) ... Pi^1 U(t_1 - t_0), with Pi = B B^dag."""
     alpha = tuple(int(a) for a in alpha)
     if len(alpha) != len(hs.families):
         raise InvalidIndex(f"history {alpha} has wrong length for {len(hs.families)} times")
@@ -102,7 +116,8 @@ def class_operator(hs: HistorySet, alpha: Sequence[int]) -> LinearOperator:
             raise InvalidIndex(f"index {a} invalid for family {m}")
     C = np.eye(hs.dim, dtype=complex)
     for m, dt in enumerate(hs._steps()):
-        C = hs.families[m][alpha[m]].matrix @ hs.hamiltonian.evolve_amplitudes(C, dt)
+        B = hs.families[m][alpha[m]]
+        C = B @ (B.conj().T @ hs.hamiltonian.evolve_amplitudes(C, dt))
     return LinearOperator._wrap(C)
 
 
@@ -144,8 +159,9 @@ def _branch_vectors(hs: HistorySet, start: np.ndarray) -> np.ndarray:
     branches = start[:, None]
     for m, dt in enumerate(hs._steps()):
         evolved = hs.hamiltonian.evolve_amplitudes(branches, dt)
-        branches = np.stack([proj.matrix @ v for v in evolved.T for proj in hs.families[m]],
-                            axis=1)
+        # axis 2 is the new choice: column j of ``evolved`` splits into j*len + a
+        split = np.stack([B @ (B.conj().T @ evolved) for B in hs.families[m]], axis=2)
+        branches = split.reshape(hs.dim, -1)
     return branches.T
 
 
@@ -231,10 +247,9 @@ def coarse_grain(D: DecoherenceFunctional,
         group_indices.append(idx)
     if len(seen) != len(D.histories):
         raise InvalidIndex("groups must cover every history")
-    n = len(group_indices)
-    mat = np.zeros((n, n), dtype=complex)
+    indicator = np.zeros((len(group_indices), len(D.histories)))
     for a, ia in enumerate(group_indices):
-        for b, ib in enumerate(group_indices):
-            mat[a, b] = D.matrix[np.ix_(ia, ib)].sum()
+        indicator[a, ia] = 1.0
+    mat = indicator @ D.matrix @ indicator.T
     labels = [tuple(tuple(D.histories[i]) for i in ia) for ia in group_indices]
     return DecoherenceFunctional(labels, mat)

@@ -368,9 +368,10 @@ def _run_wavepacket_spread(params: dict, seed: int) -> tuple[list, list, list]:
     worst = 0.0
     worst_norm = 0.0
     for t in times:
-        psi_t = H.evolve(psi0, float(t))
-        worst_norm = max(worst_norm,
-                         abs(float(np.linalg.norm(psi_t.amplitudes)) - 1.0))
+        # the raw kernel output: a PureState would renormalize the drift away
+        amplitudes = H.evolve_amplitudes(psi0.amplitudes, float(t))
+        worst_norm = max(worst_norm, abs(float(np.linalg.norm(amplitudes)) - 1.0))
+        psi_t = PureState(amplitudes)
         w_num = packet_width(g, psi_t)
         w_ref = width * np.sqrt(1.0 + (t / natural) ** 2)
         rel = abs(w_num - w_ref) / w_ref
@@ -448,13 +449,19 @@ def _two_slit_grid(params: dict):
     left = gaussian_packet(g, -a, +v, w)
     right = gaussian_packet(g, +a, -v, w)
     psi0 = PureState(left.amplitudes + right.amplitudes)
-    slit_family = [region_projector(g, (0, g.n_points // 2)).projector(1),
-                   region_projector(g, (g.n_points // 2, g.n_points)).projector(1)]
-    n_cells = params["n_cells"]
-    per = g.n_points // n_cells
-    screen_family = [region_projector(g, (c * per, (c + 1) * per)).projector(1)
-                     for c in range(n_cells)]
+    # position cells are index masks: column slices of one shared identity
+    eye = np.eye(g.n_points, dtype=complex)
+    half = g.n_points // 2
+    slit_family = [eye[:, :half], eye[:, half:]]
+    per = g.n_points // params["n_cells"]
+    screen_family = [eye[:, c * per:(c + 1) * per] for c in range(params["n_cells"])]
     return g, psi0, slit_family, screen_family
+
+
+def _block_weight(block: np.ndarray, amplitudes: np.ndarray) -> float:
+    """<psi|B B^dag|psi> = ||B^dag psi||^2 for orthonormal columns B."""
+    coeffs = block.conj().T @ amplitudes
+    return float(np.real(np.vdot(coeffs, coeffs)))
 
 
 def _run_two_slit(params: dict, seed: int) -> tuple[list, list, list]:
@@ -474,9 +481,7 @@ def _run_two_slit(params: dict, seed: int) -> tuple[list, list, list]:
 
     diag = {h: p for h, p in zip(D.histories, np.real(np.diagonal(D.matrix)))}
     psi_t = H.evolve(psi0, t2)
-    p_joint = [float(np.real(np.vdot(psi_t.amplitudes,
-                                     proj.matrix @ psi_t.amplitudes)))
-               for proj in screen_family]
+    p_joint = [_block_weight(B, psi_t.amplitudes) for B in screen_family]
     rows = []
     max_interf = 0.0
     for c in range(n_cells):
@@ -488,17 +493,15 @@ def _run_two_slit(params: dict, seed: int) -> tuple[list, list, list]:
 
     # which-way variant: a two-level tag records the slit at preparation
     # amplitude of (x, slit s) at index 2x + s
-    psi_tagged = PureState(np.stack([p.matrix @ psi0.amplitudes for p in slit_family],
-                                    axis=1).ravel())
+    psi_tagged = PureState(np.stack([B @ (B.conj().T @ psi0.amplitudes)
+                                     for B in slit_family], axis=1).ravel())
     pointer_identity = np.eye(2, dtype=complex)
     # the tag does not move: H's eigensystem, each level doubled
     energies, basis = H.eigensystem()
     H_tagged = Hamiltonian.from_eigenbasis(np.repeat(energies, 2),
                                            np.kron(basis, pointer_identity))
-    slit_tagged = [LinearOperator(np.kron(p.matrix, pointer_identity))
-                   for p in slit_family]
-    screen_tagged = [LinearOperator(np.kron(p.matrix, pointer_identity))
-                     for p in screen_family]
+    slit_tagged = [np.kron(B, pointer_identity) for B in slit_family]
+    screen_tagged = [np.kron(B, pointer_identity) for B in screen_family]
     hs_tagged = HistorySet(H_tagged, psi_tagged, times=[0.0, t2],
                            families=[slit_tagged, screen_tagged])
     D_tagged = decoherence_functional(hs_tagged)
@@ -517,8 +520,7 @@ def _run_two_slit(params: dict, seed: int) -> tuple[list, list, list]:
             summed = probs.probability((0, c)) + probs.probability((1, c))
             block = np.real(np.diagonal(merged.matrix))[c]
             additivity_err = max(additivity_err, abs(block - summed))
-            screen_prob = float(np.real(np.vdot(
-                psi_tag_t.amplitudes, screen_tagged[c].matrix @ psi_tag_t.amplitudes)))
+            screen_prob = _block_weight(screen_tagged[c], psi_tag_t.amplitudes)
             marginal_err = max(marginal_err, abs(block - screen_prob))
 
     columns = [("cell", ""), ("p_slit1", ""), ("p_slit2", ""), ("p_joint", ""),

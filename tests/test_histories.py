@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -52,6 +54,30 @@ def random_families(rng, dim, sizes):
     return families
 
 
+def random_block_families(rng, dim, sizes):
+    """Column blocks of a random unitary from QR, cut at random ranks."""
+    families = []
+    for n_blocks in sizes:
+        q, _ = np.linalg.qr(rng.standard_normal((dim, dim))
+                            + 1j * rng.standard_normal((dim, dim)))
+        cuts = sorted(rng.choice(range(1, dim), size=n_blocks - 1, replace=False))
+        bounds = [0] + list(cuts) + [dim]
+        families.append([q[:, lo:hi] for lo, hi in zip(bounds, bounds[1:])])
+    return families
+
+
+def taylor_expm(a):
+    squarings = max(0, int(np.ceil(np.log2(np.linalg.norm(a, 1) / 0.25))))
+    a = a / 2 ** squarings
+    term = total = np.eye(len(a), dtype=complex)
+    for k in range(1, 25):
+        term = term @ a / k
+        total = total + term
+    for _ in range(squarings):
+        total = total @ total
+    return total
+
+
 class TestHistorySet:
     def test_rejects_incomplete_family(self, rng):
         H = zero_hamiltonian(2)
@@ -68,6 +94,20 @@ class TestHistorySet:
         H = zero_hamiltonian(2)
         with pytest.raises(ValueError, match="increasing"):
             HistorySet(H, basis_state(2, 0), [2.0, 1.0], [Z_FAMILY, Z_FAMILY])
+
+    @pytest.mark.parametrize("defect, message", [("not_orthonormal", "identity"),
+                                                 ("incomplete", "identity"),
+                                                 ("wrong_rows", "shape")])
+    def test_rejects_bad_block_family(self, rng, defect, message):
+        blocks = random_block_families(rng, 4, [2])[0]
+        if defect == "not_orthonormal":
+            blocks[0] = 1.5 * blocks[0]
+        elif defect == "incomplete":
+            blocks = blocks[:1]
+        else:
+            blocks[1] = blocks[1][:-1]
+        with pytest.raises(ValueError, match=message):
+            HistorySet(zero_hamiltonian(4), random_state(rng, 4), [1.0], [blocks])
 
     def test_histories_enumeration(self):
         H = zero_hamiltonian(2)
@@ -134,29 +174,40 @@ class TestDecoherenceFunctional:
     def test_pure_state_matches_taylor_branches(self, rng):
         # oracle: branch vectors built with a Taylor-series propagator, no
         # eigendecomposition; D is their Gram matrix
-        def expm(a):
-            squarings = max(0, int(np.ceil(np.log2(np.linalg.norm(a, 1) / 0.25))))
-            a = a / 2 ** squarings
-            term = total = np.eye(len(a), dtype=complex)
-            for k in range(1, 25):
-                term = term @ a / k
-                total = total + term
-            for _ in range(squarings):
-                total = total @ total
-            return total
-
         dim = 5
         h = random_hermitian(rng, dim)
         families = random_families(rng, dim, [2, 3])
         psi = random_state(rng, dim)
         times = [0.3, 1.1]
         hs = HistorySet(Hamiltonian(h), psi, times, families)
-        U1 = expm(-1j * h.matrix * 0.3)
-        U2 = expm(-1j * h.matrix * 0.8)
+        U1 = taylor_expm(-1j * h.matrix * 0.3)
+        U2 = taylor_expm(-1j * h.matrix * 0.8)
         branches = [P2.matrix @ U2 @ P1.matrix @ U1 @ psi.amplitudes
                     for P1 in families[0] for P2 in families[1]]
         Y = np.array(branches)
         assert np.max(np.abs(decoherence_functional(hs).matrix - Y @ Y.conj().T)) < 1e-12
+
+    @pytest.mark.parametrize("entry", ["block", "projector"])
+    def test_block_families_match_dense_projector_oracle(self, rng, entry):
+        # oracle: dense P = B B^dag and a Taylor-series propagator, no
+        # eigendecomposition; the set gets the blocks or the projectors
+        dim = 6
+        h = random_hermitian(rng, dim)
+        blocks = random_block_families(rng, dim, [3, 2, 4])
+        psi = random_state(rng, dim)
+        times = [0.2, 0.7, 1.5]
+        families = blocks if entry == "block" else \
+            [[LinearOperator(B @ B.conj().T) for B in family] for family in blocks]
+        D = decoherence_functional(HistorySet(Hamiltonian(h), psi, times, families))
+        steps = [taylor_expm(-1j * h.matrix * dt) for dt in np.diff([0.0] + times)]
+        branches = []
+        for alpha in itertools.product(*(range(len(f)) for f in blocks)):
+            v = psi.amplitudes
+            for U, family, a in zip(steps, blocks, alpha):
+                v = (family[a] @ family[a].conj().T) @ (U @ v)
+            branches.append(v)
+        Y = np.array(branches)
+        assert np.max(np.abs(D.matrix - Y @ Y.conj().T)) <= 1e-12
 
     def test_invariants_random(self, rng):
         dim = 5
@@ -260,6 +311,18 @@ class TestHistoryProbabilities:
                                                              abs=1e-12)
         assert abs(merged.matrix.sum() - 1.0) < 1e-9
 
+    def test_coarse_graining_matches_pairwise_block_sums(self, rng):
+        hs = HistorySet(Hamiltonian(random_hermitian(rng, 6)), random_state(rng, 6),
+                        [0.3, 0.9], random_families(rng, 6, [3, 4]))
+        D = decoherence_functional(hs)
+        order = rng.permutation(len(D.histories))
+        cuts = sorted(rng.choice(range(1, len(order)), size=4, replace=False))
+        groups = [[D.histories[i] for i in part] for part in np.split(order, cuts)]
+        merged = coarse_grain(D, groups)
+        index = [[D.histories.index(h) for h in group] for group in groups]
+        loop = np.array([[D.matrix[np.ix_(ia, ib)].sum() for ib in index] for ia in index])
+        assert np.max(np.abs(merged.matrix - loop)) <= 1e-15
+
     def test_coarse_graining_must_partition(self, rng):
         s = random_state(rng, 2)
         hs = HistorySet(zero_hamiltonian(2), s, [1.0], [Z_FAMILY])
@@ -356,3 +419,29 @@ def test_completeness_sum_rule(rng):
     diag_total = float(np.sum(D.diagonal()))
     offdiag_total = complex(D.matrix.sum()) - diag_total
     assert abs(diag_total + offdiag_total - 1.0) < 1e-9
+
+
+def test_two_slit_builds_no_dense_projector(monkeypatch):
+    import qmeasure.histories as histories
+    from qmeasure import run_scenario, validate_config
+
+    def no_projector_check(*args, **kwargs):
+        raise AssertionError("dense projector checked")
+
+    monkeypatch.setattr(histories, "_projector_defect", no_projector_check)
+    cfg = validate_config("scenario: two_slit\nparams:\n  n_points: 32\n"
+                          "  n_cells: 4\n  box_length: 10.5\n  separation: 2.0\n")
+    assert len(run_scenario(cfg).rows) == 4
+
+
+def test_two_slit_history_claims_at_narrow_cells():
+    # a cell of 2 points holds so little weight that its interference term
+    # stays below the 0.05 floor of interference_term_visible; the four
+    # history claims do not depend on the cell width
+    from qmeasure import run_scenario, validate_config
+    cfg = validate_config("scenario: two_slit\nparams:\n  n_points: 512\n"
+                          "  n_cells: 256\n")
+    verdicts = {a.name: a.passed for a in run_scenario(cfg).assertions}
+    assert all(verdicts[name] for name in (
+        "bare_family_inconsistent", "tagged_family_offdiagonal_ratio",
+        "tagged_coarse_graining_additive", "tagged_marginal_matches_screen"))

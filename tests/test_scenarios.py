@@ -101,6 +101,17 @@ class TestRunScenario:
         exp_law = by_name["exponential_law_max_rel_error"]
         assert exp_law.value == pytest.approx(0.0309, abs=0.0005)
 
+    def test_norm_preservation_sees_kernel_drift(self, monkeypatch):
+        from qmeasure import Hamiltonian
+        kernel = Hamiltonian.evolve_amplitudes
+        monkeypatch.setattr(Hamiltonian, "evolve_amplitudes",
+                            lambda self, amplitudes, t: 1.01 * kernel(self, amplitudes, t))
+        table = run_scenario(validate_config(
+            "scenario: wavepacket_spread\nparams:\n  n_points: 256\n  box_length: 60.0\n"))
+        norm = {a.name: a for a in table.assertions}["norm_preservation"]
+        assert not norm.passed
+        assert norm.value == pytest.approx(0.01, rel=1e-9)
+
     def test_determinism_byte_identical(self):
         cfg = validate_config("scenario: fuzzy_povm\nseed: 7")
         a = run_scenario(cfg)
