@@ -173,22 +173,16 @@ def build_grid_operators(g: GridSpace) -> tuple[Observable, Observable, LinearOp
     """Position and momentum observables plus the Fourier map for a grid.
 
     X is diagonal in position samples; P = F^dag K F with K diagonal in
-    wavenumbers.  Both come with their exact spectral resolutions (positions
-    and wavenumbers are pairwise distinct on the grid), so no numerical
-    diagonalization is involved.
+    wavenumbers.  Both are built from their exact spectral resolutions
+    (positions and wavenumbers are pairwise distinct on the grid, bases I and
+    F^dag), so nothing is diagonalized or checked, and their dense operators
+    are formed only when read.
     """
     n = g.n_points
-    x = g.positions
-    k = g.wavenumbers
     F = fourier_map(g)
-    X_op = LinearOperator._wrap(np.diag(x.astype(complex)))
     slices = [slice(j, j + 1) for j in range(n)]
-    # construction guarantees the spectral invariants exactly; skip the
-    # O(n^3) validation so large grids stay cheap
-    X = Observable(X_op, x, np.eye(n, dtype=complex), slices, validate=False)
-    Fh = F.conj().T
-    P_op = LinearOperator._wrap(Fh @ (k[:, None] * F))
-    P = Observable(P_op, k, Fh, slices, validate=False)
+    X = Observable._wrap(g.positions, np.eye(n, dtype=complex), slices)
+    P = Observable._wrap(g.wavenumbers, F.conj().T, slices)
     return X, P, LinearOperator._wrap(F)
 
 

@@ -17,6 +17,7 @@ from .errors import DimensionMismatch, NotHermitian
 HERMITIAN_TOL = 1e-10
 MIN_STATE_NORM = 1e-8
 SPECTRAL_TOL = 1e-9
+OUTCOME_TOL = 1e-6
 
 
 def _as_complex_vector(data) -> np.ndarray:
@@ -51,6 +52,15 @@ def _hermitian_within_tol(matrix: np.ndarray) -> bool:
 def _projector_defect(matrix: np.ndarray) -> float:
     """max(||P^2 - P||_max, ||P - P^dag||_max)."""
     return max(float(np.max(np.abs(matrix @ matrix - matrix))), hermiticity_defect(matrix))
+
+
+def _projector_range(matrix: np.ndarray) -> tuple[np.ndarray | None, float]:
+    """(orthonormal columns spanning P's range, P's projector defect); None above 1e-9."""
+    defect = _projector_defect(matrix)
+    if not defect <= SPECTRAL_TOL:
+        return None, defect
+    evals, evecs = np.linalg.eigh(matrix)
+    return evecs[:, evals > 0.5], defect
 
 
 def _identity_defect(matrix: np.ndarray) -> float:
@@ -188,32 +198,21 @@ State = Union[PureState, DensityOperator]
 
 
 class Observable:
-    """A Hermitian operator together with its spectral resolution.
+    """A Hermitian operator held only as its spectral resolution.
 
-    The distinct eigenvalues are stored in ascending order.  Internally the
-    resolution is kept as one orthonormal eigenbasis with a column slice per
-    distinct eigenvalue; projectors are materialized on demand (a full
-    projector list for a large grid operator would need O(dim^3) memory).
+    Ascending distinct eigenvalues, one orthonormal eigenbasis, and a column
+    slice of it per eigenvalue; projectors and the dense :attr:`operator`
+    are built when read.  The constructor checks that the basis is square
+    and orthonormal (within 1e-9), the eigenvalues ascend, and the slices
+    tile the columns in order.
     """
 
-    __slots__ = ("operator", "eigenvalues", "_basis", "_slices")
+    __slots__ = ("eigenvalues", "_basis", "_slices", "_operator")
 
-    def __init__(self, operator: LinearOperator, eigenvalues, basis, slices,
-                 validate: bool = True):
+    def __init__(self, eigenvalues, basis, slices):
         vals = np.asarray(eigenvalues, dtype=float)
-        basis = np.asarray(basis, dtype=complex)
-        if validate:
-            self._validate(operator, vals, basis, slices)
-        self.operator = operator
-        self.eigenvalues = _freeze(vals)
-        self._basis = _freeze(basis)
-        self._slices = tuple(slices)
-
-    @staticmethod
-    def _validate(operator, vals, basis, slices):
-        dim = operator.dim
-        if basis.shape != (dim, dim):
-            raise ValueError("eigenbasis shape does not match operator")
+        basis = _as_complex_matrix(basis)
+        slices = tuple(slices)
         if len(vals) != len(slices):
             raise ValueError("one slice per distinct eigenvalue required")
         if len(vals) > 1 and np.any(np.diff(vals) <= 0):
@@ -221,48 +220,48 @@ class Observable:
         unitarity = _identity_defect(basis.conj().T @ basis)
         if unitarity > SPECTRAL_TOL:
             raise ValueError(f"eigenbasis not orthonormal: defect {unitarity:.3e}")
-        full = np.concatenate([np.full(sl.stop - sl.start, v)
-                               for v, sl in zip(vals, slices)])
-        if full.shape[0] != dim:
+        columns = [np.arange(basis.shape[1])[sl] for sl in slices]
+        if not (all(c.size for c in columns)
+                and np.array_equal(np.concatenate(columns), np.arange(basis.shape[1]))):
             raise ValueError("eigenvalue multiplicities do not fill the space")
-        recon = (basis * full) @ basis.conj().T
-        defect = np.max(np.abs(recon - operator.matrix))
-        scale = max(1.0, float(np.max(np.abs(vals))) if len(vals) else 1.0)
-        if defect > SPECTRAL_TOL * scale:
-            raise ValueError(f"spectral reconstruction defect {defect:.3e}")
+        self._set(vals, basis, slices)
+
+    @classmethod
+    def _wrap(cls, eigenvalues, basis, slices) -> "Observable":
+        # internal fast path for exact constructions: takes ownership, skips the checks
+        obs = object.__new__(cls)
+        obs._set(np.asarray(eigenvalues, dtype=float), np.asarray(basis, dtype=complex),
+                 tuple(slices))
+        return obs
+
+    def _set(self, vals, basis, slices):
+        self.eigenvalues, self._basis = _freeze(vals), _freeze(basis)
+        self._slices, self._operator = slices, None
 
     @classmethod
     def from_projectors(cls, pairs: Iterable[tuple[float, LinearOperator]]) -> "Observable":
         """Build from explicit (eigenvalue, projector) pairs.
 
-        The pairs may come in any order; they are sorted by eigenvalue.  The
-        projectors must be an orthogonal resolution of the identity.
+        The pairs may come in any order; they are sorted by eigenvalue.  Each
+        entry must be a Hermitian idempotent of nonzero rank, and together
+        they must be an orthogonal resolution of the identity.
         """
         pairs = sorted(pairs, key=lambda p: p[0])
         if not pairs:
             raise ValueError("at least one spectral entry required")
-        dim = pairs[0][1].dim
-        columns, slices, vals = [], [], []
-        start = 0
+        blocks, slices, start = [], [], 0
         for value, proj in pairs:
             mat = proj.matrix if isinstance(proj, LinearOperator) else np.asarray(proj, complex)
-            evals, evecs = np.linalg.eigh((mat + mat.conj().T) / 2)
-            keep = evals > 0.5
-            rank = int(np.count_nonzero(keep))
-            if rank == 0:
+            block, defect = _projector_range(mat)
+            if block is None:
+                raise ValueError(f"entry for eigenvalue {value} is not a projector: "
+                                 f"defect {defect:.3e}")
+            if block.shape[1] == 0:
                 raise ValueError(f"projector for eigenvalue {value} has rank 0")
-            if np.max(np.abs(evals - np.round(evals))) > SPECTRAL_TOL:
-                raise ValueError(f"entry for eigenvalue {value} is not a projector")
-            columns.append(evecs[:, keep])
-            slices.append(slice(start, start + rank))
-            vals.append(float(value))
-            start += rank
-        basis = np.hstack(columns)
-        full = np.zeros((dim, dim), dtype=complex)
-        for v, sl in zip(vals, slices):
-            block = basis[:, sl]
-            full += v * (block @ block.conj().T)
-        return cls(LinearOperator._wrap(full), vals, basis, slices)
+            blocks.append(block)
+            slices.append(slice(start, start + block.shape[1]))
+            start += block.shape[1]
+        return cls([float(v) for v, _ in pairs], np.hstack(blocks), slices)
 
     @property
     def n_outcomes(self) -> int:
@@ -270,7 +269,16 @@ class Observable:
 
     @property
     def dim(self) -> int:
-        return self.operator.dim
+        return self._basis.shape[0]
+
+    @property
+    def operator(self) -> LinearOperator:
+        """The dense operator sum_i v_i Pi_i, built from the blocks on first read."""
+        if self._operator is None:
+            counts = [sl.stop - sl.start for sl in self._slices]
+            m = (self._basis * np.repeat(self.eigenvalues, counts)) @ self._basis.conj().T
+            self._operator = LinearOperator._wrap((m + m.conj().T) / 2)
+        return self._operator
 
     def eigenbasis(self, i: int) -> np.ndarray:
         """Orthonormal columns spanning the i-th eigenspace."""
@@ -292,14 +300,14 @@ class Observable:
         """
         return [(float(v), self.projector(i)) for i, v in enumerate(self.eigenvalues)]
 
-    def outcome_index(self, outcome: float, tol: float | None = None) -> int:
-        """Map an eigenvalue label to its index in the ascending spectrum."""
+    def outcome_index(self, outcome: float) -> int:
+        """Map an eigenvalue label to its index in the ascending spectrum.
+
+        The label must lie within 1e-6 * max(1, max|v|) of an eigenvalue.
+        """
         vals = self.eigenvalues
         i = int(np.argmin(np.abs(vals - outcome)))
-        if tol is None:
-            scale = max(1.0, float(np.max(np.abs(vals))))
-            tol = 1e-6 * scale
-        if abs(vals[i] - outcome) > tol:
+        if abs(vals[i] - outcome) > OUTCOME_TOL * max(1.0, float(np.max(np.abs(vals)))):
             raise ValueError(f"{outcome} is not an eigenvalue of this observable")
         return i
 
@@ -307,12 +315,13 @@ class Observable:
         return f"Observable(dim={self.dim}, outcomes={self.n_outcomes})"
 
 
-def spectral_decompose(op: LinearOperator, cluster_tol: float | None = None) -> Observable:
+def spectral_decompose(op: LinearOperator) -> Observable:
     """Diagonalize a Hermitian operator into distinct-eigenvalue projectors.
 
-    Eigenvalues closer than ``cluster_tol`` are merged into one degenerate
-    eigenspace.  By default the threshold is 1e-9 relative to the spectral
-    radius, so numerically split degeneracies are regrouped.
+    Eigenvalues within 1e-9 of the spectral radius of each other are merged
+    into one degenerate eigenspace, so numerically split degeneracies are
+    regrouped.  The merged resolution must rebuild ``op`` within 1e-9 *
+    max(1, max|v|).
 
     Raises NotHermitian if ``op`` is not Hermitian within 1e-10.
     """
@@ -320,9 +329,12 @@ def spectral_decompose(op: LinearOperator, cluster_tol: float | None = None) -> 
         raise NotHermitian(f"hermiticity defect {hermiticity_defect(op.matrix):.3e}")
     evals, evecs = np.linalg.eigh(op.matrix)
     radius = float(np.max(np.abs(evals))) if len(evals) else 0.0
-    slices = _cluster_slices(evals, 1e-9 * radius if cluster_tol is None else float(cluster_tol))
-    vals = [float(np.mean(evals[sl])) for sl in slices]
-    return Observable(op, vals, evecs, slices)
+    slices = _cluster_slices(evals, SPECTRAL_TOL * radius)
+    obs = Observable([float(np.mean(evals[sl])) for sl in slices], evecs, slices)
+    defect = float(np.max(np.abs(obs.operator.matrix - op.matrix)))
+    if defect > SPECTRAL_TOL * max(1.0, float(np.max(np.abs(obs.eigenvalues)))):
+        raise ValueError(f"spectral reconstruction defect {defect:.3e}")
+    return obs
 
 
 def _born_weights(obs: Observable, psi: np.ndarray) -> np.ndarray:

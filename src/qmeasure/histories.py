@@ -19,7 +19,7 @@ import numpy as np
 from .errors import InconsistentFamily, InvalidIndex
 from .dynamics import Hamiltonian
 from .hilbert import DensityOperator, LinearOperator, PureState, _hermitian_within_tol, \
-    _identity_defect, _projector_defect
+    _identity_defect, _projector_range
 from .measurement import OutcomeDistribution
 
 FAMILY_TOL = 1e-9
@@ -34,23 +34,22 @@ class HistorySet:
     ``dim x r`` array ``B`` with orthonormal columns standing for ``B B^dag``
     (so a raw square array is a block, not a projector).  A family's blocks
     side by side must form a unitary; only the blocks are stored.
-    Evolution starts from ``initial_state`` at ``t0``.
+    Evolution starts from ``initial_state`` at t = 0.
     """
 
-    __slots__ = ("hamiltonian", "initial_state", "t0", "times", "families")
+    __slots__ = ("hamiltonian", "initial_state", "times", "families")
 
     def __init__(self, hamiltonian: Hamiltonian,
                  initial_state: PureState | DensityOperator,
                  times: Sequence[float],
-                 families: Sequence[Sequence[LinearOperator | np.ndarray]],
-                 t0: float = 0.0):
+                 families: Sequence[Sequence[LinearOperator | np.ndarray]]):
         times = [float(t) for t in times]
         if len(times) != len(families):
             raise ValueError("one projector family per time required")
         if not times:
             raise ValueError("at least one time required")
-        if times[0] < t0 or any(b <= a for a, b in zip(times, times[1:])):
-            raise ValueError(f"times {times} must be strictly increasing from t0={t0}")
+        if times[0] < 0.0 or any(b <= a for a, b in zip(times, times[1:])):
+            raise ValueError(f"times {times} must be strictly increasing from 0")
         dim = hamiltonian.dim
         if initial_state.dim != dim:
             raise ValueError("initial state does not match the Hamiltonian")
@@ -59,12 +58,10 @@ class HistorySet:
             blocks = []
             for a, entry in enumerate(family):
                 if isinstance(entry, LinearOperator):
-                    defect = _projector_defect(entry.matrix)
-                    if not defect <= FAMILY_TOL:
+                    block, defect = _projector_range(entry.matrix)
+                    if block is None:
                         raise ValueError(
                             f"family {m} entry {a} is not a projector: defect {defect:.3e}")
-                    evals, evecs = np.linalg.eigh(entry.matrix)
-                    block = evecs[:, evals > 0.5]
                 else:   # a view, so freezing it leaves the caller's array writable
                     block = np.asarray(entry, dtype=complex).view()
                 if block.ndim != 2 or block.shape[0] != dim:
@@ -82,7 +79,6 @@ class HistorySet:
             checked.append(tuple(blocks))
         self.hamiltonian = hamiltonian
         self.initial_state = initial_state
-        self.t0 = float(t0)
         self.times = tuple(times)
         self.families = tuple(checked)
 
@@ -99,7 +95,7 @@ class HistorySet:
         return list(itertools.product(*(range(len(f)) for f in self.families)))
 
     def _steps(self) -> list[float]:
-        prev = [self.t0] + list(self.times[:-1])
+        prev = [0.0] + list(self.times[:-1])
         return [t - p for t, p in zip(self.times, prev)]
 
     def __repr__(self):

@@ -19,7 +19,8 @@ from .dynamics import GridSpace, Hamiltonian
 from .hilbert import LinearOperator, Observable, PureState, _born_weights, \
     _cluster_slices, _projector_defect
 
-DEFAULT_ZERO_THRESHOLD = 1e-10
+ZERO_THRESHOLD = 1e-10
+INVARIANCE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -43,12 +44,11 @@ class DefinitenessReport:
         return self.status == "definite"
 
 
-def ee_link_status(state: PureState, obs: Observable,
-                   threshold: float = DEFAULT_ZERO_THRESHOLD) -> DefinitenessReport:
+def ee_link_status(state: PureState, obs: Observable) -> DefinitenessReport:
     """Report whether ``state`` has a definite value of ``obs``.
 
-    Definite means ||psi - Pi_i psi|| < threshold for some eigenprojector;
-    otherwise the report carries the support set {i : <Pi_i> > threshold}.
+    Definite means ||psi - Pi_i psi|| < 1e-10 for some eigenprojector;
+    otherwise the report carries the support set {i : <Pi_i> > 1e-10}.
     The verdict is phase-invariant because only projector weights enter.
     """
     if state.dim != obs.dim:
@@ -57,18 +57,18 @@ def ee_link_status(state: PureState, obs: Observable,
     # ||psi - Pi psi||^2 = 1 - <Pi> for a normalized state
     residuals = np.sqrt(np.clip(1.0 - weights, 0.0, None))
     best = int(np.argmin(residuals))
-    if residuals[best] < threshold:
+    if residuals[best] < ZERO_THRESHOLD:
         return DefinitenessReport(
             status="definite",
             value=float(obs.eigenvalues[best]),
             residual=float(residuals[best]),
             support=((float(obs.eigenvalues[best]), float(weights[best])),),
-            threshold=threshold,
+            threshold=ZERO_THRESHOLD,
         )
     support = tuple((float(obs.eigenvalues[i]), float(weights[i]))
-                    for i in range(obs.n_outcomes) if weights[i] > threshold)
+                    for i in range(obs.n_outcomes) if weights[i] > ZERO_THRESHOLD)
     return DefinitenessReport(status="indefinite", value=None, residual=None,
-                              support=support, threshold=threshold)
+                              support=support, threshold=ZERO_THRESHOLD)
 
 
 def region_projector(g: GridSpace, window: tuple[int, int]) -> Observable:
@@ -84,16 +84,12 @@ def region_projector(g: GridSpace, window: tuple[int, int]) -> Observable:
         raise EmptyRegion(f"window {window} is empty or out of range for {n} points")
     inside = np.zeros(n, dtype=bool)
     inside[lo:hi] = True
-    diag = inside.astype(complex)
-    op = LinearOperator._wrap(np.diag(diag))
     if inside.all():
-        basis = np.eye(n, dtype=complex)
-        return Observable(op, [1.0], basis, [slice(0, n)], validate=False)
+        return Observable._wrap([1.0], np.eye(n, dtype=complex), [slice(0, n)])
     order = np.argsort(inside, kind="stable")  # eigenvalue 0 columns first
-    basis = np.eye(n, dtype=complex)[:, order]
     n_out = n - int(inside.sum())
-    slices = [slice(0, n_out), slice(n_out, n)]
-    return Observable(op, [0.0, 1.0], basis, slices, validate=False)
+    return Observable._wrap([0.0, 1.0], np.eye(n, dtype=complex)[:, order],
+                            [slice(0, n_out), slice(n_out, n)])
 
 
 def delocalization_demo(g: GridSpace, H: Hamiltonian, psi0: PureState,
@@ -146,8 +142,7 @@ def _projector_matrix(projector) -> np.ndarray:
     return mat
 
 
-def _kernel_criterion(H: Hamiltonian, psi0: PureState, proj: np.ndarray,
-                      threshold: float) -> bool:
+def _kernel_criterion(H: Hamiltonian, psi0: PureState, proj: np.ndarray) -> bool:
     """Whether the evolved ray stays in ker(Pi) for all times.
 
     The trajectory spans the eigenspace components of the initial state, so
@@ -160,17 +155,18 @@ def _kernel_criterion(H: Hamiltonian, psi0: PureState, proj: np.ndarray,
     for sl in _cluster_slices(evals, 1e-9 * max(radius, 1.0)):
         component = evecs[:, sl] @ coeff[sl]
         norm = float(np.linalg.norm(component))
-        if norm > threshold and float(np.linalg.norm(proj @ component)) > threshold * norm:
+        if norm > ZERO_THRESHOLD and (float(np.linalg.norm(proj @ component))
+                                      > ZERO_THRESHOLD * norm):
             return False
     return True
 
 
 def indefiniteness_scan(H: Hamiltonian, psi0: PureState, projector,
-                        times, threshold: float = DEFAULT_ZERO_THRESHOLD) -> IndefinitenessScan:
+                        times) -> IndefinitenessScan:
     """Scan <psi(t)|Pi|psi(t)> over a time grid and classify its zero set.
 
-    The grid must carry at least 1000 points; zero-set classification on a
-    sparser grid says little.
+    Values at most 1e-10 count as zero.  The grid must carry at least 1000
+    points; zero-set classification on a sparser grid says little.
     """
     proj = _projector_matrix(projector)
     times = np.asarray(times, dtype=float)
@@ -180,8 +176,8 @@ def indefiniteness_scan(H: Hamiltonian, psi0: PureState, projector,
     psi_t = (H.evolve_amplitudes(psi0.amplitudes, b) for b in blocks)  # a column per time
     series = np.clip(np.concatenate([np.real(np.sum(c.conj() * (proj @ c), axis=0))
                                      for c in psi_t]), 0.0, None)
-    kernel_invariant = _kernel_criterion(H, psi0, proj, threshold)
-    below = series <= threshold
+    kernel_invariant = _kernel_criterion(H, psi0, proj)
+    below = series <= ZERO_THRESHOLD
     if below.all() and kernel_invariant:
         classification = "identically-zero"
     elif not below.any():
@@ -191,17 +187,16 @@ def indefiniteness_scan(H: Hamiltonian, psi0: PureState, projector,
     return IndefinitenessScan(times=times, series=series,
                               classification=classification,
                               kernel_invariant=kernel_invariant,
-                              threshold=threshold)
+                              threshold=ZERO_THRESHOLD)
 
 
-def invariant_subspace_check(H: Hamiltonian, obs: Observable,
-                             tol: float = 1e-9) -> list[bool]:
+def invariant_subspace_check(H: Hamiltonian, obs: Observable) -> list[bool]:
     """For each eigenspace of ``obs``, does H map it into itself?
 
-    Checks ||(1 - Pi_i) H Pi_i|| <= tol * ||H|| per eigenspace.  If no
-    eigenspace is invariant, no projector expectation along generic unitary
-    histories can vanish identically, so every value of the observable stays
-    "possible" at almost every time.
+    Checks ||(1 - Pi_i) H Pi_i||_max <= 1e-9 * max(1, ||H||_max) per
+    eigenspace.  If no eigenspace is invariant, no projector expectation
+    along generic unitary histories can vanish identically, so every value
+    of the observable stays "possible" at almost every time.
     """
     Hm = H.op.matrix
     scale = max(1.0, float(np.max(np.abs(Hm))))
@@ -210,5 +205,5 @@ def invariant_subspace_check(H: Hamiltonian, obs: Observable,
         block = obs.eigenbasis(i)
         mapped = Hm @ block
         residual = mapped - block @ (block.conj().T @ mapped)
-        results.append(bool(np.max(np.abs(residual)) <= tol * scale))
+        results.append(bool(np.max(np.abs(residual)) <= INVARIANCE_TOL * scale))
     return results

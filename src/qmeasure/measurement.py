@@ -22,6 +22,7 @@ from .hilbert import LinearOperator, Observable, PureState, State, _born_weights
 NEGATIVE_CLAMP_LIMIT = 1e-9
 PSD_TOL = 1e-9
 COMPLETENESS_TOL = 1e-8
+TILING_TOL = 1e-6
 
 
 class OutcomeDistribution:
@@ -126,7 +127,8 @@ class Povm:
     factors dense effects with ``eigh``, rejecting non-Hermitian ones and
     eigenvalues below -1e-9; positive eigenvalues become terms, so a zero
     effect owns none.  :meth:`from_rank_one` takes one term per effect, as
-    the phase-space family needs.  Completeness (||sum M - 1||_max <= 1e-8)
+    the phase-space family needs; :func:`build_fuzzy_povm` passes its terms
+    directly.  Completeness (||sum M - 1||_max <= 1e-8)
     is evaluated once, at construction.
     """
 
@@ -215,7 +217,8 @@ def build_fuzzy_povm(obs: Observable, smearing) -> Povm:
     whose columns each sum to 1.  The identity smearing f[k, i] = delta_ki
     recovers the sharp projective measurement; off-diagonal weight models an
     imperfect device that misreports outcomes.  Labels are the effect row
-    indices.
+    indices.  The family is built from the observable's eigenbasis columns
+    as weighted rank-one terms, so no dense effect is formed.
     """
     f = np.asarray(smearing, dtype=float)
     if f.ndim != 2 or f.shape[1] != obs.n_outcomes:
@@ -226,21 +229,19 @@ def build_fuzzy_povm(obs: Observable, smearing) -> Povm:
     col_sums = f.sum(axis=0)
     if np.max(np.abs(col_sums - 1.0)) > 1e-10:
         raise InvalidSmearing(f"column sums {col_sums} must all equal 1")
-    dim = obs.dim
-    elements = []
-    for k in range(f.shape[0]):
-        m = np.zeros((dim, dim), dtype=complex)
-        for i in range(obs.n_outcomes):
-            block = obs.eigenbasis(i)
-            m += f[k, i] * (block @ block.conj().T)
-        elements.append((k, LinearOperator._wrap(m)))
-    return Povm(elements)
+    # effect k owns each column of eigenspace i with weight f[k, i]; zero weights own nothing
+    weights = np.repeat(f, [obs.multiplicity(i) for i in range(obs.n_outcomes)], axis=1)
+    owner, column = np.nonzero(weights > 0.0)
+    rows = np.vstack([obs.eigenbasis(i).T for i in range(obs.n_outcomes)])
+    povm = object.__new__(Povm)
+    povm._set_terms(list(range(f.shape[0])), weights[owner, column], rows[column], owner,
+                    COMPLETENESS_TOL)
+    return povm
 
 
 def build_phase_space_povm(g: GridSpace, packet_width: float,
                            p_indices: Sequence[int] | None = None,
-                           q_indices: Sequence[int] | None = None,
-                           completeness_tol: float = 1e-6) -> Povm:
+                           q_indices: Sequence[int] | None = None) -> Povm:
     """The unsharp joint position/momentum measurement on a grid.
 
     A fiducial Gaussian packet of the given width, centered at phase-space
@@ -252,8 +253,7 @@ def build_phase_space_povm(g: GridSpace, packet_width: float,
     exactly up to roundoff.  Labels are the cell index pairs (a, b).
 
     Restricting ``p_indices``/``q_indices`` to a partial tiling raises
-    IncompleteTiling once the completeness deficit exceeds
-    ``completeness_tol``.
+    IncompleteTiling once the completeness deficit exceeds 1e-6.
     """
     n = g.n_points
     p_idx = list(range(n)) if p_indices is None else [int(a) for a in p_indices]
@@ -280,6 +280,6 @@ def build_phase_space_povm(g: GridSpace, packet_width: float,
             row += 1
     try:
         return Povm.from_rank_one(labels, np.full(n_cells, weight), vectors,
-                                  completeness_tol=completeness_tol)
+                                  completeness_tol=TILING_TOL)
     except InvalidPovm as exc:
         raise IncompleteTiling(str(exc)) from exc

@@ -25,6 +25,7 @@ from .hilbert import LinearOperator, Observable, PureState, _born_weights, _iden
 from .measurement import OutcomeDistribution
 
 MODEL_TOL = 1e-9
+READY_INDEX = 0
 
 
 class MeasurementModel:
@@ -40,12 +41,12 @@ class MeasurementModel:
         dp = pointer_dim
         if unitary.dim != ds * dp:
             raise DimensionMismatch("unitary does not act on system (x) pointer")
-        # the defining property: each mapped column lands on its target
+        # the defining property: U|o_i>|ready> = |phi_i>|m_i>, read on a (system, pointer) grid
+        ready = _ready_slice(unitary, ds, dp, ready_index)
         for i, (rec, phi) in enumerate(zip(record_indices, post_states)):
-            src = observable.eigenbasis(i)[:, 0]
-            source = np.kron(src, _pointer_vec(dp, ready_index))
-            target = np.kron(phi.amplitudes, _pointer_vec(dp, rec))
-            defect = float(np.max(np.abs(unitary.matrix @ source - target)))
+            mapped = ready @ observable.eigenbasis(i)[:, 0]
+            mapped[:, rec] -= phi.amplitudes
+            defect = float(np.max(np.abs(mapped)))
             if defect > MODEL_TOL:
                 raise ValueError(f"interaction misses target {i}: defect {defect:.3e}")
         self.observable = observable
@@ -59,20 +60,17 @@ class MeasurementModel:
     def pointer_observable(self) -> Observable:
         """The record variable on the pointer space: diagonal, one level per index."""
         dp = self.pointer_dim
-        op = LinearOperator(np.diag(np.arange(dp, dtype=complex)))
-        slices = [slice(m, m + 1) for m in range(dp)]
-        return Observable(op, np.arange(dp, dtype=float),
-                          np.eye(dp, dtype=complex), slices)
+        return Observable._wrap(np.arange(dp), np.eye(dp, dtype=complex),
+                                [slice(m, m + 1) for m in range(dp)])
 
     def __repr__(self):
         return (f"MeasurementModel(system={self.system_dim}, "
                 f"pointer={self.pointer_dim})")
 
 
-def _pointer_vec(dim: int, index: int) -> np.ndarray:
-    v = np.zeros(dim, dtype=complex)
-    v[index] = 1.0
-    return v
+def _ready_slice(unitary: LinearOperator, ds: int, dp: int, ready_index: int) -> np.ndarray:
+    """U[(a, b), (c, ready)] as a (ds, dp, ds) array: ``@ psi`` gives U|psi>|ready> as a grid."""
+    return unitary.matrix.reshape(ds, dp, ds, dp)[..., ready_index]
 
 
 def _orthonormal_complement(columns: np.ndarray) -> np.ndarray:
@@ -86,8 +84,7 @@ def _orthonormal_complement(columns: np.ndarray) -> np.ndarray:
 
 def build_measurement_unitary(obs: Observable,
                               post_states: Sequence[PureState] | None = None,
-                              pointer_dim: int | None = None,
-                              ready_index: int = 0) -> MeasurementModel:
+                              pointer_dim: int | None = None) -> MeasurementModel:
     """Complete the partially specified interaction to a full unitary.
 
     ``obs`` must be nondegenerate (one eigenstate per outcome).  The
@@ -95,7 +92,8 @@ def build_measurement_unitary(obs: Observable,
     (a non-disturbing measurement); the |phi_i> need not be orthogonal, and
     may even all coincide (an absorbing measurement).  The pointer has
     ``pointer_dim`` levels (default: one record per outcome plus the ready
-    state); records occupy the lowest indices distinct from ``ready_index``.
+    state).  The ready state is pointer level 0 and the records occupy
+    levels 1 .. n.
 
     The interaction is pinned only on the (eigenstate, ready) slice; the rest
     of the unitary is filled in by pairing deterministic orthonormal
@@ -115,8 +113,6 @@ def build_measurement_unitary(obs: Observable,
         pointer_dim = n_out + 1
     if pointer_dim < n_out + 1:
         raise ValueError(f"pointer needs at least {n_out + 1} levels")
-    if not 0 <= ready_index < pointer_dim:
-        raise ValueError(f"ready index {ready_index} out of range")
     if post_states is None:
         post_states = [PureState(obs.eigenbasis(i)[:, 0]) for i in range(n_out)]
     post_states = list(post_states)
@@ -125,13 +121,14 @@ def build_measurement_unitary(obs: Observable,
     for phi in post_states:
         if phi.dim != ds:
             raise DimensionMismatch("post-measurement state lives off the system")
-    record_indices = [m for m in range(pointer_dim) if m != ready_index][:n_out]
+    record_indices = list(range(READY_INDEX + 1, READY_INDEX + 1 + n_out))
 
-    ready = _pointer_vec(pointer_dim, ready_index)
-    sources = np.stack([np.kron(obs.eigenbasis(i)[:, 0], ready)
-                        for i in range(n_out)], axis=1)
-    images = np.stack([np.kron(phi.amplitudes, _pointer_vec(pointer_dim, rec))
-                       for phi, rec in zip(post_states, record_indices)], axis=1)
+    # column i of each: |o_i>|ready> and |phi_i>|m_i> on a (system, pointer) grid
+    sources = np.zeros((ds, pointer_dim, n_out), dtype=complex)
+    images = np.zeros_like(sources)
+    sources[:, READY_INDEX] = np.hstack([obs.eigenbasis(i) for i in range(n_out)])
+    images[:, record_indices, range(n_out)] = np.transpose([phi.amplitudes for phi in post_states])
+    sources, images = (a.reshape(ds * pointer_dim, n_out) for a in (sources, images))
     gram = images.conj().T @ images
     defect = _identity_defect(gram)
     if defect > MODEL_TOL:
@@ -143,7 +140,7 @@ def build_measurement_unitary(obs: Observable,
     unitarity = _identity_defect(U.conj().T @ U)
     if unitarity > MODEL_TOL:
         raise NonExtendable(f"completion failed: unitarity defect {unitarity:.3e}")
-    return MeasurementModel(obs, pointer_dim, ready_index, record_indices,
+    return MeasurementModel(obs, pointer_dim, READY_INDEX, record_indices,
                             post_states, LinearOperator._wrap(U))
 
 
@@ -156,9 +153,8 @@ def modeled_single_measurement(state: PureState, model: MeasurementModel) -> Out
     """
     if state.dim != model.system_dim:
         raise DimensionMismatch(f"state dim {state.dim} vs system dim {model.system_dim}")
-    ready = _pointer_vec(model.pointer_dim, model.ready_index)
-    joint = model.unitary.matrix @ np.kron(state.amplitudes, ready)
-    grid = joint.reshape(model.system_dim, model.pointer_dim)
+    grid = _ready_slice(model.unitary, model.system_dim, model.pointer_dim,
+                        model.ready_index) @ state.amplitudes
     probs = [float(np.sum(np.abs(grid[:, rec]) ** 2)) for rec in model.record_indices]
     labels = [float(v) for v in model.observable.eigenvalues]
     return OutcomeDistribution(labels, probs)
@@ -178,8 +174,8 @@ def repeated_measurement_joint(state: PureState, model: MeasurementModel,
     if state.dim != model.system_dim:
         raise DimensionMismatch(f"state dim {state.dim} vs system dim {model.system_dim}")
     ds, dp = model.system_dim, model.pointer_dim
-    ready = _pointer_vec(dp, model.ready_index)
-    psi = np.kron(state.amplitudes, np.kron(ready, ready)).reshape(ds, dp, dp)
+    psi = np.zeros((ds, dp, dp), dtype=complex)
+    psi[:, model.ready_index, model.ready_index] = state.amplitudes
     U = model.unitary.matrix.reshape(ds, dp, ds, dp)
     psi = np.einsum("abij,ijc->abc", U, psi)
     psi = np.einsum("acij,ibj->abc", U, psi)

@@ -468,6 +468,9 @@ def _run_two_slit(params: dict, seed: int) -> tuple[list, list, list]:
     if params["n_points"] % params["n_cells"]:
         raise RangeError([f"params.n_cells: {params['n_cells']} must divide "
                           f"n_points={params['n_points']}"])
+    if params["separation"] > params["box_length"] / 2:
+        raise RangeError([f"params.separation: {params['separation']} must not exceed "
+                          f"box_length/2={params['box_length'] / 2}"])
     g, psi0, slit_family, screen_family = _two_slit_grid(params)
     H = free_hamiltonian(g, params["mass"])
     t2 = params["screen_time"]
@@ -541,6 +544,9 @@ def _run_phase_space_povm(params: dict, seed: int) -> tuple[list, list, list]:
             and params["probe_q_index"] < g.n_points):
         raise RangeError([f"params.probe_p_index/probe_q_index must be below "
                           f"n_points={g.n_points}"])
+    if abs(params["state_x0"]) > g.box_length / 2:
+        raise RangeError([f"params.state_x0: {params['state_x0']} lies outside the box "
+                          f"[-{g.box_length / 2}, {g.box_length / 2}]"])
     povm = build_phase_space_povm(g, params["packet_width"])
     deficit = povm.completeness_deficit()
 
@@ -670,9 +676,7 @@ def _run_hegerfeldt_scan(params: dict, seed: int) -> tuple[list, list, list]:
         for _ in range(5):
             psi = PureState(rng.standard_normal(dim) + 1j * rng.standard_normal(dim))
             for i in range(obs_generic.n_outcomes):
-                block = obs_generic.eigenbasis(i)
-                proj_i = LinearOperator(block @ block.conj().T)
-                scan = indefiniteness_scan(H, psi, proj_i, times)
+                scan = indefiniteness_scan(H, psi, obs_generic.projector(i), times)
                 fractions.append(float(np.mean(scan.series > scan.threshold)))
         positive_fraction = min(fractions)
 
@@ -727,9 +731,10 @@ SCENARIOS: dict[str, ScenarioSpec] = {
                                    unit="1/s", low=1e-6),
             "n_modes": ParamSpec(400, int, "number of band modes", low=200,
                                  high=20000),
+            # the longest projection interval is tau/4: a shorter horizon holds no cycle
             "horizon_over_tau": ParamSpec(1.0, float,
                                           "projection horizon in units of tau",
-                                          low=0.01, high=10.0),
+                                          low=0.25, high=10.0),
         },
         _run_zeno_decay),
     "zeno_rabi": ScenarioSpec(

@@ -147,6 +147,30 @@ class TestGridOperators:
                                    atol=1e-15)
         np.testing.assert_allclose(X.eigenvalues, g.positions, atol=1e-15)
 
+    def test_operators_match_fft_spectral_derivative(self):
+        # oracle: P psi = ifft(k fft(psi)) with numpy's own FFT wavenumbers; the
+        # centered grid only multiplies F by a diagonal of signs, which cancels in F^dag K F
+        g = GridSpace(256, 60.0)
+        X, P, _ = build_grid_operators(g)
+        k = 2 * np.pi * np.fft.fftfreq(g.n_points, d=g.dx)
+        oracle = np.fft.ifft(k[:, None] * np.fft.fft(np.eye(g.n_points), axis=0), axis=0)
+        np.testing.assert_allclose(P.operator.matrix, oracle, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(X.operator.matrix, np.diag(g.positions), rtol=0, atol=1e-12)
+
+    def test_builds_no_dense_operator_until_read(self):
+        import tracemalloc
+        g = GridSpace(1024, 120.0)
+        build_grid_operators(g)  # warm caches before measuring
+        tracemalloc.start()
+        try:
+            X, P, F = build_grid_operators(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert X._operator is None and P._operator is None
+        # F, its adjoint as P's basis, and X's identity basis: three 16 MiB arrays
+        assert peak <= 50 * 2 ** 20
+
     def test_commutator_on_central_states(self):
         g = GridSpace(256, 60.0)
         X, P, _ = build_grid_operators(g)

@@ -254,3 +254,41 @@ class TestObservableFromProjectors:
     def test_rejects_non_projector(self):
         with pytest.raises(ValueError):
             Observable.from_projectors([(0.0, LinearOperator(0.5 * np.eye(2)))])
+
+    @pytest.mark.parametrize("entry", [2 * np.eye(2), np.diag([0.0, 2.0])])
+    def test_rejects_integer_eigenvalues_other_than_one(self, entry):
+        # 2I and diag(0, 2) have integer eigenvalues but are not idempotent
+        with pytest.raises(ValueError, match="not a projector"):
+            Observable.from_projectors([(1.0, LinearOperator(entry))])
+
+    def test_builds_no_dense_operator_until_read(self):
+        obs = Observable.from_projectors([(-1.0, np.diag([0.0, 1.0])),
+                                          (1.0, np.diag([1.0, 0.0]))])
+        assert obs._operator is None
+        np.testing.assert_allclose(obs.operator.matrix, SIGMA_Z.matrix, atol=1e-15)
+
+
+class TestObservableConstructor:
+    def test_accepts_a_valid_resolution(self):
+        obs = Observable([-1.0, 1.0], [[0, 1], [1, 0]], [slice(0, 1), slice(1, 2)])
+        np.testing.assert_allclose(obs.operator.matrix, SIGMA_Z.matrix, atol=1e-15)
+
+    def test_rejects_non_orthonormal_basis(self):
+        with pytest.raises(ValueError, match="orthonormal"):
+            Observable([0.0, 1.0], [[1, 1], [0, 1]], [slice(0, 1), slice(1, 2)])
+
+    def test_rejects_descending_eigenvalues(self):
+        with pytest.raises(ValueError, match="ascending"):
+            Observable([1.0, 0.0], np.eye(2), [slice(0, 1), slice(1, 2)])
+
+    @pytest.mark.parametrize("slices", [[slice(0, 1), slice(1, 2)],
+                                        [slice(0, 2), slice(1, 3)],
+                                        [slice(0, 1), slice(2, 3)],
+                                        [slice(0, 0), slice(0, 3)]])
+    def test_rejects_slices_that_do_not_tile(self, slices):
+        with pytest.raises(ValueError, match="fill"):
+            Observable([0.0, 1.0], np.eye(3), slices)
+
+    def test_rejects_non_square_basis(self):
+        with pytest.raises(ValueError, match="square"):
+            Observable([1.0], np.eye(3)[:, :2], [slice(0, 2)])

@@ -90,6 +90,12 @@ class TestHistorySet:
         with pytest.raises(ValueError, match="projector"):
             HistorySet(H, basis_state(2, 0), [1.0], [halves])
 
+    @pytest.mark.parametrize("entry", [2 * np.eye(2), np.diag([0.0, 2.0])])
+    def test_rejects_integer_eigenvalues_other_than_one(self, entry):
+        family = [LinearOperator(entry), LinearOperator(np.eye(2) - entry)]
+        with pytest.raises(ValueError, match="family 0 entry 0 is not a projector"):
+            HistorySet(zero_hamiltonian(2), basis_state(2, 0), [1.0], [family])
+
     def test_rejects_unordered_times(self):
         H = zero_hamiltonian(2)
         with pytest.raises(ValueError, match="increasing"):
@@ -422,13 +428,14 @@ def test_completeness_sum_rule(rng):
 
 
 def test_two_slit_builds_no_dense_projector(monkeypatch):
-    import qmeasure.histories as histories
+    import qmeasure.hilbert as hilbert
     from qmeasure import run_scenario, validate_config
 
     def no_projector_check(*args, **kwargs):
         raise AssertionError("dense projector checked")
 
-    monkeypatch.setattr(histories, "_projector_defect", no_projector_check)
+    # HistorySet checks a projector entry through hilbert._projector_range
+    monkeypatch.setattr(hilbert, "_projector_defect", no_projector_check)
     cfg = validate_config("scenario: two_slit\nparams:\n  n_points: 32\n"
                           "  n_cells: 4\n  box_length: 10.5\n  separation: 2.0\n")
     assert len(run_scenario(cfg).rows) == 4

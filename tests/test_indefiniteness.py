@@ -102,6 +102,14 @@ class TestRegionProjector:
         obs = region_projector(g, (4, 9))
         assert list(obs.eigenvalues) == [0.0, 1.0]
 
+    def test_dense_operator_built_only_when_read(self):
+        g = GridSpace(16, 8.0)
+        obs = region_projector(g, (4, 9))
+        assert obs._operator is None
+        inside = np.zeros(16)
+        inside[4:9] = 1.0
+        np.testing.assert_allclose(obs.operator.matrix, np.diag(inside), rtol=0, atol=1e-15)
+
     def test_empty_region_rejected(self):
         g = GridSpace(16, 8.0)
         with pytest.raises(EmptyRegion):

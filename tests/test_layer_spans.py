@@ -1,17 +1,28 @@
 """The span names behind the benchmark's per-layer metrics name real functions.
 
 ``bench/layers.py`` reads the tracer's spans by name (``<module>.<function>``
-or ``<module>.<Class>.<method>``).  A span whose function was renamed or
-made private is simply never recorded, so its metric would read 0 instead of
-failing; this test fails instead.
+or ``<module>.<Class>.<method>``), and its counters read call arguments by
+parameter name.  A span whose function was renamed or made private is simply
+never recorded, and an argument whose parameter was renamed or removed is
+simply absent, so the metric would read 0 instead of failing; these tests
+fail instead.
 """
 
 import importlib
 import inspect
+import re
 import runpy
 from pathlib import Path
 
 LAYERS = runpy.run_path(str(Path(__file__).resolve().parents[1] / "bench" / "layers.py"))
+
+
+def _function(span: str):
+    """The function object the tracer wraps for ``span``."""
+    module_name, name, *method = span.split(".")
+    obj = vars(importlib.import_module(f"qmeasure.{module_name}"))[name]
+    raw = vars(obj)[method[0]] if method else obj
+    return raw.__func__ if isinstance(raw, (classmethod, staticmethod)) else raw
 
 
 def _traced(span: str) -> bool:
@@ -36,3 +47,13 @@ def test_every_layer_span_is_traced():
              | set(LAYERS["CALLS"].values()) | set(LAYERS["COUNTERS"]))
     assert spans
     assert sorted(s for s in spans if not _traced(s)) == []
+
+
+def test_every_counter_argument_is_a_parameter():
+    missing = []
+    for span, counter in LAYERS["COUNTERS"].items():
+        names = re.findall(r"""args\.get\(["'](\w+)["']""", inspect.getsource(counter))
+        assert names, f"counter for {span} reads no argument"
+        params = inspect.signature(_function(span)).parameters
+        missing += [f"{span}({name})" for name in names if name not in params]
+    assert missing == []

@@ -282,6 +282,42 @@ class TestFuzzyPovm:
                       eps * p_minus + (1 - eps) * p_plus]
             np.testing.assert_allclose(fuzzy.probabilities, oracle, atol=1e-12)
 
+    def test_degenerate_observable_matches_dense_effects(self, rng):
+        values = np.array([1.0, 1.0, 2.0, 3.0])
+        q, _ = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
+        A = (q * values) @ q.conj().T
+        obs = spectral_decompose(LinearOperator(A))
+        f = rng.random((4, 3))
+        f /= f.sum(axis=0)
+        povm = build_fuzzy_povm(obs, f)
+        # oracle: projectors from the test's own eigh, grouped by rounded eigenvalue
+        evals, evecs = np.linalg.eigh((A + A.conj().T) / 2)
+        projs = [evecs[:, np.round(evals) == v] @ evecs[:, np.round(evals) == v].conj().T
+                 for v in (1.0, 2.0, 3.0)]
+        effects = [sum(f[k, i] * projs[i] for i in range(3)) for k in range(4)]
+        for k in range(4):
+            np.testing.assert_allclose(povm.effect(k).matrix, effects[k], rtol=0, atol=1e-12)
+        for _ in range(5):
+            s = random_state(rng, 4)
+            oracle = [np.vdot(s.amplitudes, m @ s.amplitudes).real for m in effects]
+            np.testing.assert_allclose(povm_distribution(s, povm).probabilities, oracle,
+                                       rtol=0, atol=1e-12)
+
+    def test_builds_from_blocks_without_eigh(self, monkeypatch):
+        from qmeasure import build_grid_operators, region_projector
+        obs = spectral_decompose(SIGMA_Z)
+
+        def no_eigh(*args, **kwargs):
+            raise AssertionError("eigh called")
+
+        monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+        povm = build_fuzzy_povm(obs, [[0.9, 0.1], [0.1, 0.9]])
+        assert povm_distribution(PLUS_X, povm).probabilities == pytest.approx([0.5, 0.5])
+        g = GridSpace(64, 20.0)
+        X, P, _ = build_grid_operators(g)
+        region = region_projector(g, (10, 20))
+        assert (X.n_outcomes, P.n_outcomes, region.multiplicity(1)) == (64, 64, 10)
+
     def test_rejects_bad_column_sums(self):
         with pytest.raises(InvalidSmearing):
             build_fuzzy_povm(OBS_Z, [[0.9, 0.2], [0.2, 0.9]])

@@ -125,6 +125,12 @@ class TestModeledSingleMeasurement:
             assert pointer_dist.probability(float(rec)) == pytest.approx(
                 direct.probability(float(obs.eigenvalues[i])), abs=1e-10)
 
+    def test_pointer_observable_is_the_level_index(self):
+        pointer = build_measurement_unitary(OBS_Z).pointer_observable()
+        assert pointer._operator is None
+        np.testing.assert_allclose(pointer.operator.matrix, np.diag([0.0, 1.0, 2.0]),
+                                   rtol=0, atol=1e-15)
+
 
 class TestRepeatedMeasurementJoint:
     def test_nondisturbing_repeats_perfectly(self):

@@ -13,6 +13,12 @@ from qmeasure import (
 )
 from qmeasure.cli import main as cli_main
 
+# inputs that once ended in a bare ValueError: a horizon shorter than the first
+# projection interval tau/4, and packets centred far outside the periodic box
+INPUT_HOLES = [("zeno_decay", "horizon_over_tau", 0.2),
+               ("phase_space_povm", "state_x0", -50.0),
+               ("two_slit", "separation", 1e6)]
+
 
 class TestValidateConfig:
     def test_minimal_config_fills_defaults(self):
@@ -134,6 +140,14 @@ class TestRunScenario:
         assert len(lines) == len(table.rows) + 1
         assert lines[0].split(",")[0] == "n_projections"
 
+    @pytest.mark.parametrize("scenario,name,value", INPUT_HOLES)
+    def test_out_of_box_inputs_name_the_field(self, scenario, name, value):
+        raw = f"scenario: {scenario}\nparams:\n  {name}: {value}\n"
+        with pytest.raises(RangeError) as err:
+            run_scenario(validate_config(raw))
+        assert len(err.value.violations) == 1
+        assert err.value.violations[0].startswith(f"params.{name}:")
+
     def test_module_errors_carry_scenario_context(self):
         from qmeasure import UnresolvableWidth
         raw = "scenario: wavepacket_spread\nparams:\n  width: 0.1\n"
@@ -223,6 +237,13 @@ class TestCli:
         cfg.write_text("scenario: two_slit\nparams:\n  n_cells: 24\n")
         assert cli_main(["run", str(cfg), "--out-dir", str(tmp_path)]) == 2
         assert "params.n_cells" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("scenario,name,value", INPUT_HOLES)
+    def test_run_rejects_out_of_box_inputs(self, tmp_path, capsys, scenario, name, value):
+        cfg = tmp_path / "hole.yaml"
+        cfg.write_text(f"scenario: {scenario}\nparams:\n  {name}: {value}\n")
+        assert cli_main(["run", str(cfg), "--out-dir", str(tmp_path)]) == 2
+        assert f"params.{name}" in capsys.readouterr().err
 
     def test_list_shows_scenarios(self, capsys):
         assert cli_main(["list"]) == 0
