@@ -204,14 +204,14 @@ class Observable:
     slice of it per eigenvalue; projectors and the dense :attr:`operator`
     are built when read.  The constructor checks that the basis is square
     and orthonormal (within 1e-9), the eigenvalues ascend, and the slices
-    tile the columns in order.
+    tile the columns in order; it copies the caller's arrays.
     """
 
     __slots__ = ("eigenvalues", "_basis", "_slices", "_operator")
 
     def __init__(self, eigenvalues, basis, slices):
-        vals = np.asarray(eigenvalues, dtype=float)
-        basis = _as_complex_matrix(basis)
+        vals = np.array(eigenvalues, dtype=float)
+        basis = _as_complex_matrix(basis).copy()
         slices = tuple(slices)
         if len(vals) != len(slices):
             raise ValueError("one slice per distinct eigenvalue required")

@@ -9,6 +9,7 @@ here for projective outcomes.
 
 from __future__ import annotations
 
+from itertools import product
 from typing import Hashable, Sequence
 
 import numpy as np
@@ -122,17 +123,17 @@ def sample_outcome(dist: OutcomeDistribution, seed: int):
 class Povm:
     """A finite family of positive effects summing to the identity.
 
-    Every family is stored as weighted rank-one terms w_k |v_k><v_k|, each
-    tagged with the index of the effect it belongs to.  The constructor
-    factors dense effects with ``eigh``, rejecting non-Hermitian ones and
-    eigenvalues below -1e-9; positive eigenvalues become terms, so a zero
-    effect owns none.  :meth:`from_rank_one` takes one term per effect, as
-    the phase-space family needs; :func:`build_fuzzy_povm` passes its terms
-    directly.  Completeness (||sum M - 1||_max <= 1e-8)
-    is evaluated once, at construction.
+    Every family is one factored table of weighted rank-one terms: term
+    (i, j) is w_j |l_i o r_j><l_i o r_j|, with l_i a row of the p x dim left
+    table L and r_j one of the q x dim right table R, tagged with the index
+    of the effect it belongs to; a flat family has the one row L = ones.
+    The constructor factors dense effects with ``eigh``, rejecting
+    non-Hermitian ones and eigenvalues below -1e-9; positive eigenvalues
+    become terms, so a zero effect owns none.  Completeness
+    (||sum M - 1||_max <= 1e-8) is evaluated once, at construction.
     """
 
-    __slots__ = ("labels", "dim", "_weights", "_vectors", "_owner", "_deficit")
+    __slots__ = ("labels", "dim", "_left", "_right", "_weights", "_owner", "_deficit")
 
     def __init__(self, elements: Sequence[tuple[Hashable, LinearOperator]]):
         if not elements:
@@ -153,36 +154,37 @@ class Povm:
             keep = evals > 0.0
             terms.append((evals[keep], evecs[:, keep].T, np.full(np.count_nonzero(keep), i)))
         weights, vectors, owner = (np.concatenate(parts) for parts in zip(*terms))
-        self._set_terms(labels, weights, vectors, owner, COMPLETENESS_TOL)
+        self._set_terms(labels, np.ones((1, dim), complex), vectors, weights, owner,
+                        COMPLETENESS_TOL)
 
     @classmethod
-    def from_rank_one(cls, labels: Sequence[Hashable], weights, vectors,
-                      completeness_tol: float = COMPLETENESS_TOL) -> "Povm":
+    def from_rank_one(cls, labels: Sequence[Hashable], weights, vectors) -> "Povm":
         """Build sum_k w_k |v_k><v_k| without materializing dense effects."""
         weights = np.asarray(weights, dtype=float)
         vectors = np.asarray(vectors, dtype=complex)
         if weights.min() < -PSD_TOL:
             raise InvalidPovm(f"negative weight {weights.min():.3e}")
         povm = object.__new__(cls)
-        povm._set_terms(labels, weights, vectors, np.arange(len(weights)), completeness_tol)
+        povm._set_terms(labels, np.ones((1, vectors.shape[1]), complex), vectors, weights,
+                        np.arange(len(weights)), COMPLETENESS_TOL)
         return povm
 
-    def _set_terms(self, labels, weights, vectors, owner, completeness_tol):
-        dim = vectors.shape[1]
-        total = np.einsum("kr,k,kc->rc", vectors, weights, vectors.conj())
+    def _set_terms(self, labels, left, right, weights, owner, completeness_tol):
+        # sum_ij w_j (l_i o r_j)(l_i o r_j)^dag = (L^T conj L) o (R^T diag(w) conj R)
+        total = (left.T @ left.conj()) * ((right.T * weights) @ right.conj())
         deficit = _identity_defect(total)
         if deficit > completeness_tol:
             raise InvalidPovm(f"effects sum to identity with defect {deficit:.3e}")
-        self.labels, self.dim, self._deficit = tuple(labels), dim, deficit
-        self._weights, self._vectors, self._owner = weights, vectors, owner
+        self.labels, self.dim, self._deficit = tuple(labels), right.shape[1], deficit
+        self._left, self._right, self._weights, self._owner = left, right, weights, owner
 
     def __len__(self):
         return len(self.labels)
 
     def effect(self, i: int) -> LinearOperator:
-        terms = self._owner == i
-        v = self._vectors[terms]
-        return LinearOperator._wrap((v.T * self._weights[terms]) @ v.conj())
+        rows, cols = np.divmod(np.flatnonzero(self._owner == i), len(self._right))
+        v = self._left[rows] * self._right[cols]
+        return LinearOperator._wrap((v.T * self._weights[cols]) @ v.conj())
 
     @property
     def elements(self) -> list[tuple[Hashable, LinearOperator]]:
@@ -201,12 +203,15 @@ def povm_distribution(state: State, povm: Povm) -> OutcomeDistribution:
     if state.dim != povm.dim:
         raise DimensionMismatch(f"state dim {state.dim} vs POVM dim {povm.dim}")
     if isinstance(state, PureState):
-        amps = povm._vectors.conj() @ state.amplitudes
-        terms = povm._weights * np.abs(amps) ** 2
+        # conj <l_i o r_j|psi> for every (i, j) is one p x q product (L o conj psi) R^T
+        terms = np.abs(np.dot(povm._left * state.amplitudes.conj(), povm._right.T)) ** 2
     else:
-        terms = povm._weights * np.real(np.einsum(
-            "kr,rc,kc->k", povm._vectors.conj(), state.matrix, povm._vectors))
-    probs = np.bincount(povm._owner, weights=terms, minlength=len(povm.labels))
+        # <l o r_j|rho|l o r_j> is row j's sum of (conj R (conj l rho l)) o R
+        r, r_bar = povm._right, povm._right.conj()
+        terms = np.array([np.sum((r_bar @ (l.conj()[:, None] * state.matrix * l)) * r, axis=1).real
+                          for l in povm._left])
+    probs = np.bincount(povm._owner, weights=(terms * povm._weights).ravel(),
+                        minlength=len(povm.labels))
     return OutcomeDistribution(povm.labels, probs, sum_tol=1e-8)
 
 
@@ -234,8 +239,8 @@ def build_fuzzy_povm(obs: Observable, smearing) -> Povm:
     owner, column = np.nonzero(weights > 0.0)
     rows = np.vstack([obs.eigenbasis(i).T for i in range(obs.n_outcomes)])
     povm = object.__new__(Povm)
-    povm._set_terms(list(range(f.shape[0])), weights[owner, column], rows[column], owner,
-                    COMPLETENESS_TOL)
+    povm._set_terms(list(range(f.shape[0])), np.ones((1, obs.dim), complex), rows[column],
+                    weights[owner, column], owner, COMPLETENESS_TOL)
     return povm
 
 
@@ -250,7 +255,10 @@ def build_phase_space_povm(g: GridSpace, packet_width: float,
     Each cell contributes a weighted rank-one effect w |phi(p_a, q_b)><...|
     with w = dim / n_cells, the discrete stand-in for the continuum 1/2pi
     measure; over the full n x n tiling the family resolves the identity
-    exactly up to roundoff.  Labels are the cell index pairs (a, b).
+    exactly up to roundoff.  Labels are the cell index pairs (a, b), a-major.
+    The cells form a Gabor system: the boosts e^{i k_a x} are the POVM's left
+    table and the shifted packets F^dag e^{-i k x_b} F phi its right table, so
+    the family costs O(n^3) in matrix products and O(n^2) memory.
 
     Restricting ``p_indices``/``q_indices`` to a partial tiling raises
     IncompleteTiling once the completeness deficit exceeds 1e-6.
@@ -263,23 +271,14 @@ def build_phase_space_povm(g: GridSpace, packet_width: float,
     x = g.positions
     k = g.wavenumbers
     F = fourier_map(g)
-    Fh = F.conj().T
-    phi = gaussian_packet(g, 0.0, 0.0, packet_width).amplitudes
-    phi_k = F @ phi
+    phi_k = F @ gaussian_packet(g, 0.0, 0.0, packet_width).amplitudes
+    boosts = np.exp(1j * np.outer(k[p_idx], x))
+    shifted = (F.conj().T @ (np.exp(-1j * np.outer(k, x[q_idx])) * phi_k[:, None])).T
     n_cells = len(p_idx) * len(q_idx)
-    weight = n / n_cells
-    shifted = {b: Fh @ (np.exp(-1j * k * x[b]) * phi_k) for b in q_idx}
-    labels = []
-    vectors = np.empty((n_cells, n), dtype=complex)
-    row = 0
-    for a in p_idx:
-        boost = np.exp(1j * x * k[a])
-        for b in q_idx:
-            vectors[row] = boost * shifted[b]
-            labels.append((a, b))
-            row += 1
+    povm = object.__new__(Povm)
     try:
-        return Povm.from_rank_one(labels, np.full(n_cells, weight), vectors,
-                                  completeness_tol=TILING_TOL)
+        povm._set_terms(product(p_idx, q_idx), boosts, shifted,
+                        np.full(len(q_idx), n / n_cells), np.arange(n_cells), TILING_TOL)
     except InvalidPovm as exc:
         raise IncompleteTiling(str(exc)) from exc
+    return povm

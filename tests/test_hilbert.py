@@ -273,6 +273,16 @@ class TestObservableConstructor:
         obs = Observable([-1.0, 1.0], [[0, 1], [1, 0]], [slice(0, 1), slice(1, 2)])
         np.testing.assert_allclose(obs.operator.matrix, SIGMA_Z.matrix, atol=1e-15)
 
+    def test_copies_the_callers_arrays(self):
+        values = np.array([0.0, 1.0])
+        basis = np.eye(2, dtype=complex)
+        obs = Observable(values, basis, [slice(0, 1), slice(1, 2)])
+        assert basis.flags.writeable and values.flags.writeable
+        basis[:] = [[0, 1], [1, 0]]
+        values[:] = [5.0, 6.0]
+        np.testing.assert_array_equal(obs.eigenvalues, [0.0, 1.0])
+        np.testing.assert_array_equal(obs.eigenbasis(0), [[1.0], [0.0]])
+
     def test_rejects_non_orthonormal_basis(self):
         with pytest.raises(ValueError, match="orthonormal"):
             Observable([0.0, 1.0], [[1, 1], [0, 1]], [slice(0, 1), slice(1, 2)])

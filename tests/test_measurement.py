@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -338,6 +339,51 @@ class TestPhaseSpacePovm:
         g = GridSpace(64, 16.0)
         with pytest.raises(IncompleteTiling):
             build_phase_space_povm(g, 0.8, p_indices=range(32))
+
+    @pytest.mark.parametrize("p_indices", [None, range(32)])
+    def test_incomplete_position_tiling_rejected(self, p_indices):
+        g = GridSpace(64, 16.0)
+        with pytest.raises(IncompleteTiling):
+            build_phase_space_povm(g, 0.8, p_indices=p_indices, q_indices=range(32))
+
+    @pytest.mark.parametrize("n, width", [(32, 1.55), (48, 1.2)])
+    def test_terms_match_rolled_boosted_packets(self, rng, n, width):
+        # oracle: each cell's vector is the fiducial packet shifted circularly by
+        # b - n/2 grid steps and multiplied by the boost e^{i k_a x}; weight 1/n
+        g = GridSpace(n, 16.0)
+        povm = build_phase_space_povm(g, width)
+        phi = gaussian_packet(g, 0.0, 0.0, width).amplitudes
+        x, k = g.positions, g.wavenumbers
+        vectors = np.array([np.exp(1j * k[a] * x) * np.roll(phi, b - n // 2)
+                            for a in range(n) for b in range(n)])
+        assert list(povm.labels) == [(a, b) for a in range(n) for b in range(n)]
+        for cell in (0, n + 3, n * n // 2 + 5, n * n - 1):
+            v = vectors[cell]
+            np.testing.assert_allclose(povm.effect(cell).matrix, np.outer(v, v.conj()) / n,
+                                       rtol=0, atol=1e-12)
+        total = vectors.T @ vectors.conj() / n
+        deficit = np.max(np.abs(total - np.eye(n)))
+        assert abs(povm.completeness_deficit() - deficit) < 1e-12
+        pure, mixed = random_state(rng, n), random_density(rng, n)
+        oracle_pure = np.abs(vectors.conj() @ pure.amplitudes) ** 2 / n
+        oracle_mixed = np.real(np.sum((vectors.conj() @ mixed.matrix) * vectors, axis=1)) / n
+        for state, oracle in ((pure, oracle_pure), (mixed, oracle_mixed)):
+            np.testing.assert_allclose(povm_distribution(state, povm).probabilities,
+                                       oracle / oracle.sum(), rtol=0, atol=1e-12)
+
+    def test_range_top_memory(self):
+        # the stored table is two n x n factors: at n = 256 a term table of all
+        # n^2 cells would take 268 MB
+        g = GridSpace(256, 16.0)
+        state = gaussian_packet(g, 1.7, 0.9, 1.5)
+        tracemalloc.start()
+        try:
+            povm = build_phase_space_povm(g, 0.5)
+            povm_distribution(state, povm)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 32 * 2 ** 20
 
     def test_displaced_packet_peaks_at_own_cell(self):
         g = GridSpace(48, 16.0)
