@@ -5,7 +5,8 @@ Conventions: hbar = 1, particle mass enters through the Hamiltonian
 momentum operator is defined spectrally through the unitary Fourier map, so
 position and momentum amplitudes are discrete Fourier transforms of one
 another and [X, P] = i holds on well-resolved interior states up to grid
-error.
+error.  The free Hamiltonian evolves through that map applied by FFT, in
+O(n log n) per state; :func:`fourier_map` writes the same map out densely.
 """
 
 from __future__ import annotations
@@ -21,56 +22,107 @@ from .hilbert import LinearOperator, Observable, PureState, _freeze, _hermitian_
 UNITARITY_TOL = 1e-9
 
 
+class _FourierBasis:
+    """The free grid Hamiltonian's eigenbasis kron(F^dag, I_tags), applied by FFT.
+
+    F is :func:`fourier_map`'s matrix.  Column (m, s) is the plane wave of
+    wavenumber k_m carrying tag s; amplitude (x, s) sits at index x * tags + s.
+    The map is unitary by construction, so nothing is checked.
+    """
+
+    __slots__ = ("n", "tags", "shape")
+
+    def __init__(self, n: int, tags: int = 1):
+        self.n, self.tags, self.shape = n, tags, (n * tags, n * tags)
+
+    def _along_grid(self, transform, data) -> np.ndarray:
+        # on a centered grid with n even, F = fftshift . fft . ifftshift (orthonormal)
+        data = np.asarray(data)
+        grid = np.fft.ifftshift(data.reshape((self.n, self.tags) + data.shape[1:]), axes=0)
+        return np.fft.fftshift(transform(grid, axis=0, norm="ortho"), axes=0).reshape(data.shape)
+
+    def apply(self, coefficients) -> np.ndarray:
+        """V c: momentum amplitudes (one per column of V) to position amplitudes."""
+        return self._along_grid(np.fft.ifft, coefficients)
+
+    def apply_adjoint(self, amplitudes) -> np.ndarray:
+        """V^dag a: position amplitudes to momentum amplitudes, F along the grid."""
+        return self._along_grid(np.fft.fft, amplitudes)
+
+
 class Hamiltonian:
     """A Hermitian generator of time evolution.
 
     Every propagation is U(t) = V e^{-iEt} V^dag from the eigensystem (E, V),
     in :meth:`evolve_amplitudes`.  An operator is diagonalized once, on first
-    use; :meth:`from_eigenbasis` takes a spectrum that is already known.
+    use, by a real symmetric ``eigh`` when its matrix is exactly real;
+    :meth:`from_eigenbasis` takes a spectrum that is already known.
     """
 
-    __slots__ = ("_op", "dim", "_evals", "_evecs")
+    __slots__ = ("_op", "dim", "_energies", "_basis")
 
     def __init__(self, op: LinearOperator):
         if not _hermitian_within_tol(op.matrix):
             raise NotHermitian(f"hermiticity defect {hermiticity_defect(op.matrix):.3e}")
-        self._op, self.dim, self._evals, self._evecs = op, op.dim, None, None
+        self._op, self.dim, self._energies, self._basis = op, op.dim, None, None
 
     @classmethod
     def from_eigenbasis(cls, energies, basis) -> "Hamiltonian":
         """H = V diag(E) V^dag from finite real energies E and their eigenvectors V.
 
-        Raises ValueError unless max|V^dag V - 1| <= 1e-9.  Columns are
-        reordered so the energies ascend; the arrays become read-only.
+        ``basis`` is either a dense matrix, which must satisfy
+        max|V^dag V - 1| <= 1e-9 (else ValueError) and whose columns are
+        reordered so the energies ascend, or the grid's FFT-backed Fourier
+        map, unitary by construction, whose energies stay in wavenumber
+        order.  The arrays become read-only.
         """
         evals = np.asarray(energies)
-        evecs = np.asarray(basis, dtype=complex)
+        dense = not isinstance(basis, _FourierBasis)
+        if dense:
+            basis = np.asarray(basis, dtype=complex)
         if (evals.ndim != 1 or not np.isrealobj(evals) or not np.all(np.isfinite(evals))
-                or evecs.shape != (evals.size, evals.size)):
+                or basis.shape != (evals.size, evals.size)):
             raise ValueError("need finite real energies and a square basis, a column per energy")
-        defect = _identity_defect(evecs.conj().T @ evecs)
-        if defect > UNITARITY_TOL:
-            raise ValueError(f"eigenbasis unitarity defect {defect:.3e}")
-        order = np.argsort(evals, kind="stable")
+        if dense:
+            defect = _identity_defect(basis.conj().T @ basis)
+            if defect > UNITARITY_TOL:
+                raise ValueError(f"eigenbasis unitarity defect {defect:.3e}")
+            order = np.argsort(evals, kind="stable")
+            evals, basis = evals[order], _freeze(basis[:, order])
         H = object.__new__(cls)
         H._op, H.dim = None, evals.size
-        H._evals, H._evecs = _freeze(evals[order].astype(float)), _freeze(evecs[:, order])
+        H._energies, H._basis = _freeze(evals.astype(float)), basis
         return H
 
     @property
     def op(self) -> LinearOperator:
         """The dense operator; for a known eigenbasis, V diag(E) V^dag built on first read."""
         if self._op is None:
-            m = self._evecs @ (self._evals[:, None] * self._evecs.conj().T)
+            evals, evecs = self.eigensystem()
+            m = evecs @ (evals[:, None] * evecs.conj().T)
             self._op = LinearOperator._wrap((m + m.conj().T) / 2)
         return self._op
 
+    def _diagonalized(self) -> tuple[np.ndarray, np.ndarray | _FourierBasis]:
+        """(E, V) with E in the order of V's columns; diagonalizes an operator once."""
+        if self._basis is None:
+            m = self._op.matrix
+            evals, evecs = np.linalg.eigh(m if m.imag.any() else m.real)
+            # stored complex: mixed real/complex products in the kernel are slower
+            self._energies, self._basis = _freeze(evals), _freeze(evecs.astype(complex, copy=False))
+        return self._energies, self._basis
+
     def eigensystem(self) -> tuple[np.ndarray, np.ndarray]:
-        """Ascending energies and the unitary whose columns are their eigenvectors."""
-        if self._evals is None:
-            evals, evecs = np.linalg.eigh(self._op.matrix)
-            self._evals, self._evecs = _freeze(evals), _freeze(evecs)
-        return self._evals, self._evecs
+        """Ascending energies and the dense unitary whose columns are their eigenvectors.
+
+        For the Fourier map the dense basis is written out on each call.
+        """
+        evals, basis = self._diagonalized()
+        if isinstance(basis, np.ndarray):
+            return evals, basis
+        order = np.argsort(evals, kind="stable")
+        return (_freeze(evals[order]),
+                _freeze(basis.apply(np.eye(self.dim, dtype=complex))[:, order]))
 
     def evolve_amplitudes(self, amplitudes, t) -> np.ndarray:
         """V e^{-iEt} V^dag applied to unnormalized amplitudes: the one evolution kernel.
@@ -81,10 +133,14 @@ class Hamiltonian:
         times = np.asarray(t, dtype=float)
         if not np.all(np.isfinite(times)):
             raise ValueError(f"time must be finite, got {t}")
-        evals, evecs = self.eigensystem()
-        coeff = (np.asarray(amplitudes).conj().T @ evecs).conj().T  # V^dag a, V not copied
+        evals, basis = self._diagonalized()
+        amplitudes = np.asarray(amplitudes)
+        dense = isinstance(basis, np.ndarray)
+        # V^dag a, V not copied
+        coeff = (amplitudes.conj().T @ basis).conj().T if dense else basis.apply_adjoint(amplitudes)
         phases = np.exp(-1j * np.multiply.outer(evals, times))
-        return evecs @ (phases.T * coeff.T).T  # broadcast over columns or times
+        evolved = (phases.T * coeff.T).T  # broadcast over columns or times
+        return basis @ evolved if dense else basis.apply(evolved)
 
     def evolve(self, state: PureState, t: float) -> PureState:
         """exp(-iHt)|psi> without materializing the propagator matrix."""
@@ -162,7 +218,8 @@ def fourier_map(g: GridSpace) -> np.ndarray:
     """The unitary matrix sending position amplitudes to momentum amplitudes.
 
     Rows are ordered by ascending wavenumber: (F psi)[m] is the amplitude at
-    wavenumber k_m, with F[m, j] = exp(-i k_m x_j) / sqrt(n).
+    wavenumber k_m, with F[m, j] = exp(-i k_m x_j) / sqrt(n).  Evolution
+    applies the same map by FFT; this dense form is its reference.
     """
     x = g.positions
     k = g.wavenumbers
@@ -226,24 +283,43 @@ def truncated_gaussian_packet(g: GridSpace, x0: float, k0: float, width: float,
     return PureState(psi * mask)
 
 
-def free_hamiltonian(g: GridSpace, mass: float = 1.0) -> Hamiltonian:
-    """H = P^2 / 2m on the grid from its known eigensystem: energies k^2 / 2m, basis F^dag."""
-    if mass <= 0:
+def _kinetic_energies(g: GridSpace, mass: float) -> np.ndarray:
+    """k^2 / 2m in ascending-wavenumber order; ValueError unless mass > 0 (NaN included)."""
+    if not mass > 0:
         raise ValueError("mass must be positive")
-    return Hamiltonian.from_eigenbasis(g.wavenumbers ** 2 / (2 * mass), fourier_map(g).conj().T)
+    return g.wavenumbers ** 2 / (2 * mass)
+
+
+def free_hamiltonian(g: GridSpace, mass: float = 1.0, tags: int = 1) -> Hamiltonian:
+    """H = P^2 / 2m (x) I_tags on the grid from its known eigensystem.
+
+    Energies k^2 / 2m, each repeated for the ``tags`` internal levels that
+    the dynamics leaves alone (a which-way record), over the basis
+    kron(F^dag, I_tags) applied by FFT: nothing is diagonalized or checked,
+    and each evolution costs O(n log n) per state.  A mass that is not
+    positive (NaN included) or gives non-finite energies raises ValueError.
+    """
+    return Hamiltonian.from_eigenbasis(np.repeat(_kinetic_energies(g, mass), tags),
+                                       _FourierBasis(g.n_points, tags))
 
 
 def barrier_hamiltonian(g: GridSpace, mass: float, height: float,
                         window: tuple[int, int]) -> Hamiltonian:
-    """Free Hamiltonian plus a finite rectangular potential barrier.
+    """Free Hamiltonian plus a finite rectangular potential barrier, as a real matrix.
 
-    ``window`` is the half-open index range where the potential is
-    ``height``.  Finite barriers leak: a state confined to one side acquires
-    support on the other under evolution.
+    The kinetic term F^dag diag(k^2/2m) F is the real symmetric circulant
+    whose first column is the inverse FFT of k^2/2m (the periodic spectral
+    second derivative times -1/2m), so H is real and its first evolution
+    diagonalizes it with a real ``eigh``.  ``window`` is the half-open index
+    range where the potential is ``height``.  Finite barriers leak: a state
+    confined to one side acquires support on the other under evolution.
     """
-    v = np.zeros(g.n_points)
+    n = g.n_points
+    column = np.fft.ifft(np.fft.ifftshift(_kinetic_energies(g, mass))).real
+    v = np.zeros(n)
     v[int(window[0]):int(window[1])] = height
-    H = free_hamiltonian(g, mass).op.matrix + np.diag(v.astype(complex))
+    # H[j, l] = column[j - l mod n] + v[j] delta_jl
+    H = column[(np.arange(n)[:, None] - np.arange(n)) % n] + np.diag(v)
     return Hamiltonian(LinearOperator._wrap(H))
 
 

@@ -22,8 +22,8 @@ from .errors import ParseError, RangeError, SimulationError
 from .dynamics import (
     GridSpace,
     Hamiltonian,
+    _FourierBasis,
     barrier_hamiltonian,
-    fourier_map,
     free_hamiltonian,
     gaussian_packet,
     packet_width,
@@ -35,7 +35,6 @@ from .hilbert import (
     PureState,
     SIGMA_X,
     SIGMA_Z,
-    _identity_defect,
     basis_state,
     partial_trace,
     spectral_decompose,
@@ -378,15 +377,15 @@ def _run_wavepacket_spread(params: dict, seed: int) -> tuple[list, list, list]:
         worst = max(worst, rel)
         rows.append((float(t), float(w_num), float(w_ref), float(rel)))
 
-    F = fourier_map(g)
+    fourier = _FourierBasis(g.n_points)
     x = g.positions
     k = g.wavenumbers
     px = np.abs(psi0.amplitudes) ** 2
     sx = np.sqrt(float(np.sum(px * x ** 2) - np.sum(px * x) ** 2))
-    pk = np.abs(F @ psi0.amplitudes) ** 2
+    pk = np.abs(fourier.apply_adjoint(psi0.amplitudes)) ** 2
     sk = np.sqrt(float(np.sum(pk * k ** 2) - np.sum(pk * k) ** 2))
     mean_p = float(np.sum(pk * k))
-    fourier_unitarity = _identity_defect(F.conj().T @ F)
+    fourier_unitarity = _round_trip_defect(fourier)
 
     columns = [("t", "s"), ("width_numeric", "length"), ("width_predicted", "length"),
                ("rel_error", "")]
@@ -398,6 +397,16 @@ def _run_wavepacket_spread(params: dict, seed: int) -> tuple[list, list, list]:
         _near("mean_momentum_at_rest", mean_p, 1e-10),
     ]
     return columns, rows, assertions
+
+
+def _round_trip_defect(fourier: _FourierBasis) -> float:
+    """max|F^dag F - 1|, taken on 256 identity columns at a time to bound memory."""
+    worst, block = 0.0, 256
+    dim = fourier.shape[0]
+    for lo in range(0, dim, block):
+        cols = np.eye(dim, min(block, dim - lo), k=-lo, dtype=complex)
+        worst = max(worst, float(np.max(np.abs(fourier.apply(fourier.apply_adjoint(cols)) - cols))))
+    return worst
 
 
 def _run_delocalization(params: dict, seed: int) -> tuple[list, list, list]:
@@ -421,7 +430,7 @@ def _run_delocalization(params: dict, seed: int) -> tuple[list, list, list]:
         rows.append((float(eps), float(outside)))
 
     report = ee_link_status(psi0, region_projector(g, (center - 2, center + 3)))
-    momentum_amps = np.abs(fourier_map(g) @ psi0.amplitudes)
+    momentum_amps = np.abs(_FourierBasis(g.n_points).apply_adjoint(psi0.amplitudes))
     min_momentum = float(momentum_amps.min())
 
     barrier_lo = window[1] + 2
@@ -499,10 +508,8 @@ def _run_two_slit(params: dict, seed: int) -> tuple[list, list, list]:
     psi_tagged = PureState(np.stack([B @ (B.conj().T @ psi0.amplitudes)
                                      for B in slit_family], axis=1).ravel())
     pointer_identity = np.eye(2, dtype=complex)
-    # the tag does not move: H's eigensystem, each level doubled
-    energies, basis = H.eigensystem()
-    H_tagged = Hamiltonian.from_eigenbasis(np.repeat(energies, 2),
-                                           np.kron(basis, pointer_identity))
+    # the tag does not move: H (x) I2, each level doubled
+    H_tagged = free_hamiltonian(g, params["mass"], tags=2)
     slit_tagged = [np.kron(B, pointer_identity) for B in slit_family]
     screen_tagged = [np.kron(B, pointer_identity) for B in screen_family]
     hs_tagged = HistorySet(H_tagged, psi_tagged, times=[0.0, t2],
@@ -559,8 +566,9 @@ def _run_phase_space_povm(params: dict, seed: int) -> tuple[list, list, list]:
 
     sharp = np.abs(state.amplitudes) ** 2
     blur = np.abs(gaussian_packet(g, 0.0, 0.0, params["packet_width"]).amplitudes) ** 2
-    convolved = np.array([float(np.sum(np.roll(blur, b - n // 2) * sharp))
-                          for b in range(n)])
+    # oracle, one circulant product: convolved[b] = sum_j blur[j - b + n/2 mod n] sharp[j]
+    shifts = (np.arange(n) - np.arange(n)[:, None] + n // 2) % n
+    convolved = blur[shifts] @ sharp
     tv_exact = 0.5 * float(np.sum(np.abs(marginal_q - convolved)))
     tv_sharp = 0.5 * float(np.sum(np.abs(marginal_q - sharp)))
 
@@ -569,9 +577,9 @@ def _run_phase_space_povm(params: dict, seed: int) -> tuple[list, list, list]:
     var_marg = float(np.sum(marginal_q * x ** 2) - np.sum(marginal_q * x) ** 2)
 
     a0, b0 = params["probe_p_index"], params["probe_q_index"]
-    probe = povm.effect(list(povm.labels).index((a0, b0)))
-    evals, evecs = np.linalg.eigh(probe.matrix)
-    probe_state = PureState(evecs[:, -1])
+    probe = povm.effect(list(povm.labels).index((a0, b0))).matrix
+    # rank one, w |phi><phi|: column j is w phi conj(phi_j), largest where the diagonal peaks
+    probe_state = PureState(probe[:, int(np.argmax(np.real(np.diagonal(probe))))])
     probe_dist = povm_distribution(probe_state, povm)
     peak = probe_dist.outcomes[int(np.argmax(probe_dist.probabilities))]
 

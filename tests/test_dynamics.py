@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from qmeasure import (
     propagate,
     truncated_gaussian_packet,
 )
+from qmeasure.dynamics import _FourierBasis
 from conftest import random_hermitian, random_state
 
 
@@ -271,12 +273,13 @@ class TestKnownEigenbasis:
         g = GridSpace(64, 20.0)
         energies, basis = free_hamiltonian(g, 1.0).eigensystem()
         eye2 = np.eye(2, dtype=complex)
-        H_tag = Hamiltonian.from_eigenbasis(np.repeat(energies, 2), np.kron(basis, eye2))
+        H_kron = Hamiltonian.from_eigenbasis(np.repeat(energies, 2), np.kron(basis, eye2))
         dense_tag = np.kron(_dense_free_matrix(g, 1.0), eye2)
         psi = random_state(rng, 128)
-        for t in (0.0, 0.8, 6.5):
-            oracle = _eigh_evolution(dense_tag, psi.amplitudes, t)
-            assert np.max(np.abs(H_tag.evolve(psi, t).amplitudes - oracle)) <= 1e-12
+        for H_tag in (H_kron, free_hamiltonian(g, 1.0, tags=2)):
+            for t in (0.0, 0.8, 6.5):
+                oracle = _eigh_evolution(dense_tag, psi.amplitudes, t)
+                assert np.max(np.abs(H_tag.evolve(psi, t).amplitudes - oracle)) <= 1e-12
 
     def test_energies_ascend_with_their_columns(self, rng):
         H0 = Hamiltonian(random_hermitian(rng, 4))
@@ -295,6 +298,17 @@ class TestKnownEigenbasis:
                 Hamiltonian.from_eigenbasis(energies, basis)
         with pytest.raises(ValueError, match="unitarity defect"):
             Hamiltonian.from_eigenbasis([0.0, 1.0, 2.0], 1.001 * basis)
+        for energies in (np.zeros(7), np.full(8, np.nan)):
+            with pytest.raises(ValueError, match="finite real energies and a square basis"):
+                Hamiltonian.from_eigenbasis(energies, _FourierBasis(8))
+
+    def test_non_positive_or_nan_mass_is_rejected(self):
+        g = GridSpace(16, 8.0)
+        for mass in (np.nan, 0.0, -1.0):
+            with pytest.raises(ValueError, match="mass"):
+                free_hamiltonian(g, mass)
+            with pytest.raises(ValueError, match="mass"):
+                barrier_hamiltonian(g, mass, 5.0, (2, 4))
 
     def test_kernel_batches_columns_and_times(self, rng):
         H = Hamiltonian(random_hermitian(rng, 5))
@@ -322,6 +336,93 @@ class TestKnownEigenbasis:
         cfg = validate_config("scenario: two_slit\nparams:\n  n_points: 32\n"
                               "  n_cells: 4\n  box_length: 10.5\n  separation: 2.0\n")
         assert len(run_scenario(cfg).rows) == 4
+
+
+def _normalized_columns(rng, rows, cols):
+    block = rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+    return block / np.linalg.norm(block, axis=0)
+
+
+class TestFourierBasis:
+    @pytest.mark.parametrize("n", [64, 1024])
+    def test_map_matches_dense_fourier_map(self, rng, n):
+        F = fourier_map(GridSpace(n, 20.0))
+        layouts = ((_FourierBasis(n), F.conj().T),
+                   (_FourierBasis(n, 2), np.kron(F.conj().T, np.eye(2))))
+        for V, dense in layouts:
+            block = _normalized_columns(rng, V.shape[0], 5)
+            for data in (block[:, 0], block):
+                assert np.max(np.abs(V.apply(data) - dense @ data)) <= 1e-12
+                assert np.max(np.abs(V.apply_adjoint(data) - dense.conj().T @ data)) <= 1e-12
+
+    def test_free_kernel_batches_columns_and_times(self, rng):
+        g = GridSpace(64, 20.0)
+        H = free_hamiltonian(g, 0.8)
+        dense = _dense_free_matrix(g, 0.8)
+        columns = _normalized_columns(rng, 64, 3)
+        times = np.array([0.0, 0.9, 4.0])
+        evolved = H.evolve_amplitudes(columns, 0.9)
+        per_time = H.evolve_amplitudes(columns[:, 0], times)
+        for j in range(3):
+            np.testing.assert_allclose(evolved[:, j], _eigh_evolution(dense, columns[:, j], 0.9),
+                                       rtol=0, atol=1e-12)
+            np.testing.assert_allclose(per_time[:, j],
+                                       _eigh_evolution(dense, columns[:, 0], times[j]),
+                                       rtol=0, atol=1e-12)
+
+    def test_barrier_evolution_matches_complex_eigh(self):
+        g = GridSpace(256, 60.0)
+        window = (150, 160)
+        H = barrier_hamiltonian(g, 1.3, 40.0, window)
+        v = np.zeros(256)
+        v[150:160] = 40.0
+        dense = _dense_free_matrix(g, 1.3) + np.diag(v)  # complex, so a complex eigh
+        psi = gaussian_packet(g, -3.0, 1.1, 2.0)
+        for t in (0.05, 0.8, 4.0):
+            oracle = _eigh_evolution(dense, psi.amplitudes, t)
+            assert np.max(np.abs(H.evolve(psi, t).amplitudes - oracle)) <= 1e-12
+
+    def test_real_hamiltonian_uses_real_eigh_and_complex_vectors(self, rng, monkeypatch):
+        a = rng.standard_normal((6, 6))
+        m = a + a.T
+        H = Hamiltonian(LinearOperator(m))
+        seen = []
+        eigh = np.linalg.eigh
+
+        def spy(matrix, *args, **kwargs):
+            seen.append(np.asarray(matrix).dtype)
+            return eigh(matrix, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", spy)
+        energies, basis = H.eigensystem()
+        monkeypatch.undo()
+        assert seen == [np.dtype(float)]
+        assert basis.dtype == complex
+        np.testing.assert_allclose(energies, np.linalg.eigvalsh(m.astype(complex)),
+                                   rtol=0, atol=1e-12)
+        psi = random_state(rng, 6)
+        for t in (0.0, 0.6, 7.0):
+            oracle = _eigh_evolution(m.astype(complex), psi.amplitudes, t)
+            assert np.max(np.abs(H.evolve(psi, t).amplitudes - oracle)) <= 1e-12
+
+    def test_grid_evolution_builds_no_dense_fourier_map(self, monkeypatch):
+        from qmeasure import run_scenario, validate_config
+
+        def no_dense_map(*args, **kwargs):
+            raise AssertionError("dense fourier_map built")
+
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "qmeasure" and hasattr(module, "fourier_map"):
+                monkeypatch.setattr(module, "fourier_map", no_dense_map)
+        g = GridSpace(128, 40.0)
+        psi = free_hamiltonian(g).evolve(gaussian_packet(g, 0.0, 1.0, 2.0), 3.0)
+        assert abs(np.linalg.norm(psi.amplitudes) - 1.0) < 1e-12
+        for text in ("scenario: two_slit\nparams:\n  n_points: 32\n  n_cells: 4\n"
+                     "  box_length: 10.5\n  separation: 2.0\n",
+                     "scenario: wavepacket_spread\nparams:\n  n_points: 64\n"
+                     "  box_length: 20.0\n"):
+            result = run_scenario(validate_config(text))
+            assert result.rows
 
 
 class TestTruncatedPacket:

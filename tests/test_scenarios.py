@@ -118,6 +118,24 @@ class TestRunScenario:
         assert not norm.passed
         assert norm.value == pytest.approx(0.01, rel=1e-9)
 
+    def test_fourier_unitarity_checks_every_column(self, monkeypatch):
+        # the round trip runs on blocks of identity columns; 300 points leave a
+        # partial last block, and only the last sample drifts
+        from qmeasure.dynamics import _FourierBasis
+        apply = _FourierBasis.apply
+
+        def drift_on_last_sample(self, coefficients):
+            out = apply(self, coefficients)
+            out[-1] *= 1.01
+            return out
+
+        monkeypatch.setattr(_FourierBasis, "apply", drift_on_last_sample)
+        table = run_scenario(validate_config(
+            "scenario: wavepacket_spread\nparams:\n  n_points: 300\n  box_length: 60.0\n"))
+        unitarity = {a.name: a for a in table.assertions}["fourier_map_unitarity"]
+        assert not unitarity.passed
+        assert unitarity.value == pytest.approx(0.01, rel=1e-6)
+
     def test_determinism_byte_identical(self):
         cfg = validate_config("scenario: fuzzy_povm\nseed: 7")
         a = run_scenario(cfg)
