@@ -7,6 +7,9 @@ position and momentum amplitudes are discrete Fourier transforms of one
 another and [X, P] = i holds on well-resolved interior states up to grid
 error.  The free Hamiltonian evolves through that map applied by FFT, in
 O(n log n) per state; :func:`fourier_map` writes the same map out densely.
+A barrier Hamiltonian adds a real potential that is diagonal in position;
+it evolves by a Chebyshev expansion whose every term is one FFT pair, so no
+grid Hamiltonian is ever written out or diagonalized to be evolved.
 """
 
 from __future__ import annotations
@@ -20,6 +23,8 @@ from .hilbert import LinearOperator, Observable, PureState, _freeze, _hermitian_
     _identity_defect, hermiticity_defect
 
 UNITARITY_TOL = 1e-9
+CHEBYSHEV_TOL = 1e-16
+CHEBYSHEV_MAX_REACH = 1e6
 
 
 class _FourierBasis:
@@ -50,21 +55,61 @@ class _FourierBasis:
         return self._along_grid(np.fft.fft, amplitudes)
 
 
+def _chebyshev_coefficients(z: np.ndarray) -> np.ndarray:
+    """(2 - delta_k0) (-i)^k J_k(z) for k < K, shape (K,) + z.shape, for real z.
+
+    By Jacobi-Anger, e^{-iz cos(theta)} = sum_k (-i)^k J_k(z) e^{ik theta}, so
+    one FFT over M equispaced angles gives the coefficients, each aliased by
+    the orders M - k and beyond.  The series stops at the first order past
+    max|z| whose coefficients fall below 1e-16 of the largest or stop
+    falling: J_k(z) decreases in k for k > |z|, so a rise is the roundoff
+    of the phases z cos(theta), about |z| 1e-16.  That order must lie below
+    M/4, which leaves the aliases at orders past 3M/4; M doubles until it
+    does.  z = 0 gives exactly (1,).  ValueError when max|z| exceeds
+    CHEBYSHEV_MAX_REACH.
+    """
+    reach = float(np.max(np.abs(z), initial=0.0))
+    if reach > CHEBYSHEV_MAX_REACH:
+        raise ValueError(f"spectral radius times time {reach:.3e} exceeds "
+                         f"{CHEBYSHEV_MAX_REACH:.0e}: too many Chebyshev terms")
+    size = 64
+    while size < 4 * reach + 64:
+        size *= 2
+    while True:
+        angles = 2 * np.pi * np.arange(size) / size
+        quarter = size // 4
+        b = np.fft.fft(np.exp(-1j * np.multiply.outer(np.cos(angles), z)), axis=0)[:quarter] / size
+        mag = np.abs(b).reshape(quarter, -1).max(axis=1)
+        done = (np.arange(quarter) > reach) & ((mag < CHEBYSHEV_TOL * mag.max())
+                                               | (mag >= np.roll(mag, 1)))
+        if done.any():
+            break
+        size *= 2
+    order = int(np.argmax(done))
+    k = np.arange(order).reshape((order,) + (1,) * np.ndim(z))
+    b = np.where(k == 0, 1.0, 2.0) * b[:order]
+    return np.where(np.asarray(z) == 0, (k == 0).astype(complex), b)
+
+
 class Hamiltonian:
     """A Hermitian generator of time evolution.
 
-    Every propagation is U(t) = V e^{-iEt} V^dag from the eigensystem (E, V),
-    in :meth:`evolve_amplitudes`.  An operator is diagonalized once, on first
-    use, by a real symmetric ``eigh`` when its matrix is exactly real;
-    :meth:`from_eigenbasis` takes a spectrum that is already known.
+    Every propagation goes through :meth:`evolve_amplitudes`.  Mostly it is
+    U(t) = V e^{-iEt} V^dag from the eigensystem (E, V): an operator is
+    diagonalized once, on first use, by a real symmetric ``eigh`` when its
+    matrix is exactly real; :meth:`from_eigenbasis` takes a spectrum that is
+    already known.  A grid Hamiltonian with a potential (see
+    :func:`barrier_hamiltonian`) keeps its kinetic energies, its potential
+    and the Fourier map instead, and propagates by a Chebyshev expansion.
     """
 
-    __slots__ = ("_op", "dim", "_energies", "_basis")
+    __slots__ = ("_op", "dim", "_energies", "_basis", "_split")
 
     def __init__(self, op: LinearOperator):
         if not _hermitian_within_tol(op.matrix):
             raise NotHermitian(f"hermiticity defect {hermiticity_defect(op.matrix):.3e}")
         self._op, self.dim, self._energies, self._basis = op, op.dim, None, None
+        self._split = None
 
     @classmethod
     def from_eigenbasis(cls, energies, basis) -> "Hamiltonian":
@@ -90,23 +135,44 @@ class Hamiltonian:
             order = np.argsort(evals, kind="stable")
             evals, basis = evals[order], _freeze(basis[:, order])
         H = object.__new__(cls)
-        H._op, H.dim = None, evals.size
+        H._op, H.dim, H._split = None, evals.size, None
         H._energies, H._basis = _freeze(evals.astype(float)), basis
+        return H
+
+    @classmethod
+    def _kinetic_plus_potential(cls, kinetic, potential, basis: _FourierBasis) -> "Hamiltonian":
+        """H = V diag(kinetic) V^dag + diag(potential) over the Fourier map V.
+
+        Both vectors, one value per grid point of the untagged map, must be
+        real and finite (else ValueError), so H is Hermitian by construction
+        and nothing is diagonalized.
+        """
+        kinetic, potential = np.asarray(kinetic, dtype=float), np.asarray(potential, dtype=float)
+        if not (np.all(np.isfinite(kinetic)) and np.all(np.isfinite(potential))):
+            raise ValueError("need finite kinetic energies and a finite potential")
+        H = object.__new__(cls)
+        H._op, H.dim, H._energies, H._basis = None, basis.n, None, None
+        H._split = (_freeze(kinetic), _freeze(potential), basis)
         return H
 
     @property
     def op(self) -> LinearOperator:
-        """The dense operator; for a known eigenbasis, V diag(E) V^dag built on first read."""
+        """The dense operator; for a known eigenbasis or a grid potential, built on first read."""
         if self._op is None:
-            evals, evecs = self.eigensystem()
-            m = evecs @ (evals[:, None] * evecs.conj().T)
+            if self._split is not None:
+                kinetic, potential, basis = self._split
+                eye = np.eye(self.dim, dtype=complex)
+                m = basis.apply(kinetic[:, None] * basis.apply_adjoint(eye)) + np.diag(potential)
+            else:
+                evals, evecs = self.eigensystem()
+                m = evecs @ (evals[:, None] * evecs.conj().T)
             self._op = LinearOperator._wrap((m + m.conj().T) / 2)
         return self._op
 
     def _diagonalized(self) -> tuple[np.ndarray, np.ndarray | _FourierBasis]:
         """(E, V) with E in the order of V's columns; diagonalizes an operator once."""
         if self._basis is None:
-            m = self._op.matrix
+            m = self.op.matrix
             evals, evecs = np.linalg.eigh(m if m.imag.any() else m.real)
             # stored complex: mixed real/complex products in the kernel are slower
             self._energies, self._basis = _freeze(evals), _freeze(evecs.astype(complex, copy=False))
@@ -115,7 +181,8 @@ class Hamiltonian:
     def eigensystem(self) -> tuple[np.ndarray, np.ndarray]:
         """Ascending energies and the dense unitary whose columns are their eigenvectors.
 
-        For the Fourier map the dense basis is written out on each call.
+        For the Fourier map the dense basis is written out on each call; a
+        grid potential's dense operator is diagonalized once, on first read.
         """
         evals, basis = self._diagonalized()
         if isinstance(basis, np.ndarray):
@@ -125,7 +192,7 @@ class Hamiltonian:
                 _freeze(basis.apply(np.eye(self.dim, dtype=complex))[:, order]))
 
     def evolve_amplitudes(self, amplitudes, t) -> np.ndarray:
-        """V e^{-iEt} V^dag applied to unnormalized amplitudes: the one evolution kernel.
+        """e^{-iHt} applied to unnormalized amplitudes: the one evolution kernel.
 
         Columns of a matrix all evolve by ``t``; a vector with a 1-d array of
         times gives one column per time.  Raises ValueError for a non-finite t.
@@ -133,14 +200,46 @@ class Hamiltonian:
         times = np.asarray(t, dtype=float)
         if not np.all(np.isfinite(times)):
             raise ValueError(f"time must be finite, got {t}")
-        evals, basis = self._diagonalized()
         amplitudes = np.asarray(amplitudes)
+        if self._split is not None:
+            return self._chebyshev_evolution(amplitudes, times)
+        evals, basis = self._diagonalized()
         dense = isinstance(basis, np.ndarray)
         # V^dag a, V not copied
         coeff = (amplitudes.conj().T @ basis).conj().T if dense else basis.apply_adjoint(amplitudes)
         phases = np.exp(-1j * np.multiply.outer(evals, times))
         evolved = (phases.T * coeff.T).T  # broadcast over columns or times
         return basis @ evolved if dense else basis.apply(evolved)
+
+    def _chebyshev_evolution(self, amplitudes: np.ndarray, times: np.ndarray) -> np.ndarray:
+        """e^{-iHt} a = e^{-ict} sum_k (2 - delta_k0) (-i)^k J_k(Rt) T_k((H - c)/R) a.
+
+        [c - R, c + R] is Weyl's bound on the spectrum of kinetic plus
+        potential, so the scaled H~ = (H - c)/R has its spectrum in [-1, 1]
+        (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967 (1984)).  Each term of
+        the recurrence T_{k+1} = 2 H~ T_k - T_{k-1} costs one FFT pair; the
+        terms do not depend on t, so all times share one recurrence.  The
+        recurrence runs in FFT order, V D V^dag = fftshift . ifft . D' . fft .
+        ifftshift with D' = ifftshift(D), so no term pays for the shifts.
+        """
+        kinetic, potential, _ = self._split
+        lo = kinetic.min() + potential.min()
+        hi = kinetic.max() + potential.max()
+        center, radius = (hi + lo) / 2, (hi - lo) / 2 or 1.0  # H = cI: any radius serves
+        shifted = np.fft.ifftshift((kinetic - center) / radius)
+        scaled = np.fft.ifftshift(potential / radius)
+
+        def step(x):  # H~ x on FFT-ordered amplitudes
+            return np.fft.ifft((shifted * np.fft.fft(x, axis=0).T).T, axis=0) + (scaled * x.T).T
+
+        coefficients = _chebyshev_coefficients(radius * times) * np.exp(-1j * center * times)
+        current = np.fft.ifftshift(amplitudes, axes=0)
+        evolved = np.multiply.outer(current, coefficients[0])  # a column per time, if any
+        previous = None
+        for k in range(1, len(coefficients)):
+            previous, current = current, step(current) if k == 1 else 2 * step(current) - previous
+            evolved += np.multiply.outer(current, coefficients[k])
+        return np.fft.fftshift(evolved, axes=0)
 
     def evolve(self, state: PureState, t: float) -> PureState:
         """exp(-iHt)|psi> without materializing the propagator matrix."""
@@ -305,22 +404,25 @@ def free_hamiltonian(g: GridSpace, mass: float = 1.0, tags: int = 1) -> Hamilton
 
 def barrier_hamiltonian(g: GridSpace, mass: float, height: float,
                         window: tuple[int, int]) -> Hamiltonian:
-    """Free Hamiltonian plus a finite rectangular potential barrier, as a real matrix.
+    """Free Hamiltonian plus a finite rectangular potential barrier, on the FFT basis.
 
-    The kinetic term F^dag diag(k^2/2m) F is the real symmetric circulant
-    whose first column is the inverse FFT of k^2/2m (the periodic spectral
-    second derivative times -1/2m), so H is real and its first evolution
-    diagonalizes it with a real ``eigh``.  ``window`` is the half-open index
-    range where the potential is ``height``.  Finite barriers leak: a state
-    confined to one side acquires support on the other under evolution.
+    H holds the kinetic energies k^2/2m over the Fourier map and the real
+    potential vector, equal to ``height`` on the half-open index ``window``
+    and 0 elsewhere; it is Hermitian by construction.  Evolution is a
+    Chebyshev expansion of e^{-iHt} whose every term costs one FFT pair,
+    O(||H|| t n log n) time and O(n) memory; the dense operator and its
+    eigensystem are formed only when read.  ValueError unless
+    0 <= lo < hi <= n, the height is finite and the mass positive.  Finite
+    barriers leak: a state confined to one side acquires support on the
+    other under evolution.
     """
     n = g.n_points
-    column = np.fft.ifft(np.fft.ifftshift(_kinetic_energies(g, mass))).real
+    lo, hi = int(window[0]), int(window[1])
+    if not (0 <= lo < hi <= n):
+        raise ValueError(f"barrier window {window} invalid for {n} points")
     v = np.zeros(n)
-    v[int(window[0]):int(window[1])] = height
-    # H[j, l] = column[j - l mod n] + v[j] delta_jl
-    H = column[(np.arange(n)[:, None] - np.arange(n)) % n] + np.diag(v)
-    return Hamiltonian(LinearOperator._wrap(H))
+    v[lo:hi] = height
+    return Hamiltonian._kinetic_plus_potential(_kinetic_energies(g, mass), v, _FourierBasis(n))
 
 
 def packet_width(g: GridSpace, state: PureState) -> float:

@@ -339,7 +339,8 @@ def spectral_decompose(op: LinearOperator) -> Observable:
 
 def _born_weights(obs: Observable, psi: np.ndarray) -> np.ndarray:
     """<psi|Pi_i|psi> for each eigenspace i of ``obs``, in ascending order."""
-    return np.array([float(np.sum(np.abs(obs.eigenbasis(i).conj().T @ psi) ** 2))
+    # |<b|psi>| = |<psi|b>|: psi^dag B reads the block in place, B^dag would copy it
+    return np.array([float(np.sum(np.abs(psi.conj() @ obs.eigenbasis(i)) ** 2))
                      for i in range(obs.n_outcomes)])
 
 

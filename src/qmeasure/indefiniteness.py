@@ -87,9 +87,10 @@ def region_projector(g: GridSpace, window: tuple[int, int]) -> Observable:
     if inside.all():
         return Observable._wrap([1.0], np.eye(n, dtype=complex), [slice(0, n)])
     order = np.argsort(inside, kind="stable")  # eigenvalue 0 columns first
+    basis = np.zeros((n, n), dtype=complex)
+    basis[order, np.arange(n)] = 1.0  # the permuted identity, built in place
     n_out = n - int(inside.sum())
-    return Observable._wrap([0.0, 1.0], np.eye(n, dtype=complex)[:, order],
-                            [slice(0, n_out), slice(n_out, n)])
+    return Observable._wrap([0.0, 1.0], basis, [slice(0, n_out), slice(n_out, n)])
 
 
 def delocalization_demo(g: GridSpace, H: Hamiltonian, psi0: PureState,

@@ -23,6 +23,7 @@ from .dynamics import (
     GridSpace,
     Hamiltonian,
     _FourierBasis,
+    _check_width,
     barrier_hamiltonian,
     free_hamiltonian,
     gaussian_packet,
@@ -351,8 +352,15 @@ def _run_zeno_rabi(params: dict, seed: int) -> tuple[list, list, list]:
     return columns, rows, assertions
 
 
+def _grid(params: dict) -> GridSpace:
+    """The scenario's grid; RangeError naming n_points when it is odd."""
+    if params["n_points"] % 2:
+        raise RangeError([f"params.n_points: {params['n_points']} must be even"])
+    return GridSpace(params["n_points"], params["box_length"])
+
+
 def _run_wavepacket_spread(params: dict, seed: int) -> tuple[list, list, list]:
-    g = GridSpace(params["n_points"], params["box_length"])
+    g = _grid(params)
     width = params["width"]
     mass = params["mass"]
     H = free_hamiltonian(g, mass)
@@ -410,16 +418,20 @@ def _round_trip_defect(fourier: _FourierBasis) -> float:
 
 
 def _run_delocalization(params: dict, seed: int) -> tuple[list, list, list]:
-    g = GridSpace(params["n_points"], params["box_length"])
+    g = _grid(params)
     width = params["width"]
     mass = params["mass"]
+    _check_width(g, width)  # before the window and the times are scaled by it
     half = int(round(params["support_halfwidth"] * width / g.dx))
     center = g.n_points // 2
     window = (center - half, center + half + 1)
+    barrier_lo = window[1] + 2
+    barrier_window = (barrier_lo, barrier_lo + max(2, int(round(width / g.dx))))
+    natural = mass * (width * width)  # inf past the double range, not OverflowError
+    _check_delocalization_range(params, g, barrier_window, natural)
     psi0 = truncated_gaussian_packet(g, g.positions[center], 0.0, width, window)
     H = free_hamiltonian(g, mass)
 
-    natural = mass * width ** 2
     zero_leak = delocalization_demo(g, H, psi0, window, 0.0)
     rows = []
     min_outside = np.inf
@@ -433,8 +445,6 @@ def _run_delocalization(params: dict, seed: int) -> tuple[list, list, list]:
     momentum_amps = np.abs(_FourierBasis(g.n_points).apply_adjoint(psi0.amplitudes))
     min_momentum = float(momentum_amps.min())
 
-    barrier_lo = window[1] + 2
-    barrier_window = (barrier_lo, barrier_lo + max(2, int(round(width / g.dx))))
     Hb = barrier_hamiltonian(g, mass, params["barrier_height"], barrier_window)
     psi_b = Hb.evolve(psi0, 0.05 * natural)
     beyond = float(np.sum(np.abs(psi_b.amplitudes[barrier_window[1]:]) ** 2))
@@ -450,8 +460,33 @@ def _run_delocalization(params: dict, seed: int) -> tuple[list, list, list]:
     return columns, rows, assertions
 
 
+BARRIER_PHASE_CAP = 1e4  # rad; the barrier's Chebyshev order grows with it
+
+
+def _check_delocalization_range(params: dict, g: GridSpace, barrier_window: tuple[int, int],
+                                natural: float):
+    """RangeError for field combinations that validate one by one but cannot run.
+
+    The support window and the barrier beside it must fit on the grid, the
+    natural time mass * width^2 must be finite, and the barrier phase
+    0.05 * natural * barrier_height is capped at BARRIER_PHASE_CAP radians,
+    which bounds the Chebyshev order of the barrier evolution.
+    """
+    if barrier_window[1] > g.n_points:
+        raise RangeError([f"params.support_halfwidth: {params['support_halfwidth']} widths of "
+                          f"support plus the barrier beside it need {barrier_window[1]} of "
+                          f"{g.n_points} grid points"])
+    if not np.isfinite(natural):
+        raise RangeError([f"params.mass: mass * width^2 = {params['mass']} * "
+                          f"{params['width']}^2 overflows"])
+    phase = 0.05 * natural * params["barrier_height"]
+    if phase > BARRIER_PHASE_CAP:
+        raise RangeError([f"params.barrier_height: barrier phase 0.05 * mass * width^2 * "
+                          f"barrier_height = {phase:.4g} rad exceeds {BARRIER_PHASE_CAP:.0e}"])
+
+
 def _two_slit_grid(params: dict):
-    g = GridSpace(params["n_points"], params["box_length"])
+    g = _grid(params)
     a = params["separation"]
     v = params["boost"]
     w = params["packet_width"]
@@ -546,7 +581,7 @@ def _run_two_slit(params: dict, seed: int) -> tuple[list, list, list]:
 
 
 def _run_phase_space_povm(params: dict, seed: int) -> tuple[list, list, list]:
-    g = GridSpace(params["n_points"], params["box_length"])
+    g = _grid(params)
     if not (params["probe_p_index"] < g.n_points
             and params["probe_q_index"] < g.n_points):
         raise RangeError([f"params.probe_p_index/probe_q_index must be below "

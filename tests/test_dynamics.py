@@ -425,6 +425,99 @@ class TestFourierBasis:
             assert result.rows
 
 
+def _benchmark_barrier():
+    # the delocalization scenario's barrier at 1024 points: height 50 beside the support
+    g = GridSpace(1024, 60.0)
+    support, window = (461, 564), (566, 583)
+    psi0 = truncated_gaussian_packet(g, 0.0, 0.0, 1.0, support)
+    v = np.zeros(1024)
+    v[window[0]:window[1]] = 50.0
+    return g, window, psi0, _dense_free_matrix(g, 1.0) + np.diag(v)
+
+
+class TestChebyshevBarrier:
+    def test_benchmark_barrier_matches_dense_eigh(self):
+        g, window, psi0, dense = _benchmark_barrier()
+        H = barrier_hamiltonian(g, 1.0, 50.0, window)
+        for t in (0.05, -0.7):
+            oracle = _eigh_evolution(dense, psi0.amplitudes, t)
+            assert np.max(np.abs(H.evolve_amplitudes(psi0.amplitudes, t) - oracle)) <= 1e-12
+
+    def test_batches_columns_and_times(self, rng):
+        g = GridSpace(256, 60.0)
+        H = barrier_hamiltonian(g, 0.9, 30.0, (140, 150))
+        v = np.zeros(256)
+        v[140:150] = 30.0
+        dense = _dense_free_matrix(g, 0.9) + np.diag(v)
+        columns = _normalized_columns(rng, 256, 3)
+        times = np.array([0.0, 0.3, -1.2])
+        evolved = H.evolve_amplitudes(columns, 0.3)
+        per_time = H.evolve_amplitudes(columns[:, 1], times)
+        assert evolved.shape == per_time.shape == (256, 3)
+        for j in range(3):
+            assert np.max(np.abs(evolved[:, j] - _eigh_evolution(dense, columns[:, j], 0.3))) <= 1e-12
+            assert np.max(np.abs(per_time[:, j]
+                                 - _eigh_evolution(dense, columns[:, 1], times[j]))) <= 1e-12
+        np.testing.assert_array_equal(per_time[:, 0], columns[:, 1])
+
+    def test_zero_height_matches_free_fft_evolution(self):
+        g = GridSpace(256, 60.0)
+        H, H0 = barrier_hamiltonian(g, 1.3, 0.0, (10, 20)), free_hamiltonian(g, 1.3)
+        psi = gaussian_packet(g, -3.0, 1.1, 2.0)
+        for t in (0.05, 0.8, 4.0):
+            assert np.max(np.abs(H.evolve(psi, t).amplitudes - H0.evolve(psi, t).amplitudes)) <= 1e-12
+
+    def test_zero_time_is_exact_and_propagator_checks_hold(self, rng):
+        g = GridSpace(64, 20.0)
+        H = barrier_hamiltonian(g, 1.0, 10.0, (40, 44))
+        psi = random_state(rng, 64)
+        np.testing.assert_array_equal(H.evolve_amplitudes(psi.amplitudes, 0.0), psi.amplitudes)
+        np.testing.assert_array_equal(propagate(H, 0.0).matrix, np.eye(64))
+        U = propagate(H, 0.4).matrix
+        assert np.max(np.abs(U.conj().T @ U - np.eye(64))) <= 1e-12
+
+    def test_dense_forms_match_in_test_matrix(self):
+        g = GridSpace(64, 20.0)
+        H = barrier_hamiltonian(g, 0.7, 25.0, (30, 36))
+        v = np.zeros(64)
+        v[30:36] = 25.0
+        dense = _dense_free_matrix(g, 0.7) + np.diag(v)
+        assert np.max(np.abs(H.op.matrix - dense)) <= 1e-12
+        energies, basis = H.eigensystem()
+        np.testing.assert_allclose(energies, np.linalg.eigvalsh(dense), rtol=0, atol=1e-12)
+        assert np.max(np.abs(basis @ (energies[:, None] * basis.conj().T) - dense)) <= 1e-12
+
+    def test_evolution_calls_no_eigh_and_builds_no_dense_matrix(self, monkeypatch):
+        import tracemalloc
+        from qmeasure import run_scenario, validate_config
+
+        def no_eigh(*args, **kwargs):
+            raise AssertionError("np.linalg.eigh called")
+
+        monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+        g, window, psi0, _ = _benchmark_barrier()
+        tracemalloc.start()
+        try:
+            evolved = barrier_hamiltonian(g, 1.0, 50.0, window).evolve(psi0, 0.05)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert abs(np.linalg.norm(evolved.amplitudes) - 1.0) < 1e-12
+        assert peak <= 2 ** 20  # a dense 1024 x 1024 complex matrix is 16 MiB
+        cfg = validate_config("scenario: delocalization\nparams:\n  n_points: 128\n"
+                              "  box_length: 30.0\n")
+        assert run_scenario(cfg).all_passed
+
+    def test_rejects_bad_window_and_non_finite_height(self):
+        g = GridSpace(16, 8.0)
+        for window in ((-1, 4), (4, 4), (6, 3), (10, 17)):
+            with pytest.raises(ValueError, match="window"):
+                barrier_hamiltonian(g, 1.0, 5.0, window)
+        for height in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="finite"):
+                barrier_hamiltonian(g, 1.0, height, (2, 4))
+
+
 class TestTruncatedPacket:
     def test_exact_zeros_outside_support(self):
         g = GridSpace(128, 40.0)

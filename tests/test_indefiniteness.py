@@ -110,6 +110,28 @@ class TestRegionProjector:
         inside[4:9] = 1.0
         np.testing.assert_allclose(obs.operator.matrix, np.diag(inside), rtol=0, atol=1e-15)
 
+    def test_basis_is_permuted_identity(self):
+        g = GridSpace(16, 8.0)
+        obs = region_projector(g, (4, 9))
+        outside_first = [j for j in range(16) if not 4 <= j < 9] + list(range(4, 9))
+        basis = np.hstack([obs.eigenbasis(0), obs.eigenbasis(1)])
+        np.testing.assert_array_equal(basis, np.eye(16, dtype=complex)[:, outside_first])
+        assert basis.dtype == complex
+
+    def test_weights_read_the_basis_in_place(self):
+        import tracemalloc
+        g = GridSpace(1024, 120.0)
+        obs = region_projector(g, (500, 505))
+        psi = gaussian_packet(g, 0.0, 0.0, 1.0)
+        tracemalloc.start()
+        try:
+            report = ee_link_status(psi, obs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert not report.is_definite
+        assert peak <= 2 ** 20  # a conjugated copy of the 1019-column block is 16 MiB
+
     def test_empty_region_rejected(self):
         g = GridSpace(16, 8.0)
         with pytest.raises(EmptyRegion):

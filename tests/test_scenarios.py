@@ -3,21 +3,61 @@ import time
 
 import numpy as np
 import pytest
+import yaml
+from hypothesis import given, settings, strategies as st
 
 from qmeasure import (
     ParseError,
     RangeError,
     SCENARIOS,
+    SimulationError,
     run_scenario,
     validate_config,
 )
 from qmeasure.cli import main as cli_main
 
 # inputs that once ended in a bare ValueError: a horizon shorter than the first
-# projection interval tau/4, and packets centred far outside the periodic box
+# projection interval tau/4, packets centred far outside the periodic box, and
+# an odd grid
 INPUT_HOLES = [("zeno_decay", "horizon_over_tau", 0.2),
                ("phase_space_povm", "state_x0", -50.0),
-               ("two_slit", "separation", 1e6)]
+               ("two_slit", "separation", 1e6),
+               ("wavepacket_spread", "n_points", 255)]
+
+# delocalization configs that validate field by field but cannot run, and the
+# field each RangeError names: a support window wider than the grid, a barrier
+# window past its end, an odd grid, a natural time m*width^2 beyond the double
+# range, and a barrier phase 0.05*m*width^2*height above its 1e4 rad cap
+DELOCALIZATION_HOLES = [({"support_halfwidth": 20.0, "width": 5.0}, "support_halfwidth"),
+                        ({"support_halfwidth": 9.0, "width": 3.0}, "support_halfwidth"),
+                        ({"n_points": 255}, "n_points"),
+                        ({"mass": 1e308, "width": 5.0}, "mass"),
+                        ({"mass": 1e4, "barrier_height": 50.0}, "barrier_height")]
+
+
+@st.composite
+def _delocalization_params(draw):
+    """delocalization's documented ranges, with n_points capped at 128.
+
+    Each field is drawn from a common range two times in three and from
+    the rest of its range otherwise: most grids are even, the width is
+    drawn in grid spacings inside the resolvable band (3 dx, box_length /
+    10) or across its edges, and mass, box length and barrier height reach
+    far up the double range, so configs that run and configs that are
+    refused both occur.
+    """
+    def mostly(common, rare):  # two draws in three from the common range
+        return st.one_of(common, common, rare)
+
+    n = draw(mostly(st.integers(16, 64).map(lambda half: 2 * half), st.integers(8, 128)))
+    box = draw(mostly(st.floats(1e-3, 100.0), st.floats(1e-3, 1e300)))
+    width = max(1e-6, box / n * draw(mostly(st.floats(3.01, max(3.02, n / 10.1)),
+                                            st.floats(1.0, 1.0 + n / 8))))
+    return {"n_points": n, "box_length": box, "width": width,
+            "mass": draw(mostly(st.floats(1e-9, 10.0), st.floats(1e-9, 1e300))),
+            "support_halfwidth": draw(mostly(st.floats(1.0, 4.0), st.floats(1.0, 20.0))),
+            "min_exponent": draw(st.integers(-8, -1)),
+            "barrier_height": draw(mostly(st.floats(0.0, 100.0), st.floats(0.0, 1e300)))}
 
 
 class TestValidateConfig:
@@ -165,6 +205,24 @@ class TestRunScenario:
             run_scenario(validate_config(raw))
         assert len(err.value.violations) == 1
         assert err.value.violations[0].startswith(f"params.{name}:")
+
+    @pytest.mark.parametrize("params,name", DELOCALIZATION_HOLES)
+    def test_delocalization_holes_name_the_field(self, params, name):
+        raw = yaml.safe_dump({"scenario": "delocalization", "params": {"n_points": 256, **params}})
+        with pytest.raises(RangeError) as err:
+            run_scenario(validate_config(raw))
+        assert len(err.value.violations) == 1
+        assert err.value.violations[0].startswith(f"params.{name}:")
+
+    @settings(max_examples=60, deadline=None, database=None, derandomize=True)
+    @given(_delocalization_params())
+    def test_validated_delocalization_runs_or_raises_simulation_error(self, params):
+        cfg = validate_config(yaml.safe_dump({"scenario": "delocalization", "params": params}))
+        try:
+            result = run_scenario(cfg)
+        except SimulationError:
+            return
+        assert result.rows
 
     def test_module_errors_carry_scenario_context(self):
         from qmeasure import UnresolvableWidth
