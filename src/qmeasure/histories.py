@@ -30,10 +30,14 @@ class HistorySet:
     """Complete projector families at ordered times, with dynamics and initial state.
 
     ``families[m]`` is applied at ``times[m]``.  An entry is a projector
-    ``LinearOperator``, checked and factored once into its range, or a
+    ``LinearOperator``, checked and factored once into its range, a
     ``dim x r`` array ``B`` with orthonormal columns standing for ``B B^dag``
-    (so a raw square array is a block, not a projector).  A family's blocks
-    side by side must form a unitary; only the blocks are stored.
+    (so a raw square array is a block, not a projector), or a 1-d integer
+    array of basis indices standing for the projector onto those basis
+    vectors, the block ``eye[:, idx]``, which is never written out.  A
+    family's blocks side by side must form a unitary; a family of index
+    sets must hold every index in [0, dim) exactly once, an O(dim) check,
+    and may not mix with blocks.  Only the blocks and index sets are stored.
     Evolution starts from ``initial_state`` at t = 0.
     """
 
@@ -62,18 +66,29 @@ class HistorySet:
                     if block is None:
                         raise ValueError(
                             f"family {m} entry {a} is not a projector: defect {defect:.3e}")
+                elif np.ndim(entry) == 1 and np.asarray(entry).dtype.kind in "iu":
+                    block = np.asarray(entry)
+                    if block.size and not (block.min() >= 0 and block.max() < dim):
+                        raise ValueError(f"family {m} entry {a} has indices outside [0, {dim})")
+                    block = block.astype(np.intp)   # a copy: the caller's array stays writable
                 else:   # a view, so freezing it leaves the caller's array writable
                     block = np.asarray(entry, dtype=complex).view()
-                if block.ndim != 2 or block.shape[0] != dim:
+                if block.dtype.kind == "c" and (block.ndim != 2 or block.shape[0] != dim):
                     raise ValueError(f"family {m} entry {a} has shape {block.shape}, "
                                      f"expected ({dim}, r)")
                 block.setflags(write=False)
                 blocks.append(block)
-            V = np.hstack(blocks) if blocks else np.zeros((dim, 0), dtype=complex)
-            if V.shape[1] != dim:
-                raise ValueError(f"family {m} spans {V.shape[1]} of {dim} dimensions "
+            index_sets = [block.ndim == 1 for block in blocks]
+            if any(index_sets) and not all(index_sets):
+                raise ValueError(f"family {m} mixes index sets with blocks")
+            V = np.concatenate(blocks, axis=-1) if blocks else np.zeros((dim, 0), dtype=complex)
+            if V.shape[-1] != dim:
+                raise ValueError(f"family {m} spans {V.shape[-1]} of {dim} dimensions "
                                  "and cannot sum to identity")
-            deficit = _identity_defect(V.conj().T @ V)
+            if V.ndim == 1:     # (V^dag V)_ij = [idx_i == idx_j]: each count off 1 is a defect
+                deficit = float(np.max(np.abs(np.bincount(V, minlength=dim) - 1)))
+            else:
+                deficit = _identity_defect(V.conj().T @ V)
             if not deficit <= FAMILY_TOL:
                 raise ValueError(f"family {m} sums to identity with defect {deficit:.3e}")
             checked.append(tuple(blocks))
@@ -102,8 +117,17 @@ class HistorySet:
         return f"HistorySet(dim={self.dim}, times={self.times}, shape={self.shape})"
 
 
+def _project(entry: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """An entry's projector on the rows of x: an index set masks them, a block B gives B B^dag x."""
+    if entry.ndim == 1:
+        out = np.zeros_like(x)
+        out[entry] = x[entry]
+        return out
+    return entry @ (entry.conj().T @ x)
+
+
 def class_operator(hs: HistorySet, alpha: Sequence[int]) -> LinearOperator:
-    """C_alpha = Pi^n U(t_n - t_{n-1}) ... Pi^1 U(t_1 - t_0), with Pi = B B^dag."""
+    """C_alpha = Pi^n U(t_n - t_{n-1}) ... Pi^1 U(t_1 - t_0), Pi the entry's projector."""
     alpha = tuple(int(a) for a in alpha)
     if len(alpha) != len(hs.families):
         raise InvalidIndex(f"history {alpha} has wrong length for {len(hs.families)} times")
@@ -112,8 +136,7 @@ def class_operator(hs: HistorySet, alpha: Sequence[int]) -> LinearOperator:
             raise InvalidIndex(f"index {a} invalid for family {m}")
     C = np.eye(hs.dim, dtype=complex)
     for m, dt in enumerate(hs._steps()):
-        B = hs.families[m][alpha[m]]
-        C = B @ (B.conj().T @ hs.hamiltonian.evolve_amplitudes(C, dt))
+        C = _project(hs.families[m][alpha[m]], hs.hamiltonian.evolve_amplitudes(C, dt))
     return LinearOperator._wrap(C)
 
 
@@ -156,7 +179,7 @@ def _branch_vectors(hs: HistorySet, start: np.ndarray) -> np.ndarray:
     for m, dt in enumerate(hs._steps()):
         evolved = hs.hamiltonian.evolve_amplitudes(branches, dt)
         # axis 2 is the new choice: column j of ``evolved`` splits into j*len + a
-        split = np.stack([B @ (B.conj().T @ evolved) for B in hs.families[m]], axis=2)
+        split = np.stack([_project(entry, evolved) for entry in hs.families[m]], axis=2)
         branches = split.reshape(hs.dim, -1)
     return branches.T
 

@@ -363,12 +363,13 @@ def _run_wavepacket_spread(params: dict, seed: int) -> tuple[list, list, list]:
     g = _grid(params)
     width = params["width"]
     mass = params["mass"]
+    _check_width(g, width)  # before the horizon is scaled by it
+    horizon = float(np.sqrt((g.box_length / 4 / width) ** 2 - 1.0))  # until width box_length/4
+    natural = _natural_time(params, horizon)
     H = free_hamiltonian(g, mass)
     psi0 = gaussian_packet(g, 0.0, 0.0, width)
 
-    natural = mass * width ** 2
-    max_width = g.box_length / 4
-    t_max = natural * np.sqrt((max_width / width) ** 2 - 1.0)
+    t_max = natural * horizon
     times = np.linspace(0.0, t_max, params["n_times"])
 
     rows = []
@@ -427,8 +428,7 @@ def _run_delocalization(params: dict, seed: int) -> tuple[list, list, list]:
     window = (center - half, center + half + 1)
     barrier_lo = window[1] + 2
     barrier_window = (barrier_lo, barrier_lo + max(2, int(round(width / g.dx))))
-    natural = mass * (width * width)  # inf past the double range, not OverflowError
-    _check_delocalization_range(params, g, barrier_window, natural)
+    natural = _check_delocalization_range(params, g, barrier_window)
     psi0 = truncated_gaussian_packet(g, g.positions[center], 0.0, width, window)
     H = free_hamiltonian(g, mass)
 
@@ -463,26 +463,34 @@ def _run_delocalization(params: dict, seed: int) -> tuple[list, list, list]:
 BARRIER_PHASE_CAP = 1e4  # rad; the barrier's Chebyshev order grows with it
 
 
-def _check_delocalization_range(params: dict, g: GridSpace, barrier_window: tuple[int, int],
-                                natural: float):
+def _natural_time(params: dict, horizon: float = 1.0) -> float:
+    """mass * width^2; RangeError naming mass unless horizon times it, the last time, is finite."""
+    natural = params["mass"] * (params["width"] * params["width"])  # inf, not OverflowError
+    if not np.isfinite(horizon * natural):
+        raise RangeError([f"params.mass: {horizon:.4g} * mass * width^2 = {horizon:.4g} * "
+                          f"{params['mass']} * {params['width']}^2 overflows"])
+    return natural
+
+
+def _check_delocalization_range(params: dict, g: GridSpace,
+                                barrier_window: tuple[int, int]) -> float:
     """RangeError for field combinations that validate one by one but cannot run.
 
     The support window and the barrier beside it must fit on the grid, the
-    natural time mass * width^2 must be finite, and the barrier phase
-    0.05 * natural * barrier_height is capped at BARRIER_PHASE_CAP radians,
-    which bounds the Chebyshev order of the barrier evolution.
+    natural time mass * width^2, which is returned, must be finite, and the
+    barrier phase 0.05 * natural * barrier_height is capped at
+    BARRIER_PHASE_CAP radians, which bounds the barrier's Chebyshev order.
     """
     if barrier_window[1] > g.n_points:
         raise RangeError([f"params.support_halfwidth: {params['support_halfwidth']} widths of "
                           f"support plus the barrier beside it need {barrier_window[1]} of "
                           f"{g.n_points} grid points"])
-    if not np.isfinite(natural):
-        raise RangeError([f"params.mass: mass * width^2 = {params['mass']} * "
-                          f"{params['width']}^2 overflows"])
+    natural = _natural_time(params)
     phase = 0.05 * natural * params["barrier_height"]
     if phase > BARRIER_PHASE_CAP:
         raise RangeError([f"params.barrier_height: barrier phase 0.05 * mass * width^2 * "
                           f"barrier_height = {phase:.4g} rad exceeds {BARRIER_PHASE_CAP:.0e}"])
+    return natural
 
 
 def _two_slit_grid(params: dict):
@@ -493,28 +501,36 @@ def _two_slit_grid(params: dict):
     left = gaussian_packet(g, -a, +v, w)
     right = gaussian_packet(g, +a, -v, w)
     psi0 = PureState(left.amplitudes + right.amplitudes)
-    # position cells are index masks: column slices of one shared identity
-    eye = np.eye(g.n_points, dtype=complex)
+    # position cells are index sets: slices of the grid's point indices
+    points = np.arange(g.n_points)
     half = g.n_points // 2
-    slit_family = [eye[:, :half], eye[:, half:]]
+    slit_family = [points[:half], points[half:]]
     per = g.n_points // params["n_cells"]
-    screen_family = [eye[:, c * per:(c + 1) * per] for c in range(params["n_cells"])]
+    screen_family = [points[c * per:(c + 1) * per] for c in range(params["n_cells"])]
     return g, psi0, slit_family, screen_family
 
 
-def _block_weight(block: np.ndarray, amplitudes: np.ndarray) -> float:
-    """<psi|B B^dag|psi> = ||B^dag psi||^2 for orthonormal columns B."""
-    coeffs = block.conj().T @ amplitudes
+def _block_weight(cell: np.ndarray, amplitudes: np.ndarray) -> float:
+    """<psi|P|psi> = ||psi[cell]||^2 for P the projector onto an index set."""
+    coeffs = amplitudes[cell]
     return float(np.real(np.vdot(coeffs, coeffs)))
 
 
 def _run_two_slit(params: dict, seed: int) -> tuple[list, list, list]:
-    if params["n_points"] % params["n_cells"]:
-        raise RangeError([f"params.n_cells: {params['n_cells']} must divide "
-                          f"n_points={params['n_points']}"])
-    if params["separation"] > params["box_length"] / 2:
-        raise RangeError([f"params.separation: {params['separation']} must not exceed "
-                          f"box_length/2={params['box_length'] / 2}"])
+    half_box = params["box_length"] / 2
+    top_energy = (np.pi * params["n_points"] / params["box_length"]) ** 2 / (2 * params["mass"])
+    for name, ok, why in [
+            ("n_cells", params["n_points"] % params["n_cells"] == 0,
+             f"must divide n_points={params['n_points']}"),
+            ("separation", params["separation"] <= half_box,
+             f"must not exceed box_length/2={half_box}"),
+            ("packet_width", np.isfinite(2 * params["packet_width"] * params["packet_width"]),
+             "overflows 2 * packet_width^2"),
+            ("boost", np.isfinite(params["boost"] * half_box), "overflows boost * box_length/2"),
+            ("screen_time", np.isfinite(top_energy * params["screen_time"]),
+             f"overflows the phase of the top kinetic energy (pi/dx)^2/2m = {top_energy:.4g}")]:
+        if not ok:
+            raise RangeError([f"params.{name}: {params[name]} {why}"])
     g, psi0, slit_family, screen_family = _two_slit_grid(params)
     H = free_hamiltonian(g, params["mass"])
     t2 = params["screen_time"]
@@ -528,7 +544,7 @@ def _run_two_slit(params: dict, seed: int) -> tuple[list, list, list]:
 
     diag = {h: p for h, p in zip(D.histories, np.real(np.diagonal(D.matrix)))}
     psi_t = H.evolve(psi0, t2)
-    p_joint = [_block_weight(B, psi_t.amplitudes) for B in screen_family]
+    p_joint = [_block_weight(cell, psi_t.amplitudes) for cell in screen_family]
     rows = []
     max_interf = 0.0
     for c in range(n_cells):
@@ -540,13 +556,14 @@ def _run_two_slit(params: dict, seed: int) -> tuple[list, list, list]:
 
     # which-way variant: a two-level tag records the slit at preparation
     # amplitude of (x, slit s) at index 2x + s
-    psi_tagged = PureState(np.stack([B @ (B.conj().T @ psi0.amplitudes)
-                                     for B in slit_family], axis=1).ravel())
-    pointer_identity = np.eye(2, dtype=complex)
+    tagged = np.zeros((g.n_points, 2), dtype=complex)
+    for s, cell in enumerate(slit_family):
+        tagged[cell, s] = psi0.amplitudes[cell]
+    psi_tagged = PureState(tagged.ravel())
     # the tag does not move: H (x) I2, each level doubled
     H_tagged = free_hamiltonian(g, params["mass"], tags=2)
-    slit_tagged = [np.kron(B, pointer_identity) for B in slit_family]
-    screen_tagged = [np.kron(B, pointer_identity) for B in screen_family]
+    slit_tagged = [(2 * cell[:, None] + np.arange(2)).ravel() for cell in slit_family]
+    screen_tagged = [(2 * cell[:, None] + np.arange(2)).ravel() for cell in screen_family]
     hs_tagged = HistorySet(H_tagged, psi_tagged, times=[0.0, t2],
                            families=[slit_tagged, screen_tagged])
     D_tagged = decoherence_functional(hs_tagged)

@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -66,6 +67,15 @@ def random_block_families(rng, dim, sizes):
     return families
 
 
+def random_index_families(rng, dim, sizes):
+    """Random partitions of the basis indices 0..dim-1 into index sets."""
+    families = []
+    for n_sets in sizes:
+        cuts = sorted(rng.choice(range(1, dim), size=n_sets - 1, replace=False))
+        families.append(np.split(rng.permutation(dim), cuts))
+    return families
+
+
 def taylor_expm(a):
     squarings = max(0, int(np.ceil(np.log2(np.linalg.norm(a, 1) / 0.25))))
     a = a / 2 ** squarings
@@ -119,6 +129,49 @@ class TestHistorySet:
         H = zero_hamiltonian(2)
         hs = HistorySet(H, basis_state(2, 0), [1.0, 2.0], [Z_FAMILY, Z_FAMILY])
         assert hs.histories() == [(0, 0), (0, 1), (1, 0), (1, 1)]
+
+
+class TestIndexSetFamilies:
+    @pytest.mark.parametrize("dim", [6, 12])
+    @pytest.mark.parametrize("mixed", [False, True])
+    def test_index_sets_match_identity_column_blocks(self, rng, dim, mixed):
+        # the same cells given as dense identity columns, a block family
+        H = Hamiltonian(random_hermitian(rng, dim))
+        state = random_density(rng, dim) if mixed else random_state(rng, dim)
+        cells = random_index_families(rng, dim, [2, 3])
+        eye = np.eye(dim, dtype=complex)
+        blocks = [[eye[:, idx] for idx in family] for family in cells]
+        hs_cells = HistorySet(H, state, [0.4, 1.3], cells)
+        hs_blocks = HistorySet(H, state, [0.4, 1.3], blocks)
+        D_cells = decoherence_functional(hs_cells).matrix
+        assert np.max(np.abs(D_cells - decoherence_functional(hs_blocks).matrix)) <= 1e-14
+        for alpha in hs_cells.histories():
+            C_cells = class_operator(hs_cells, alpha).matrix
+            assert np.max(np.abs(C_cells - class_operator(hs_blocks, alpha).matrix)) <= 1e-14
+
+    def test_index_sets_stored_as_frozen_copies(self):
+        cells = [np.array([0, 1]), np.array([2, 3])]
+        hs = HistorySet(zero_hamiltonian(4), basis_state(4, 0), [1.0], [cells])
+        assert cells[0].flags.writeable
+        assert not hs.families[0][0].flags.writeable
+        np.testing.assert_array_equal(hs.families[0][1], [2, 3])
+
+    @pytest.mark.parametrize("dim, family, message", [
+        (4, [[0, 1], [1, 2]], "family 1 sums to identity with defect 1.000e+00"),
+        (4, [[0, 1], [2]], "family 1 spans 3 of 4 dimensions"),
+        (4, [[-1, 1], [2, 3]], "family 1 entry 0 has indices outside [0, 4)"),
+        (4, [[0, 1], [2, 4]], "family 1 entry 1 has indices outside [0, 4)"),
+        (4, [np.array([True, True, False, False]), np.array([False, False, True, True])],
+         "family 1 entry 0 has shape (4,), expected (4, r)"),
+        (4, [np.array([0.0, 1.0]), [2, 3]], "family 1 entry 0 has shape (2,), expected (4, r)"),
+        (4, [[0, 1], np.eye(4)[:, 2:]], "family 1 mixes index sets with blocks"),
+        (2, [[0], Z_FAMILY[1]], "family 1 mixes index sets with blocks"),
+    ], ids=["repeated", "missing", "negative", "too_large", "boolean", "float",
+            "mixed_block", "mixed_projector"])
+    def test_rejects_bad_index_family(self, dim, family, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            HistorySet(zero_hamiltonian(dim), basis_state(dim, 0), [1.0, 2.0],
+                       [[np.arange(dim)], family])
 
 
 class TestClassOperator:

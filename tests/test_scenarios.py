@@ -1,5 +1,6 @@
 import json
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -58,6 +59,34 @@ def _delocalization_params(draw):
             "support_halfwidth": draw(mostly(st.floats(1.0, 4.0), st.floats(1.0, 20.0))),
             "min_exponent": draw(st.integers(-8, -1)),
             "barrier_height": draw(mostly(st.floats(0.0, 100.0), st.floats(0.0, 1e300)))}
+
+
+@st.composite
+def _two_slit_params(draw):
+    """two_slit's documented ranges, with n_points capped at 128.
+
+    As for delocalization, each field is drawn from a common range two
+    times in three and from the rest of its range otherwise: most grids are
+    even with a cell count that divides them, the packet width is drawn in
+    grid spacings inside the resolvable band (3 dx, box_length / 10) or
+    across its edges, and separation, boost, screen time and mass reach far
+    up the double range.
+    """
+    def mostly(common, rare):  # two draws in three from the common range
+        return st.one_of(common, common, rare)
+
+    n = draw(mostly(st.integers(8, 64).map(lambda half: 2 * half), st.integers(16, 128)))
+    divisors = [d for d in range(2, n + 1) if n % d == 0]
+    box = draw(mostly(st.floats(1e-3, 100.0), st.floats(1e-3, 1e300)))
+    width = max(1e-6, box / n * draw(mostly(st.floats(3.01, max(3.02, n / 10.1)),
+                                            st.floats(1.0, 1.0 + n / 8))))
+    return {"n_points": n, "box_length": box, "packet_width": width,
+            "separation": draw(mostly(st.floats(0.0, box / 2), st.floats(0.0, 1e300))),
+            "boost": draw(mostly(st.floats(-3.0, 3.0), st.floats(-1e300, 1e300))),
+            "screen_time": draw(mostly(st.floats(1e-6, 20.0), st.floats(1e-6, 1e300))),
+            "mass": draw(mostly(st.floats(1e-9, 10.0), st.floats(1e-9, 1e300))),
+            "n_cells": draw(mostly(st.sampled_from(divisors), st.integers(2, 256))),
+            "eps": draw(st.floats(0.0, 1.0))}
 
 
 class TestValidateConfig:
@@ -223,6 +252,42 @@ class TestRunScenario:
         except SimulationError:
             return
         assert result.rows
+
+    @settings(max_examples=60, deadline=None, database=None, derandomize=True)
+    @given(_two_slit_params())
+    def test_validated_two_slit_runs_or_raises_simulation_error(self, params):
+        cfg = validate_config(yaml.safe_dump({"scenario": "two_slit", "params": params}))
+        try:
+            result = run_scenario(cfg)
+        except SimulationError:
+            return
+        assert result.rows
+
+    def test_wavepacket_natural_time_overflow_names_mass(self):
+        # width 5e298 is inside its resolvable band for box_length 1e300,
+        # but mass * width^2 is past the double range
+        raw = ("scenario: wavepacket_spread\nparams:\n  n_points: 1024\n"
+               "  box_length: 1.0e+300\n  width: 5.0e+298\n")
+        with pytest.raises(RangeError) as err:
+            run_scenario(validate_config(raw))
+        assert len(err.value.violations) == 1
+        assert err.value.violations[0].startswith("params.mass:")
+
+    def test_two_slit_range_top_peak_memory(self):
+        # index-set cells: no identity blocks, kron copies or dim^2 V^dag V
+        # products, which peaked at 372.6 MiB at this size
+        cfg = validate_config("scenario: two_slit\nparams:\n  n_points: 1024\n  n_cells: 256\n")
+        tracemalloc.start()
+        try:
+            table = run_scenario(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 64 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MiB"
+        passed = {a.name: a.passed for a in table.assertions}
+        for name in ("bare_family_inconsistent", "tagged_family_offdiagonal_ratio",
+                     "tagged_coarse_graining_additive", "tagged_marginal_matches_screen"):
+            assert passed[name], name
 
     def test_module_errors_carry_scenario_context(self):
         from qmeasure import UnresolvableWidth
