@@ -19,40 +19,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NotHermitian, UnresolvableWidth
-from .hilbert import LinearOperator, Observable, PureState, _freeze, _hermitian_within_tol, \
-    _identity_defect, hermiticity_defect
+from .hilbert import LinearOperator, Observable, PureState, _DenseBasis, _FourierBasis, \
+    _IndexOrder, _freeze, _hermitian_within_tol, _identity_defect, hermiticity_defect
 
 UNITARITY_TOL = 1e-9
 CHEBYSHEV_TOL = 1e-16
 CHEBYSHEV_MAX_REACH = 1e6
-
-
-class _FourierBasis:
-    """The free grid Hamiltonian's eigenbasis kron(F^dag, I_tags), applied by FFT.
-
-    F is :func:`fourier_map`'s matrix.  Column (m, s) is the plane wave of
-    wavenumber k_m carrying tag s; amplitude (x, s) sits at index x * tags + s.
-    The map is unitary by construction, so nothing is checked.
-    """
-
-    __slots__ = ("n", "tags", "shape")
-
-    def __init__(self, n: int, tags: int = 1):
-        self.n, self.tags, self.shape = n, tags, (n * tags, n * tags)
-
-    def _along_grid(self, transform, data) -> np.ndarray:
-        # on a centered grid with n even, F = fftshift . fft . ifftshift (orthonormal)
-        data = np.asarray(data)
-        grid = np.fft.ifftshift(data.reshape((self.n, self.tags) + data.shape[1:]), axes=0)
-        return np.fft.fftshift(transform(grid, axis=0, norm="ortho"), axes=0).reshape(data.shape)
-
-    def apply(self, coefficients) -> np.ndarray:
-        """V c: momentum amplitudes (one per column of V) to position amplitudes."""
-        return self._along_grid(np.fft.ifft, coefficients)
-
-    def apply_adjoint(self, amplitudes) -> np.ndarray:
-        """V^dag a: position amplitudes to momentum amplitudes, F along the grid."""
-        return self._along_grid(np.fft.fft, amplitudes)
 
 
 def _chebyshev_coefficients(z: np.ndarray) -> np.ndarray:
@@ -95,47 +67,47 @@ class Hamiltonian:
     """A Hermitian generator of time evolution.
 
     Every propagation goes through :meth:`evolve_amplitudes`.  Mostly it is
-    U(t) = V e^{-iEt} V^dag from the eigensystem (E, V): an operator is
-    diagonalized once, on first use, by a real symmetric ``eigh`` when its
-    matrix is exactly real; :meth:`from_eigenbasis` takes a spectrum that is
-    already known.  A grid Hamiltonian with a potential (see
-    :func:`barrier_hamiltonian`) keeps its kinetic energies, its potential
-    and the Fourier map instead, and propagates by a Chebyshev expansion.
+    U(t) = V e^{-iEt} V^dag from energies E and a basis V (see
+    :mod:`qmeasure.hilbert`): a dense operator is diagonalized once, on
+    first use, by a real symmetric ``eigh`` when its matrix is exactly real;
+    :meth:`from_eigenbasis` takes a spectrum that is already known, over a
+    dense basis or the grid's FFT-backed Fourier map.  A grid Hamiltonian
+    with a potential (see :func:`barrier_hamiltonian`) holds its kinetic
+    energies over the Fourier map plus the potential, and propagates by a
+    Chebyshev expansion.
     """
 
-    __slots__ = ("_op", "dim", "_energies", "_basis", "_split")
+    __slots__ = ("_op", "dim", "_energies", "_basis", "_potential")
 
     def __init__(self, op: LinearOperator):
         if not _hermitian_within_tol(op.matrix):
             raise NotHermitian(f"hermiticity defect {hermiticity_defect(op.matrix):.3e}")
         self._op, self.dim, self._energies, self._basis = op, op.dim, None, None
-        self._split = None
+        self._potential = None
 
     @classmethod
     def from_eigenbasis(cls, energies, basis) -> "Hamiltonian":
         """H = V diag(E) V^dag from finite real energies E and their eigenvectors V.
 
-        ``basis`` is either a dense matrix, which must satisfy
-        max|V^dag V - 1| <= 1e-9 (else ValueError) and whose columns are
-        reordered so the energies ascend, or the grid's FFT-backed Fourier
-        map, unitary by construction, whose energies stay in wavenumber
-        order.  The arrays become read-only.
+        ``basis`` is either a dense matrix, which is copied and must satisfy
+        max|V^dag V - 1| <= 1e-9 (else ValueError), or the grid's FFT-backed
+        Fourier map, unitary by construction.  The energies may come in any
+        order; they stay in the order of V's columns, and the arrays become
+        read-only.
         """
         evals = np.asarray(energies)
-        dense = not isinstance(basis, _FourierBasis)
-        if dense:
-            basis = np.asarray(basis, dtype=complex)
+        matrix = None if isinstance(basis, _FourierBasis) else np.array(basis, dtype=complex)
+        if matrix is not None:
+            basis = _DenseBasis(matrix)
         if (evals.ndim != 1 or not np.isrealobj(evals) or not np.all(np.isfinite(evals))
                 or basis.shape != (evals.size, evals.size)):
             raise ValueError("need finite real energies and a square basis, a column per energy")
-        if dense:
-            defect = _identity_defect(basis.conj().T @ basis)
+        if matrix is not None:
+            defect = _identity_defect(matrix.conj().T @ matrix)
             if defect > UNITARITY_TOL:
                 raise ValueError(f"eigenbasis unitarity defect {defect:.3e}")
-            order = np.argsort(evals, kind="stable")
-            evals, basis = evals[order], _freeze(basis[:, order])
         H = object.__new__(cls)
-        H._op, H.dim, H._split = None, evals.size, None
+        H._op, H.dim, H._potential = None, evals.size, None
         H._energies, H._basis = _freeze(evals.astype(float)), basis
         return H
 
@@ -151,45 +123,44 @@ class Hamiltonian:
         if not (np.all(np.isfinite(kinetic)) and np.all(np.isfinite(potential))):
             raise ValueError("need finite kinetic energies and a finite potential")
         H = object.__new__(cls)
-        H._op, H.dim, H._energies, H._basis = None, basis.n, None, None
-        H._split = (_freeze(kinetic), _freeze(potential), basis)
+        H._op, H.dim, H._energies, H._basis = None, basis.shape[0], _freeze(kinetic), basis
+        H._potential = _freeze(potential)
         return H
 
     @property
     def op(self) -> LinearOperator:
         """The dense operator; for a known eigenbasis or a grid potential, built on first read."""
         if self._op is None:
-            if self._split is not None:
-                kinetic, potential, basis = self._split
-                eye = np.eye(self.dim, dtype=complex)
-                m = basis.apply(kinetic[:, None] * basis.apply_adjoint(eye)) + np.diag(potential)
-            else:
-                evals, evecs = self.eigensystem()
-                m = evecs @ (evals[:, None] * evecs.conj().T)
+            eye = np.eye(self.dim, dtype=complex)
+            m = self._basis.apply(self._energies[:, None] * self._basis.apply_adjoint(eye))
+            if self._potential is not None:
+                m += np.diag(self._potential)
             self._op = LinearOperator._wrap((m + m.conj().T) / 2)
         return self._op
 
-    def _diagonalized(self) -> tuple[np.ndarray, np.ndarray | _FourierBasis]:
+    def _diagonalized(self) -> tuple[np.ndarray, _DenseBasis | _FourierBasis]:
         """(E, V) with E in the order of V's columns; diagonalizes an operator once."""
         if self._basis is None:
             m = self.op.matrix
             evals, evecs = np.linalg.eigh(m if m.imag.any() else m.real)
             # stored complex: mixed real/complex products in the kernel are slower
-            self._energies, self._basis = _freeze(evals), _freeze(evecs.astype(complex, copy=False))
+            self._energies = _freeze(evals)
+            self._basis = _DenseBasis(evecs.astype(complex, copy=False))
         return self._energies, self._basis
 
     def eigensystem(self) -> tuple[np.ndarray, np.ndarray]:
         """Ascending energies and the dense unitary whose columns are their eigenvectors.
 
-        For the Fourier map the dense basis is written out on each call; a
-        grid potential's dense operator is diagonalized once, on first read.
+        The columns of a known basis are sorted by energy and written out
+        on each call; a grid potential's dense operator is diagonalized on
+        each call.
         """
+        if self._potential is not None:   # the Fourier map diagonalizes the kinetic part only
+            return Hamiltonian(self.op).eigensystem()
         evals, basis = self._diagonalized()
-        if isinstance(basis, np.ndarray):
-            return evals, basis
-        order = np.argsort(evals, kind="stable")
-        return (_freeze(evals[order]),
-                _freeze(basis.apply(np.eye(self.dim, dtype=complex))[:, order]))
+        # an ascending spectrum (every eigh) keeps its basis as it is stored
+        order = slice(None) if np.all(evals[:-1] <= evals[1:]) else np.argsort(evals, kind="stable")
+        return _freeze(evals[order]), _freeze(basis.columns(order))
 
     def evolve_amplitudes(self, amplitudes, t) -> np.ndarray:
         """e^{-iHt} applied to unnormalized amplitudes: the one evolution kernel.
@@ -201,15 +172,12 @@ class Hamiltonian:
         if not np.all(np.isfinite(times)):
             raise ValueError(f"time must be finite, got {t}")
         amplitudes = np.asarray(amplitudes)
-        if self._split is not None:
+        if self._potential is not None:
             return self._chebyshev_evolution(amplitudes, times)
         evals, basis = self._diagonalized()
-        dense = isinstance(basis, np.ndarray)
-        # V^dag a, V not copied
-        coeff = (amplitudes.conj().T @ basis).conj().T if dense else basis.apply_adjoint(amplitudes)
+        coeff = basis.apply_adjoint(amplitudes)
         phases = np.exp(-1j * np.multiply.outer(evals, times))
-        evolved = (phases.T * coeff.T).T  # broadcast over columns or times
-        return basis @ evolved if dense else basis.apply(evolved)
+        return basis.apply((phases.T * coeff.T).T)  # broadcast over columns or times
 
     def _chebyshev_evolution(self, amplitudes: np.ndarray, times: np.ndarray) -> np.ndarray:
         """e^{-iHt} a = e^{-ict} sum_k (2 - delta_k0) (-i)^k J_k(Rt) T_k((H - c)/R) a.
@@ -222,7 +190,7 @@ class Hamiltonian:
         recurrence runs in FFT order, V D V^dag = fftshift . ifft . D' . fft .
         ifftshift with D' = ifftshift(D), so no term pays for the shifts.
         """
-        kinetic, potential, _ = self._split
+        kinetic, potential = self._energies, self._potential
         lo = kinetic.min() + potential.min()
         hi = kinetic.max() + potential.max()
         center, radius = (hi + lo) / 2, (hi - lo) / 2 or 1.0  # H = cI: any radius serves
@@ -326,20 +294,21 @@ def fourier_map(g: GridSpace) -> np.ndarray:
 
 
 def build_grid_operators(g: GridSpace) -> tuple[Observable, Observable, LinearOperator]:
-    """Position and momentum observables plus the Fourier map for a grid.
+    """Position and momentum observables plus the dense Fourier map for a grid.
 
     X is diagonal in position samples; P = F^dag K F with K diagonal in
     wavenumbers.  Both are built from their exact spectral resolutions
-    (positions and wavenumbers are pairwise distinct on the grid, bases I and
-    F^dag), so nothing is diagonalized or checked, and their dense operators
-    are formed only when read.
+    (positions and wavenumbers are pairwise distinct on the grid): X over
+    the identity index order, P over the FFT-backed Fourier map.  Nothing
+    is diagonalized or checked, their dense operators are formed only when
+    read, and the returned F, :func:`fourier_map`'s matrix, is the only
+    n x n array written.
     """
     n = g.n_points
-    F = fourier_map(g)
     slices = [slice(j, j + 1) for j in range(n)]
-    X = Observable._wrap(g.positions, np.eye(n, dtype=complex), slices)
-    P = Observable._wrap(g.wavenumbers, F.conj().T, slices)
-    return X, P, LinearOperator._wrap(F)
+    X = Observable._wrap(g.positions, _IndexOrder(np.arange(n)), slices)
+    P = Observable._wrap(g.wavenumbers, _FourierBasis(n), slices)
+    return X, P, LinearOperator._wrap(fourier_map(g))
 
 
 def _check_width(g: GridSpace, width: float):

@@ -1,9 +1,16 @@
 """States, operators, and spectral structure on finite-dimensional Hilbert spaces.
 
 All Hilbert spaces here are finite-dimensional with dense complex
-(double-precision) matrices.  Values are immutable after construction and
-every operation is a pure function, so everything in this module is safe to
-share across threads.
+(double-precision) matrices, except the bases of observables and
+Hamiltonians.  A basis is a unitary V held in the form that applies it
+cheapest: a dense matrix, an index order or the FFT-backed Fourier map.
+Each kind has ``shape``, ``apply(c, cols)`` = V[:, cols] c,
+``apply_adjoint(a, cols)`` = V[:, cols]^dag a, and ``columns(cols)``, the
+dense V[:, cols] that oracles and dense operators read; ``cols`` is a slice
+or an index array, all columns by default, and the Fourier map's ``apply``
+takes none.  Values are immutable after construction and every operation is
+a pure function, so everything in this module is safe to share across
+threads.
 """
 
 from __future__ import annotations
@@ -73,6 +80,81 @@ def _cluster_slices(evals: np.ndarray, gap: float) -> list[slice]:
     ev = evals.tolist()
     cuts = [j for j in range(1, len(ev)) if ev[j] - ev[j - 1] > gap]
     return [slice(a, b) for a, b in zip([0, *cuts], [*cuts, len(ev)]) if b > a]
+
+
+class _DenseBasis:
+    """A basis held as its matrix, which becomes read-only and is read in place."""
+
+    __slots__ = ("matrix", "shape")
+
+    def __init__(self, matrix: np.ndarray):
+        self.matrix, self.shape = _freeze(matrix), matrix.shape
+
+    def apply(self, coefficients, cols=slice(None)) -> np.ndarray:
+        return self.matrix[:, cols] @ coefficients
+
+    def apply_adjoint(self, amplitudes, cols=slice(None)) -> np.ndarray:
+        # (a^dag V)^dag reads V in place; V^dag a would copy it
+        return (np.asarray(amplitudes).conj().T @ self.matrix[:, cols]).conj().T
+
+    def columns(self, cols=slice(None)) -> np.ndarray:
+        return self.matrix[:, cols]
+
+
+class _IndexOrder:
+    """The basis whose column j is the unit vector e_order[j]; arange(n) is the identity.
+
+    V[:, cols] c writes c into rows order[cols] of zeros and V[:, cols]^dag a
+    reads those rows, so applying costs O(len(cols)) and V is never written out.
+    """
+
+    __slots__ = ("order", "shape")
+
+    def __init__(self, order: np.ndarray):
+        self.order, self.shape = _freeze(order), (order.size, order.size)
+
+    def apply(self, coefficients: np.ndarray, cols=slice(None)) -> np.ndarray:
+        out = np.zeros(self.shape[:1] + coefficients.shape[1:], dtype=coefficients.dtype)
+        out[self.order[cols]] = coefficients
+        return out
+
+    def apply_adjoint(self, amplitudes, cols=slice(None)) -> np.ndarray:
+        return np.asarray(amplitudes)[self.order[cols]]
+
+    def columns(self, cols=slice(None)) -> np.ndarray:
+        return self.apply(np.eye(self.order[cols].size, dtype=complex), cols)
+
+
+class _FourierBasis:
+    """The free grid Hamiltonian's eigenbasis kron(F^dag, I_tags), applied by FFT.
+
+    F is :func:`~qmeasure.dynamics.fourier_map`'s matrix.  Column (m, s) is
+    the plane wave of wavenumber k_m carrying tag s; amplitude (x, s) sits
+    at index x * tags + s.  The map is unitary by construction, so nothing
+    is checked.
+    """
+
+    __slots__ = ("n", "tags", "shape")
+
+    def __init__(self, n: int, tags: int = 1):
+        self.n, self.tags, self.shape = n, tags, (n * tags, n * tags)
+
+    def _along_grid(self, transform, data) -> np.ndarray:
+        # on a centered grid with n even, F = fftshift . fft . ifftshift (orthonormal)
+        data = np.asarray(data)
+        grid = np.fft.ifftshift(data.reshape((self.n, self.tags) + data.shape[1:]), axes=0)
+        return np.fft.fftshift(transform(grid, axis=0, norm="ortho"), axes=0).reshape(data.shape)
+
+    def apply(self, coefficients) -> np.ndarray:
+        """V c: momentum amplitudes (one per column of V) to position amplitudes."""
+        return self._along_grid(np.fft.ifft, coefficients)
+
+    def apply_adjoint(self, amplitudes, cols=slice(None)) -> np.ndarray:
+        """V[:, cols]^dag a: position amplitudes to momentum amplitudes, F along the grid."""
+        return self._along_grid(np.fft.fft, amplitudes)[cols]
+
+    def columns(self, cols=slice(None)) -> np.ndarray:
+        return self.apply(_IndexOrder(np.arange(self.shape[0])).columns(cols))
 
 
 class PureState:
@@ -202,9 +284,13 @@ class Observable:
 
     Ascending distinct eigenvalues, one orthonormal eigenbasis, and a column
     slice of it per eigenvalue; projectors and the dense :attr:`operator`
-    are built when read.  The constructor checks that the basis is square
-    and orthonormal (within 1e-9), the eigenvalues ascend, and the slices
-    tile the columns in order; it copies the caller's arrays.
+    are built when read.  The basis is one of three kinds: a dense matrix,
+    an index order (the position grid and its regions: a permutation of
+    unit vectors, never written out) or the grid's FFT-backed Fourier map
+    (momentum).  The constructor takes a dense matrix; it checks that the
+    basis is square and orthonormal (within 1e-9), the eigenvalues ascend,
+    and the slices tile the columns in order, and it copies the caller's
+    arrays.
     """
 
     __slots__ = ("eigenvalues", "_basis", "_slices", "_operator")
@@ -224,18 +310,17 @@ class Observable:
         if not (all(c.size for c in columns)
                 and np.array_equal(np.concatenate(columns), np.arange(basis.shape[1]))):
             raise ValueError("eigenvalue multiplicities do not fill the space")
-        self._set(vals, basis, slices)
+        self._set(vals, _DenseBasis(basis), slices)
 
     @classmethod
     def _wrap(cls, eigenvalues, basis, slices) -> "Observable":
-        # internal fast path for exact constructions: takes ownership, skips the checks
+        # internal fast path for exact constructions: takes a basis of any kind, skips the checks
         obs = object.__new__(cls)
-        obs._set(np.asarray(eigenvalues, dtype=float), np.asarray(basis, dtype=complex),
-                 tuple(slices))
+        obs._set(np.asarray(eigenvalues, dtype=float), basis, tuple(slices))
         return obs
 
     def _set(self, vals, basis, slices):
-        self.eigenvalues, self._basis = _freeze(vals), _freeze(basis)
+        self.eigenvalues, self._basis = _freeze(vals), basis
         self._slices, self._operator = slices, None
 
     @classmethod
@@ -276,13 +361,14 @@ class Observable:
         """The dense operator sum_i v_i Pi_i, built from the blocks on first read."""
         if self._operator is None:
             counts = [sl.stop - sl.start for sl in self._slices]
-            m = (self._basis * np.repeat(self.eigenvalues, counts)) @ self._basis.conj().T
+            basis = self._basis.columns()
+            m = (basis * np.repeat(self.eigenvalues, counts)) @ basis.conj().T
             self._operator = LinearOperator._wrap((m + m.conj().T) / 2)
         return self._operator
 
     def eigenbasis(self, i: int) -> np.ndarray:
         """Orthonormal columns spanning the i-th eigenspace."""
-        return self._basis[:, self._slices[i]]
+        return self._basis.columns(self._slices[i])
 
     def multiplicity(self, i: int) -> int:
         sl = self._slices[i]
@@ -338,10 +424,9 @@ def spectral_decompose(op: LinearOperator) -> Observable:
 
 
 def _born_weights(obs: Observable, psi: np.ndarray) -> np.ndarray:
-    """<psi|Pi_i|psi> for each eigenspace i of ``obs``, in ascending order."""
-    # |<b|psi>| = |<psi|b>|: psi^dag B reads the block in place, B^dag would copy it
-    return np.array([float(np.sum(np.abs(psi.conj() @ obs.eigenbasis(i)) ** 2))
-                     for i in range(obs.n_outcomes)])
+    """<psi|Pi_i|psi> = ||B_i^dag psi||^2 for each eigenspace i of ``obs``, in ascending order."""
+    return np.array([float(np.sum(np.abs(obs._basis.apply_adjoint(psi, sl)) ** 2))
+                     for sl in obs._slices])
 
 
 def _kind(obj) -> str:

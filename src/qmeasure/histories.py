@@ -18,8 +18,8 @@ import numpy as np
 
 from .errors import InconsistentFamily, InvalidIndex
 from .dynamics import Hamiltonian
-from .hilbert import DensityOperator, LinearOperator, PureState, _hermitian_within_tol, \
-    _identity_defect, _projector_range
+from .hilbert import DensityOperator, LinearOperator, PureState, _DenseBasis, _IndexOrder, \
+    _hermitian_within_tol, _identity_defect, _projector_range
 from .measurement import OutcomeDistribution
 
 FAMILY_TOL = 1e-9
@@ -37,8 +37,11 @@ class HistorySet:
     vectors, the block ``eye[:, idx]``, which is never written out.  A
     family's blocks side by side must form a unitary; a family of index
     sets must hold every index in [0, dim) exactly once, an O(dim) check,
-    and may not mix with blocks.  Only the blocks and index sets are stored.
-    Evolution starts from ``initial_state`` at t = 0.
+    and may not mix with blocks.  Each family is stored as one
+    ``(basis, slices)`` pair, entry a being the columns ``slices[a]`` of
+    the basis: an index order (see :mod:`qmeasure.hilbert`) for index sets,
+    a dense basis otherwise; the caller's arrays are copied.  Evolution
+    starts from ``initial_state`` at t = 0.
     """
 
     __slots__ = ("hamiltonian", "initial_state", "times", "families")
@@ -70,13 +73,12 @@ class HistorySet:
                     block = np.asarray(entry)
                     if block.size and not (block.min() >= 0 and block.max() < dim):
                         raise ValueError(f"family {m} entry {a} has indices outside [0, {dim})")
-                    block = block.astype(np.intp)   # a copy: the caller's array stays writable
-                else:   # a view, so freezing it leaves the caller's array writable
-                    block = np.asarray(entry, dtype=complex).view()
+                    block = block.astype(np.intp)
+                else:
+                    block = np.asarray(entry, dtype=complex)
                 if block.dtype.kind == "c" and (block.ndim != 2 or block.shape[0] != dim):
                     raise ValueError(f"family {m} entry {a} has shape {block.shape}, "
                                      f"expected ({dim}, r)")
-                block.setflags(write=False)
                 blocks.append(block)
             index_sets = [block.ndim == 1 for block in blocks]
             if any(index_sets) and not all(index_sets):
@@ -91,7 +93,9 @@ class HistorySet:
                 deficit = _identity_defect(V.conj().T @ V)
             if not deficit <= FAMILY_TOL:
                 raise ValueError(f"family {m} sums to identity with defect {deficit:.3e}")
-            checked.append(tuple(blocks))
+            ends = np.cumsum([block.shape[-1] for block in blocks]).tolist()
+            slices = tuple(slice(a, b) for a, b in zip([0, *ends], ends))
+            checked.append((_IndexOrder(V) if V.ndim == 1 else _DenseBasis(V), slices))
         self.hamiltonian = hamiltonian
         self.initial_state = initial_state
         self.times = tuple(times)
@@ -103,11 +107,11 @@ class HistorySet:
 
     @property
     def shape(self) -> tuple[int, ...]:
-        return tuple(len(f) for f in self.families)
+        return tuple(len(slices) for _, slices in self.families)
 
     def histories(self) -> list[tuple[int, ...]]:
         """All history labels in lexicographic order."""
-        return list(itertools.product(*(range(len(f)) for f in self.families)))
+        return list(itertools.product(*map(range, self.shape)))
 
     def _steps(self) -> list[float]:
         prev = [0.0] + list(self.times[:-1])
@@ -117,26 +121,19 @@ class HistorySet:
         return f"HistorySet(dim={self.dim}, times={self.times}, shape={self.shape})"
 
 
-def _project(entry: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """An entry's projector on the rows of x: an index set masks them, a block B gives B B^dag x."""
-    if entry.ndim == 1:
-        out = np.zeros_like(x)
-        out[entry] = x[entry]
-        return out
-    return entry @ (entry.conj().T @ x)
-
-
 def class_operator(hs: HistorySet, alpha: Sequence[int]) -> LinearOperator:
     """C_alpha = Pi^n U(t_n - t_{n-1}) ... Pi^1 U(t_1 - t_0), Pi the entry's projector."""
     alpha = tuple(int(a) for a in alpha)
     if len(alpha) != len(hs.families):
         raise InvalidIndex(f"history {alpha} has wrong length for {len(hs.families)} times")
     for m, a in enumerate(alpha):
-        if not 0 <= a < len(hs.families[m]):
+        if not 0 <= a < hs.shape[m]:
             raise InvalidIndex(f"index {a} invalid for family {m}")
     C = np.eye(hs.dim, dtype=complex)
-    for m, dt in enumerate(hs._steps()):
-        C = _project(hs.families[m][alpha[m]], hs.hamiltonian.evolve_amplitudes(C, dt))
+    for (basis, slices), a, dt in zip(hs.families, alpha, hs._steps()):
+        # Pi = B B^dag with B the entry's columns of the family's basis
+        C = basis.apply(basis.apply_adjoint(hs.hamiltonian.evolve_amplitudes(C, dt), slices[a]),
+                        slices[a])
     return LinearOperator._wrap(C)
 
 
@@ -176,10 +173,11 @@ def _branch_vectors(hs: HistorySet, start: np.ndarray) -> np.ndarray:
     which is the lexicographic order of the labels.
     """
     branches = start[:, None]
-    for m, dt in enumerate(hs._steps()):
+    for (basis, slices), dt in zip(hs.families, hs._steps()):
         evolved = hs.hamiltonian.evolve_amplitudes(branches, dt)
         # axis 2 is the new choice: column j of ``evolved`` splits into j*len + a
-        split = np.stack([_project(entry, evolved) for entry in hs.families[m]], axis=2)
+        split = np.stack([basis.apply(basis.apply_adjoint(evolved, sl), sl) for sl in slices],
+                         axis=2)
         branches = split.reshape(hs.dim, -1)
     return branches.T
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, EmptyRegion
 from .dynamics import GridSpace, Hamiltonian
-from .hilbert import LinearOperator, Observable, PureState, _born_weights, \
+from .hilbert import LinearOperator, Observable, PureState, _IndexOrder, _born_weights, \
     _cluster_slices, _projector_defect
 
 ZERO_THRESHOLD = 1e-10
@@ -76,7 +76,9 @@ def region_projector(g: GridSpace, window: tuple[int, int]) -> Observable:
 
     ``window`` is a half-open index range (lo, hi).  The full grid yields the
     identity (a single eigenvalue 1); any proper nonempty window yields the
-    two-outcome observable with eigenvalues {0, 1}.
+    two-outcome observable with eigenvalues {0, 1}.  The eigenbasis is an
+    index order, the points outside the window first, so the observable
+    costs O(n) memory and its Born weights O(n) time.
     """
     lo, hi = int(window[0]), int(window[1])
     n = g.n_points
@@ -85,12 +87,10 @@ def region_projector(g: GridSpace, window: tuple[int, int]) -> Observable:
     inside = np.zeros(n, dtype=bool)
     inside[lo:hi] = True
     if inside.all():
-        return Observable._wrap([1.0], np.eye(n, dtype=complex), [slice(0, n)])
+        return Observable._wrap([1.0], _IndexOrder(np.arange(n)), [slice(0, n)])
     order = np.argsort(inside, kind="stable")  # eigenvalue 0 columns first
-    basis = np.zeros((n, n), dtype=complex)
-    basis[order, np.arange(n)] = 1.0  # the permuted identity, built in place
     n_out = n - int(inside.sum())
-    return Observable._wrap([0.0, 1.0], basis, [slice(0, n_out), slice(n_out, n)])
+    return Observable._wrap([0.0, 1.0], _IndexOrder(order), [slice(0, n_out), slice(n_out, n)])
 
 
 def delocalization_demo(g: GridSpace, H: Hamiltonian, psi0: PureState,

@@ -14,11 +14,11 @@ from typing import Hashable, Sequence
 
 import numpy as np
 
-from .dynamics import GridSpace, fourier_map, gaussian_packet
+from .dynamics import GridSpace, gaussian_packet
 from .errors import DimensionMismatch, ImpossibleOutcome, IncompleteTiling, \
     InvalidPovm, InvalidSmearing
-from .hilbert import LinearOperator, Observable, PureState, State, _born_weights, \
-    _hermitian_within_tol, _identity_defect, hermiticity_defect
+from .hilbert import LinearOperator, Observable, PureState, State, _FourierBasis, \
+    _born_weights, _hermitian_within_tol, _identity_defect, hermiticity_defect
 
 NEGATIVE_CLAMP_LIMIT = 1e-9
 PSD_TOL = 1e-9
@@ -257,8 +257,9 @@ def build_phase_space_povm(g: GridSpace, packet_width: float,
     measure; over the full n x n tiling the family resolves the identity
     exactly up to roundoff.  Labels are the cell index pairs (a, b), a-major.
     The cells form a Gabor system: the boosts e^{i k_a x} are the POVM's left
-    table and the shifted packets F^dag e^{-i k x_b} F phi its right table, so
-    the family costs O(n^3) in matrix products and O(n^2) memory.
+    table and the shifted packets F^dag e^{-i k x_b} F phi its right table,
+    with F applied by FFT, so the tables cost O(n^2 log n) time and O(n^2)
+    memory; the completeness check is two n x n matrix products.
 
     Restricting ``p_indices``/``q_indices`` to a partial tiling raises
     IncompleteTiling once the completeness deficit exceeds 1e-6.
@@ -270,10 +271,10 @@ def build_phase_space_povm(g: GridSpace, packet_width: float,
         raise IncompleteTiling("cells must cover each lattice point at most once")
     x = g.positions
     k = g.wavenumbers
-    F = fourier_map(g)
-    phi_k = F @ gaussian_packet(g, 0.0, 0.0, packet_width).amplitudes
+    fourier = _FourierBasis(n)  # V = F^dag
+    phi_k = fourier.apply_adjoint(gaussian_packet(g, 0.0, 0.0, packet_width).amplitudes)
     boosts = np.exp(1j * np.outer(k[p_idx], x))
-    shifted = (F.conj().T @ (np.exp(-1j * np.outer(k, x[q_idx])) * phi_k[:, None])).T
+    shifted = fourier.apply(np.exp(-1j * np.outer(k, x[q_idx])) * phi_k[:, None]).T
     n_cells = len(p_idx) * len(q_idx)
     povm = object.__new__(Povm)
     try:

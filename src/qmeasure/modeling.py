@@ -21,7 +21,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DimensionMismatch, NonExtendable
-from .hilbert import LinearOperator, Observable, PureState, _born_weights, _identity_defect
+from .hilbert import LinearOperator, Observable, PureState, _IndexOrder, _born_weights, \
+    _identity_defect
 from .measurement import OutcomeDistribution
 
 MODEL_TOL = 1e-9
@@ -60,7 +61,7 @@ class MeasurementModel:
     def pointer_observable(self) -> Observable:
         """The record variable on the pointer space: diagonal, one level per index."""
         dp = self.pointer_dim
-        return Observable._wrap(np.arange(dp), np.eye(dp, dtype=complex),
+        return Observable._wrap(np.arange(dp), _IndexOrder(np.arange(dp)),
                                 [slice(m, m + 1) for m in range(dp)])
 
     def __repr__(self):

@@ -76,12 +76,6 @@ class DecayModel:
     def undecayed_state(self) -> PureState:
         return basis_state(self.dim, 0)
 
-    def decay_products_state(self) -> PureState:
-        """Uniform superposition over the band modes."""
-        vec = np.zeros(self.dim, dtype=complex)
-        vec[1:] = 1.0 / np.sqrt(self.n_modes)
-        return PureState(vec)
-
     def _check_window(self, t: float):
         if t < 0:
             raise OutsideValidityWindow(f"negative time {t}")
@@ -91,12 +85,8 @@ class DecayModel:
                 f"T_valid/3 = {self.t_valid / 3:.4g}")
 
     def survival_amplitude(self, t: float) -> complex:
-        """<undecayed|U(t)|undecayed>."""
-        return self.autocorrelation(self.undecayed_state(), t)
-
-    def autocorrelation(self, state: PureState, t: float) -> complex:
-        """<state|U(t)|state>, evolved by the Hamiltonian."""
-        amps = state.amplitudes
+        """<undecayed|U(t)|undecayed>, evolved by the Hamiltonian."""
+        amps = self.undecayed_state().amplitudes
         return complex(np.vdot(amps, self.hamiltonian.evolve_amplitudes(amps, t)))
 
     def __repr__(self):

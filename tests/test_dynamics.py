@@ -24,6 +24,7 @@ from qmeasure import (
     truncated_gaussian_packet,
 )
 from qmeasure.dynamics import _FourierBasis
+from qmeasure.hilbert import _DenseBasis, _IndexOrder
 from conftest import random_hermitian, random_state
 
 
@@ -170,8 +171,8 @@ class TestGridOperators:
         finally:
             tracemalloc.stop()
         assert X._operator is None and P._operator is None
-        # F, its adjoint as P's basis, and X's identity basis: three 16 MiB arrays
-        assert peak <= 50 * 2 ** 20
+        # only the returned F, a 16 MiB array, and its temporaries: X's and P's bases are O(n)
+        assert peak <= 36 * 2 ** 20
 
     def test_commutator_on_central_states(self):
         g = GridSpace(256, 60.0)
@@ -343,17 +344,43 @@ def _normalized_columns(rng, rows, cols):
     return block / np.linalg.norm(block, axis=0)
 
 
+def _basis_with_reference(kind, n, rng):
+    """A basis of the given kind and its dense matrix, written out here."""
+    if kind == "index":
+        order = rng.permutation(n)
+        return _IndexOrder(order), np.eye(n, dtype=complex)[:, order]
+    if kind == "dense":
+        q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+        return _DenseBasis(q.copy()), q
+    tags = {"fourier": 1, "fourier_tagged": 2}[kind]
+    return _FourierBasis(n, tags), np.kron(fourier_map(GridSpace(n, 20.0)).conj().T, np.eye(tags))
+
+
 class TestFourierBasis:
+    @pytest.mark.parametrize("kind", ["index", "fourier", "fourier_tagged", "dense"])
     @pytest.mark.parametrize("n", [64, 1024])
-    def test_map_matches_dense_fourier_map(self, rng, n):
-        F = fourier_map(GridSpace(n, 20.0))
-        layouts = ((_FourierBasis(n), F.conj().T),
-                   (_FourierBasis(n, 2), np.kron(F.conj().T, np.eye(2))))
-        for V, dense in layouts:
-            block = _normalized_columns(rng, V.shape[0], 5)
+    def test_map_matches_dense_fourier_map(self, rng, n, kind):
+        # every basis kind against its dense matrix; an index order only moves entries
+        V, dense = _basis_with_reference(kind, n, rng)
+
+        def check(got, want):
+            if kind == "index":
+                np.testing.assert_array_equal(got, want)
+            else:
+                assert got.shape == want.shape and np.max(np.abs(got - want)) <= 1e-12
+
+        dim = V.shape[0]
+        block = _normalized_columns(rng, dim, 5)
+        for cols in (slice(None), slice(3, 40), rng.permutation(dim)[:17]):
+            sub = dense[:, cols]
+            check(V.columns(cols), sub)
             for data in (block[:, 0], block):
-                assert np.max(np.abs(V.apply(data) - dense @ data)) <= 1e-12
-                assert np.max(np.abs(V.apply_adjoint(data) - dense.conj().T @ data)) <= 1e-12
+                check(V.apply_adjoint(data, cols), sub.conj().T @ data)
+                coeff = data[:sub.shape[1]]
+                if kind in ("index", "dense"):
+                    check(V.apply(coeff, cols), sub @ coeff)
+                elif sub.shape[1] == dim:   # the Fourier map is only applied whole
+                    check(V.apply(coeff), sub @ coeff)
 
     def test_free_kernel_batches_columns_and_times(self, rng):
         g = GridSpace(64, 20.0)
@@ -420,7 +447,11 @@ class TestFourierBasis:
         for text in ("scenario: two_slit\nparams:\n  n_points: 32\n  n_cells: 4\n"
                      "  box_length: 10.5\n  separation: 2.0\n",
                      "scenario: wavepacket_spread\nparams:\n  n_points: 64\n"
-                     "  box_length: 20.0\n"):
+                     "  box_length: 20.0\n",
+                     "scenario: delocalization\nparams:\n  n_points: 128\n"
+                     "  box_length: 30.0\n",
+                     "scenario: phase_space_povm\nparams:\n  n_points: 64\n  box_length: 8.0\n"
+                     "  state_width: 0.6\n  probe_p_index: 10\n  probe_q_index: 20\n"):
             result = run_scenario(validate_config(text))
             assert result.rows
 

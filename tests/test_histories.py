@@ -152,9 +152,11 @@ class TestIndexSetFamilies:
     def test_index_sets_stored_as_frozen_copies(self):
         cells = [np.array([0, 1]), np.array([2, 3])]
         hs = HistorySet(zero_hamiltonian(4), basis_state(4, 0), [1.0], [cells])
-        assert cells[0].flags.writeable
-        assert not hs.families[0][0].flags.writeable
-        np.testing.assert_array_equal(hs.families[0][1], [2, 3])
+        assert cells[0].flags.writeable and cells[1].flags.writeable
+        basis, slices = hs.families[0]
+        assert not basis.order.flags.writeable
+        np.testing.assert_array_equal(basis.order, [0, 1, 2, 3])
+        assert slices == (slice(0, 2), slice(2, 4))
 
     @pytest.mark.parametrize("dim, family, message", [
         (4, [[0, 1], [1, 2]], "family 1 sums to identity with defect 1.000e+00"),

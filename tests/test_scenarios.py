@@ -35,6 +35,24 @@ DELOCALIZATION_HOLES = [({"support_halfwidth": 20.0, "width": 5.0}, "support_hal
                         ({"mass": 1e308, "width": 5.0}, "mass"),
                         ({"mass": 1e4, "barrier_height": 50.0}, "barrier_height")]
 
+# packet configs that once overflowed: positions squared past the double range
+# (a NaN initial leak, NaN or infinite widths, an OverflowError from 2 * width^2)
+# and a boost k0 whose phase k0 * x is past it; the field each RangeError names
+PACKET_OVERFLOW_HOLES = [
+    ("delocalization", {"n_points": 128, "box_length": 1.2e155, "width": 1.0e154,
+                        "mass": 1.0e-9, "barrier_height": 0.0}, "box_length"),
+    ("wavepacket_spread", {"n_points": 128, "box_length": 1.2e155, "width": 1.0e154,
+                           "mass": 1.0e-9}, "box_length"),
+    ("wavepacket_spread", {"n_points": 4096, "box_length": 5.0e154, "width": 1.0e153,
+                           "mass": 1.0e-9}, "box_length"),
+    ("phase_space_povm", {"n_points": 64, "box_length": 3.0e155, "packet_width": 1.5e154,
+                          "state_width": 1.5e154, "state_x0": 0.0, "probe_p_index": 10,
+                          "probe_q_index": 10}, "box_length"),
+    ("phase_space_povm", {"state_k0": 1.0e308}, "state_k0")]
+
+DOUBLE_MAX = float(np.finfo(float).max)
+SQUARE_EDGE = st.floats(1e153, 1e156)  # box lengths whose square leaves the double range
+
 
 @st.composite
 def _delocalization_params(draw):
@@ -87,6 +105,54 @@ def _two_slit_params(draw):
             "mass": draw(mostly(st.floats(1e-9, 10.0), st.floats(1e-9, 1e300))),
             "n_cells": draw(mostly(st.sampled_from(divisors), st.integers(2, 256))),
             "eps": draw(st.floats(0.0, 1.0))}
+
+
+@st.composite
+def _wavepacket_params(draw):
+    """wavepacket_spread's documented ranges, with n_points capped at 128.
+
+    As for delocalization: the width is drawn in grid spacings inside the
+    resolvable band or across its edges, and box length and mass reach the
+    top of the double range; box lengths are also drawn where their square
+    leaves it, the window in which positions squared overflow.
+    """
+    def mostly(common, rare):  # two draws in three from the common range
+        return st.one_of(common, common, rare)
+
+    n = draw(mostly(st.integers(4, 64).map(lambda half: 2 * half), st.integers(8, 128)))
+    box = draw(mostly(st.floats(1e-3, 100.0), st.floats(1e-3, DOUBLE_MAX) | SQUARE_EDGE))
+    width = max(1e-6, box / n * draw(mostly(st.floats(3.01, max(3.02, n / 10.1)),
+                                            st.floats(1.0, 1.0 + n / 8))))
+    return {"n_points": n, "box_length": box, "width": width,
+            "mass": draw(mostly(st.floats(1e-9, 10.0), st.floats(1e-9, DOUBLE_MAX))),
+            "n_times": draw(mostly(st.integers(2, 20), st.integers(2, 1000)))}
+
+
+@st.composite
+def _phase_space_params(draw):
+    """phase_space_povm's documented ranges, with n_points capped at 64.
+
+    Both widths are drawn in grid spacings inside the resolvable band or
+    across its edges, the probe cells mostly on the grid, and box length,
+    state position and state momentum reach the ends of the double range;
+    box lengths are also drawn where their square leaves it.
+    """
+    def mostly(common, rare):  # two draws in three from the common range
+        return st.one_of(common, common, rare)
+
+    n = draw(mostly(st.integers(4, 32).map(lambda half: 2 * half), st.integers(8, 64)))
+    box = draw(mostly(st.floats(1e-3, 100.0), st.floats(1e-3, DOUBLE_MAX) | SQUARE_EDGE))
+
+    def width():
+        return max(1e-6, box / n * draw(mostly(st.floats(3.01, max(3.02, n / 10.1)),
+                                               st.floats(1.0, 1.0 + n / 8))))
+
+    return {"n_points": n, "box_length": box, "packet_width": width(), "state_width": width(),
+            "state_x0": draw(mostly(st.floats(-box / 2, box / 2),
+                                    st.floats(-DOUBLE_MAX, DOUBLE_MAX))),
+            "state_k0": draw(mostly(st.floats(-3.0, 3.0), st.floats(-DOUBLE_MAX, DOUBLE_MAX))),
+            "probe_p_index": draw(mostly(st.integers(0, n - 1), st.integers(0, 255))),
+            "probe_q_index": draw(mostly(st.integers(0, n - 1), st.integers(0, 255)))}
 
 
 class TestValidateConfig:
@@ -243,6 +309,14 @@ class TestRunScenario:
         assert len(err.value.violations) == 1
         assert err.value.violations[0].startswith(f"params.{name}:")
 
+    @pytest.mark.parametrize("scenario,params,name", PACKET_OVERFLOW_HOLES)
+    def test_packet_overflow_names_the_field(self, scenario, params, name):
+        raw = yaml.safe_dump({"scenario": scenario, "params": params})
+        with pytest.raises(RangeError) as err:
+            run_scenario(validate_config(raw))
+        assert len(err.value.violations) == 1
+        assert err.value.violations[0].startswith(f"params.{name}:")
+
     @settings(max_examples=60, deadline=None, database=None, derandomize=True)
     @given(_delocalization_params())
     def test_validated_delocalization_runs_or_raises_simulation_error(self, params):
@@ -262,6 +336,30 @@ class TestRunScenario:
         except SimulationError:
             return
         assert result.rows
+
+    @settings(max_examples=60, deadline=None, database=None, derandomize=True)
+    @given(_wavepacket_params())
+    def test_validated_wavepacket_spread_runs_or_raises_simulation_error(self, params):
+        cfg = validate_config(yaml.safe_dump({"scenario": "wavepacket_spread", "params": params}))
+        try:
+            result = run_scenario(cfg)
+        except SimulationError:
+            return
+        assert result.rows
+        # the packet holes reported NaN or infinite values instead of raising
+        assert all(np.isfinite(a.value) for a in result.assertions), result.assertions
+
+    @settings(max_examples=60, deadline=None, database=None, derandomize=True)
+    @given(_phase_space_params())
+    def test_validated_phase_space_povm_runs_or_raises_simulation_error(self, params):
+        cfg = validate_config(yaml.safe_dump({"scenario": "phase_space_povm", "params": params}))
+        try:
+            result = run_scenario(cfg)
+        except SimulationError:
+            return
+        assert result.rows
+        # the packet holes reported NaN or infinite values instead of raising
+        assert all(np.isfinite(a.value) for a in result.assertions), result.assertions
 
     def test_wavepacket_natural_time_overflow_names_mass(self):
         # width 5e298 is inside its resolvable band for box_length 1e300,
@@ -288,6 +386,19 @@ class TestRunScenario:
         for name in ("bare_family_inconsistent", "tagged_family_offdiagonal_ratio",
                      "tagged_coarse_graining_additive", "tagged_marginal_matches_screen"):
             assert passed[name], name
+
+    def test_delocalization_range_top_peak_memory(self):
+        # the region projector is an index order: its dense permuted identity
+        # peaked at 256.3 MiB at this size
+        cfg = validate_config("scenario: delocalization\nparams:\n  n_points: 4096\n")
+        tracemalloc.start()
+        try:
+            table = run_scenario(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MiB"
+        assert table.all_passed
 
     def test_module_errors_carry_scenario_context(self):
         from qmeasure import UnresolvableWidth
