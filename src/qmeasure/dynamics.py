@@ -18,9 +18,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NotHermitian, UnresolvableWidth
+from .errors import UnresolvableWidth
 from .hilbert import LinearOperator, Observable, PureState, _DenseBasis, _FourierBasis, \
-    _IndexOrder, _freeze, _hermitian_within_tol, _identity_defect, hermiticity_defect
+    _IndexOrder, _freeze, _identity_defect, _require_hermitian
 
 UNITARITY_TOL = 1e-9
 CHEBYSHEV_TOL = 1e-16
@@ -80,8 +80,7 @@ class Hamiltonian:
     __slots__ = ("_op", "dim", "_energies", "_basis", "_potential")
 
     def __init__(self, op: LinearOperator):
-        if not _hermitian_within_tol(op.matrix):
-            raise NotHermitian(f"hermiticity defect {hermiticity_defect(op.matrix):.3e}")
+        _require_hermitian(op.matrix[None])
         self._op, self.dim, self._energies, self._basis = op, op.dim, None, None
         self._potential = None
 

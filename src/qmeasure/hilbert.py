@@ -7,10 +7,12 @@ cheapest: a dense matrix, an index order or the FFT-backed Fourier map.
 Each kind has ``shape``, ``apply(c, cols)`` = V[:, cols] c,
 ``apply_adjoint(a, cols)`` = V[:, cols]^dag a, and ``columns(cols)``, the
 dense V[:, cols] that oracles and dense operators read; ``cols`` is a slice
-or an index array, all columns by default, and the Fourier map's ``apply``
-takes none.  Values are immutable after construction and every operation is
-a pure function, so everything in this module is safe to share across
-threads.
+or an index array, all columns by default.  The invariant checks (state
+norm, Hermiticity, identity defect, spectral resolution) take one object or
+a stack of them along leading axes, so a batch of small systems is checked
+by the same code as one.  Values are immutable after construction and every
+operation is a pure function, so everything in this module is safe to share
+across threads.
 """
 
 from __future__ import annotations
@@ -46,14 +48,32 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _adjoint(matrix: np.ndarray) -> np.ndarray:
+    """m^dag of a matrix, or of each matrix in a stack (..., r, c)."""
+    return np.swapaxes(matrix, -1, -2).conj()
+
+
+def _first(failed) -> int | None:
+    """The index of the first True in a flat stack of failure flags, or None."""
+    return int(np.flatnonzero(failed)[0]) if np.any(failed) else None
+
+
 def hermiticity_defect(matrix: np.ndarray) -> float:
-    return float(np.max(np.abs(matrix - matrix.conj().T))) if matrix.size else 0.0
+    """max|m - m^dag|, of a matrix or per matrix of a stack (..., n, n)."""
+    return np.max(np.abs(matrix - _adjoint(matrix)), axis=(-2, -1)) if matrix.size else 0.0
 
 
 def _hermitian_within_tol(matrix: np.ndarray) -> bool:
-    """Whether the Hermiticity defect is at most 1e-10 * max(1, max|m|)."""
-    scale = max(1.0, float(np.max(np.abs(matrix)))) if matrix.size else 1.0
+    """Whether the Hermiticity defect is at most 1e-10 * max(1, max|m|), per matrix."""
+    scale = np.maximum(1.0, np.max(np.abs(matrix), axis=(-2, -1))) if matrix.size else 1.0
     return hermiticity_defect(matrix) <= HERMITIAN_TOL * scale
+
+
+def _require_hermitian(matrices: np.ndarray):
+    """Raise NotHermitian for the first matrix of a stack (m, n, n) outside 1e-10."""
+    i = _first(~_hermitian_within_tol(matrices))
+    if i is not None:
+        raise NotHermitian(f"hermiticity defect {hermiticity_defect(matrices[i]):.3e}")
 
 
 def _projector_defect(matrix: np.ndarray) -> float:
@@ -71,8 +91,29 @@ def _projector_range(matrix: np.ndarray) -> tuple[np.ndarray | None, float]:
 
 
 def _identity_defect(matrix: np.ndarray) -> float:
-    """max|m - 1|: the unitarity defect of V^dag V, or the deficit of a resolution of 1."""
-    return float(np.max(np.abs(matrix - np.eye(matrix.shape[0]))))
+    """max|m - 1|: the unitarity defect of V^dag V, or the deficit of a resolution of 1.
+
+    Per matrix for a stack (..., n, n).
+    """
+    return np.max(np.abs(matrix - np.eye(matrix.shape[-1])), axis=(-2, -1))
+
+
+def _unit_rows(vectors: np.ndarray) -> np.ndarray:
+    """Each complex row of a stack (m, n) over its norm; raises below MIN_STATE_NORM.
+
+    The norm sqrt(re.re + im.im) is, bit for bit, ``np.linalg.norm`` of the row.
+    """
+    norms = np.sqrt(np.vecdot(vectors.real, vectors.real) + np.vecdot(vectors.imag, vectors.imag))
+    i = _first(norms < MIN_STATE_NORM)
+    if i is not None:
+        raise ValueError(f"state norm {norms[i]:.3e} below floor {MIN_STATE_NORM:.0e}")
+    return vectors / norms[:, None]
+
+
+def _eigenspace_slices(evals: np.ndarray) -> list[slice]:
+    """Ascending eigenvalues grouped into eigenspaces: within 1e-9 of the spectral radius."""
+    radius = float(np.abs(evals).max()) if len(evals) else 0.0
+    return _cluster_slices(evals, SPECTRAL_TOL * radius)
 
 
 def _cluster_slices(evals: np.ndarray, gap: float) -> list[slice]:
@@ -145,8 +186,10 @@ class _FourierBasis:
         grid = np.fft.ifftshift(data.reshape((self.n, self.tags) + data.shape[1:]), axes=0)
         return np.fft.fftshift(transform(grid, axis=0, norm="ortho"), axes=0).reshape(data.shape)
 
-    def apply(self, coefficients) -> np.ndarray:
-        """V c: momentum amplitudes (one per column of V) to position amplitudes."""
+    def apply(self, coefficients, cols=slice(None)) -> np.ndarray:
+        """V[:, cols] c: momentum amplitudes, zero off ``cols``, to position amplitudes."""
+        if not (isinstance(cols, slice) and cols == slice(None)):
+            coefficients = _IndexOrder(np.arange(self.shape[0])).apply(coefficients, cols)
         return self._along_grid(np.fft.ifft, coefficients)
 
     def apply_adjoint(self, amplitudes, cols=slice(None)) -> np.ndarray:
@@ -154,7 +197,7 @@ class _FourierBasis:
         return self._along_grid(np.fft.fft, amplitudes)[cols]
 
     def columns(self, cols=slice(None)) -> np.ndarray:
-        return self.apply(_IndexOrder(np.arange(self.shape[0])).columns(cols))
+        return self.apply(np.eye(np.arange(self.shape[1])[cols].size, dtype=complex), cols)
 
 
 class PureState:
@@ -170,10 +213,7 @@ class PureState:
 
     def __init__(self, amplitudes):
         vec = _as_complex_vector(amplitudes)
-        norm = float(np.linalg.norm(vec))
-        if norm < MIN_STATE_NORM:
-            raise ValueError(f"state norm {norm:.3e} below floor {MIN_STATE_NORM:.0e}")
-        self.amplitudes = _freeze(vec / norm)
+        self.amplitudes = _freeze(_unit_rows(vec[None])[0])
         self.dim = vec.shape[0]
 
     def inner(self, other: "PureState") -> complex:
@@ -299,17 +339,7 @@ class Observable:
         vals = np.array(eigenvalues, dtype=float)
         basis = _as_complex_matrix(basis).copy()
         slices = tuple(slices)
-        if len(vals) != len(slices):
-            raise ValueError("one slice per distinct eigenvalue required")
-        if len(vals) > 1 and np.any(np.diff(vals) <= 0):
-            raise ValueError("eigenvalues must be distinct and ascending")
-        unitarity = _identity_defect(basis.conj().T @ basis)
-        if unitarity > SPECTRAL_TOL:
-            raise ValueError(f"eigenbasis not orthonormal: defect {unitarity:.3e}")
-        columns = [np.arange(basis.shape[1])[sl] for sl in slices]
-        if not (all(c.size for c in columns)
-                and np.array_equal(np.concatenate(columns), np.arange(basis.shape[1]))):
-            raise ValueError("eigenvalue multiplicities do not fill the space")
+        _check_eigenbases(vals[None], basis[None], slices)
         self._set(vals, _DenseBasis(basis), slices)
 
     @classmethod
@@ -360,11 +390,13 @@ class Observable:
     def operator(self) -> LinearOperator:
         """The dense operator sum_i v_i Pi_i, built from the blocks on first read."""
         if self._operator is None:
-            counts = [sl.stop - sl.start for sl in self._slices]
-            basis = self._basis.columns()
-            m = (basis * np.repeat(self.eigenvalues, counts)) @ basis.conj().T
-            self._operator = LinearOperator._wrap((m + m.conj().T) / 2)
+            self._operator = LinearOperator._wrap(
+                _resolution(self.eigenvalues, self._basis.columns(), self._slices))
         return self._operator
+
+    def _weights(self, amplitudes: np.ndarray) -> np.ndarray:
+        """The Born weight of each eigenspace for one state (n,) or each row of a stack (m, n)."""
+        return _born_weights(self._basis.apply_adjoint(amplitudes.T).T, self._slices)
 
     def eigenbasis(self, i: int) -> np.ndarray:
         """Orthonormal columns spanning the i-th eigenspace."""
@@ -401,6 +433,52 @@ class Observable:
         return f"Observable(dim={self.dim}, outcomes={self.n_outcomes})"
 
 
+def _check_eigenbases(vals: np.ndarray, bases: np.ndarray, slices: Sequence[slice]):
+    """Observable's invariants for a stack: eigenvalues (m, k), dense bases (m, n, n).
+
+    One slice per eigenvalue, ascending distinct eigenvalues, orthonormal
+    bases (within 1e-9), and slices that tile the columns in order.
+    """
+    if vals.shape[-1] != len(slices):
+        raise ValueError("one slice per distinct eigenvalue required")
+    if vals.shape[-1] > 1 and np.any(np.diff(vals, axis=-1) <= 0):
+        raise ValueError("eigenvalues must be distinct and ascending")
+    unitarity = _identity_defect(_adjoint(bases) @ bases)
+    i = _first(unitarity > SPECTRAL_TOL)
+    if i is not None:
+        raise ValueError(f"eigenbasis not orthonormal: defect {unitarity[i]:.3e}")
+    columns = [np.arange(bases.shape[-1])[sl] for sl in slices]
+    if not (all(c.size for c in columns)
+            and np.array_equal(np.concatenate(columns), np.arange(bases.shape[-1]))):
+        raise ValueError("eigenvalue multiplicities do not fill the space")
+
+
+def _resolution(vals: np.ndarray, bases: np.ndarray, slices: Sequence[slice]) -> np.ndarray:
+    """sum_i v_i B_i B_i^dag, symmetrized; per member of a stack (..., k), (..., n, n)."""
+    counts = [sl.stop - sl.start for sl in slices]
+    m = (bases * np.repeat(vals, counts, axis=-1)[..., None, :]) @ _adjoint(bases)
+    return (m + _adjoint(m)) / 2
+
+
+def _check_spectra(matrices: np.ndarray, evals: np.ndarray, evecs: np.ndarray,
+                   slices: Sequence[slice]) -> tuple[np.ndarray, np.ndarray]:
+    """Resolve a stack of Hermitian matrices (m, n, n) from their ``eigh`` output.
+
+    Eigenvalues of one slice merge into their mean.  The eigenbases must
+    pass Observable's checks and the merged resolutions must rebuild each
+    matrix within 1e-9 * max(1, max|v|).  Returns the merged eigenvalues
+    (m, k) and the rebuilt operators.
+    """
+    vals = np.stack([np.mean(evals[:, sl], axis=-1) for sl in slices], axis=-1)
+    _check_eigenbases(vals, evecs, slices)
+    rebuilt = _resolution(vals, evecs, slices)
+    defect = np.max(np.abs(rebuilt - matrices), axis=(-2, -1))
+    i = _first(defect > SPECTRAL_TOL * np.maximum(1.0, np.max(np.abs(vals), axis=-1)))
+    if i is not None:
+        raise ValueError(f"spectral reconstruction defect {defect[i]:.3e}")
+    return vals, rebuilt
+
+
 def spectral_decompose(op: LinearOperator) -> Observable:
     """Diagonalize a Hermitian operator into distinct-eigenvalue projectors.
 
@@ -411,22 +489,23 @@ def spectral_decompose(op: LinearOperator) -> Observable:
 
     Raises NotHermitian if ``op`` is not Hermitian within 1e-10.
     """
-    if not _hermitian_within_tol(op.matrix):
-        raise NotHermitian(f"hermiticity defect {hermiticity_defect(op.matrix):.3e}")
+    _require_hermitian(op.matrix[None])
     evals, evecs = np.linalg.eigh(op.matrix)
-    radius = float(np.max(np.abs(evals))) if len(evals) else 0.0
-    slices = _cluster_slices(evals, SPECTRAL_TOL * radius)
-    obs = Observable([float(np.mean(evals[sl])) for sl in slices], evecs, slices)
-    defect = float(np.max(np.abs(obs.operator.matrix - op.matrix)))
-    if defect > SPECTRAL_TOL * max(1.0, float(np.max(np.abs(obs.eigenvalues)))):
-        raise ValueError(f"spectral reconstruction defect {defect:.3e}")
+    slices = _eigenspace_slices(evals)
+    vals, rebuilt = _check_spectra(op.matrix[None], evals[None], evecs[None], slices)
+    obs = Observable._wrap(vals[0], _DenseBasis(evecs), slices)
+    obs._operator = LinearOperator._wrap(rebuilt[0])
     return obs
 
 
-def _born_weights(obs: Observable, psi: np.ndarray) -> np.ndarray:
-    """<psi|Pi_i|psi> = ||B_i^dag psi||^2 for each eigenspace i of ``obs``, in ascending order."""
-    return np.array([float(np.sum(np.abs(obs._basis.apply_adjoint(psi, sl)) ** 2))
-                     for sl in obs._slices])
+def _born_weights(coefficients: np.ndarray, slices: Sequence[slice]) -> np.ndarray:
+    """<psi|Pi_i|psi> = ||B_i^dag psi||^2 per eigenspace, in ascending order.
+
+    ``coefficients`` holds V^dag psi on its last axis, for one state (n,) or
+    a stack (m, n); the weights are (k,) or (m, k).
+    """
+    power = np.abs(coefficients) ** 2
+    return np.stack([np.sum(power[..., sl], axis=-1) for sl in slices], axis=-1)
 
 
 def _kind(obj) -> str:

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, EmptyRegion
 from .dynamics import GridSpace, Hamiltonian
-from .hilbert import LinearOperator, Observable, PureState, _IndexOrder, _born_weights, \
+from .hilbert import LinearOperator, Observable, PureState, _IndexOrder, \
     _cluster_slices, _projector_defect
 
 ZERO_THRESHOLD = 1e-10
@@ -53,7 +53,7 @@ def ee_link_status(state: PureState, obs: Observable) -> DefinitenessReport:
     """
     if state.dim != obs.dim:
         raise DimensionMismatch(f"state dim {state.dim} vs observable dim {obs.dim}")
-    weights = _born_weights(obs, state.amplitudes)
+    weights = obs._weights(state.amplitudes)
     # ||psi - Pi psi||^2 = 1 - <Pi> for a normalized state
     residuals = np.sqrt(np.clip(1.0 - weights, 0.0, None))
     best = int(np.argmin(residuals))

@@ -17,13 +17,14 @@ import numpy as np
 from .dynamics import GridSpace, gaussian_packet
 from .errors import DimensionMismatch, ImpossibleOutcome, IncompleteTiling, \
     InvalidPovm, InvalidSmearing
-from .hilbert import LinearOperator, Observable, PureState, State, _FourierBasis, \
-    _born_weights, _hermitian_within_tol, _identity_defect, hermiticity_defect
+from .hilbert import LinearOperator, Observable, PureState, State, _FourierBasis, _adjoint, \
+    _first, _freeze, _hermitian_within_tol, _identity_defect, hermiticity_defect
 
 NEGATIVE_CLAMP_LIMIT = 1e-9
 PSD_TOL = 1e-9
 COMPLETENESS_TOL = 1e-8
 TILING_TOL = 1e-6
+POVM_SUM_TOL = 1e-8  # an outcome distribution from POVM weights sums to 1 within this
 
 
 class OutcomeDistribution:
@@ -42,16 +43,8 @@ class OutcomeDistribution:
         probs = np.asarray(probabilities, dtype=float)
         if len(outcomes) != probs.shape[0]:
             raise ValueError("one probability per outcome required")
-        worst = float(probs.min()) if probs.size else 0.0
-        if worst < -NEGATIVE_CLAMP_LIMIT:
-            raise ValueError(f"probability {worst:.3e} below clamp limit")
-        probs = np.clip(probs, 0.0, None)
-        total = float(probs.sum())
-        if abs(total - 1.0) > sum_tol:
-            raise ValueError(f"probabilities sum to {total!r}, not 1")
         self.outcomes = tuple(outcomes)
-        self.probabilities = probs / total
-        self.probabilities.setflags(write=False)
+        self.probabilities = _freeze(_normalized(probs[None], sum_tol)[0])
 
     def probability(self, outcome) -> float:
         return float(self.probabilities[self.outcomes.index(outcome)])
@@ -67,6 +60,20 @@ class OutcomeDistribution:
         return f"OutcomeDistribution({pairs})"
 
 
+def _normalized(probs: np.ndarray, sum_tol: float = 1e-10) -> np.ndarray:
+    """OutcomeDistribution's weights for each row of a stack (m, k): clamped, checked, renormalized."""
+    worst = np.min(probs, axis=-1, initial=np.inf)
+    i = _first(worst < -NEGATIVE_CLAMP_LIMIT)
+    if i is not None:
+        raise ValueError(f"probability {worst[i]:.3e} below clamp limit")
+    probs = np.clip(probs, 0.0, None)
+    total = probs.sum(axis=-1)
+    i = _first(np.abs(total - 1.0) > sum_tol)
+    if i is not None:
+        raise ValueError(f"probabilities sum to {float(total[i])!r}, not 1")
+    return probs / total[:, None]
+
+
 def total_variation(a: OutcomeDistribution, b: OutcomeDistribution) -> float:
     """Total-variation distance; outcomes missing from one side count as 0."""
     da, db = a.as_dict(), b.as_dict()
@@ -79,10 +86,12 @@ def born_distribution(state: State, obs: Observable) -> OutcomeDistribution:
     if state.dim != obs.dim:
         raise DimensionMismatch(f"state dim {state.dim} vs observable dim {obs.dim}")
     if isinstance(state, PureState):
-        probs = _born_weights(obs, state.amplitudes)
+        probs = obs._weights(state.amplitudes)
     else:
-        probs = [float(np.real(np.sum(block.conj() * (state.matrix @ block))))
-                 for block in map(obs.eigenbasis, range(obs.n_outcomes))]
+        # Tr(B^dag rho B) for B = V[:, cols], from two adjoint applications: B is never formed
+        basis = obs._basis
+        probs = [float(np.trace(basis.apply_adjoint(_adjoint(basis.apply_adjoint(state.matrix, sl)),
+                                                    sl)).real) for sl in obs._slices]
     return OutcomeDistribution([float(v) for v in obs.eigenvalues], probs)
 
 
@@ -95,14 +104,13 @@ def collapse(state: PureState, obs: Observable, outcome: float) -> PureState:
     """
     if state.dim != obs.dim:
         raise DimensionMismatch(f"state dim {state.dim} vs observable dim {obs.dim}")
-    i = obs.outcome_index(outcome)
-    block = obs.eigenbasis(i)
-    coeff = block.conj().T @ state.amplitudes
+    cols = obs._slices[obs.outcome_index(outcome)]
+    coeff = obs._basis.apply_adjoint(state.amplitudes, cols)
     weight = float(np.sum(np.abs(coeff) ** 2))
     if weight <= 1e-12:
         raise ImpossibleOutcome(
             f"outcome {outcome} has probability {weight:.3e}")
-    return PureState(block @ coeff)
+    return PureState(obs._basis.apply(coeff, cols))
 
 
 def sample_outcome(dist: OutcomeDistribution, seed: int):
@@ -203,16 +211,29 @@ def povm_distribution(state: State, povm: Povm) -> OutcomeDistribution:
     if state.dim != povm.dim:
         raise DimensionMismatch(f"state dim {state.dim} vs POVM dim {povm.dim}")
     if isinstance(state, PureState):
-        # conj <l_i o r_j|psi> for every (i, j) is one p x q product (L o conj psi) R^T
-        terms = np.abs(np.dot(povm._left * state.amplitudes.conj(), povm._right.T)) ** 2
+        probs = _effect_weights(povm, _pure_terms(povm, state.amplitudes[None]))[0]
     else:
         # <l o r_j|rho|l o r_j> is row j's sum of (conj R (conj l rho l)) o R
         r, r_bar = povm._right, povm._right.conj()
         terms = np.array([np.sum((r_bar @ (l.conj()[:, None] * state.matrix * l)) * r, axis=1).real
                           for l in povm._left])
-    probs = np.bincount(povm._owner, weights=(terms * povm._weights).ravel(),
-                        minlength=len(povm.labels))
-    return OutcomeDistribution(povm.labels, probs, sum_tol=1e-8)
+        probs = _effect_weights(povm, terms[None])[0]
+    return OutcomeDistribution(povm.labels, probs, sum_tol=POVM_SUM_TOL)
+
+
+def _pure_terms(povm: Povm, psi: np.ndarray) -> np.ndarray:
+    """|<l_i o r_j|psi>|^2 for a stack of states (m, dim): (m, p, q)."""
+    # conj <l_i o r_j|psi> for every (i, j) is one p x q product (L o conj psi) R^T
+    left = (povm._left * psi.conj()[:, None, :]).reshape(-1, povm.dim)
+    return np.abs(np.dot(left, povm._right.T)).reshape(len(psi), len(povm._left), -1) ** 2
+
+
+def _effect_weights(povm: Povm, terms: np.ndarray) -> np.ndarray:
+    """Each effect's weighted sum of its terms, for a stack of term tables (m, p, q): (m, k)."""
+    m, k = len(terms), len(povm.labels)
+    bins = (np.arange(m)[:, None] * k + povm._owner).ravel()
+    return np.bincount(bins, weights=(terms * povm._weights).ravel(),
+                       minlength=m * k).reshape(m, k)
 
 
 def build_fuzzy_povm(obs: Observable, smearing) -> Povm:

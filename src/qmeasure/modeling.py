@@ -21,8 +21,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DimensionMismatch, NonExtendable
-from .hilbert import LinearOperator, Observable, PureState, _IndexOrder, _born_weights, \
-    _identity_defect
+from .hilbert import LinearOperator, Observable, PureState, _IndexOrder, _adjoint, _first, \
+    _freeze, _identity_defect
 from .measurement import OutcomeDistribution
 
 MODEL_TOL = 1e-9
@@ -30,33 +30,64 @@ READY_INDEX = 0
 
 
 class MeasurementModel:
-    """A completed system-pointer interaction unitary plus its bookkeeping."""
+    """The system-pointer interaction, held as its isometry W, plus its bookkeeping.
+
+    W = sum_i |phi_i>|m_i><o_i| is the interaction's ready slice, U|psi>|ready>
+    = W|psi>: a (ds*dp) x ds array whose row a*dp + b is amplitude (a, b) of
+    the (system, pointer) grid.  The constructor copies W and checks that it
+    is an isometry (the Gram check max|W^dag W - 1| <= 1e-9, so W extends to
+    a unitary; else NonExtendable) and that it maps each |o_i> to
+    |phi_i>|m_i> within 1e-9 (else ValueError).  The full unitary is
+    completed only when :attr:`unitary` is read.
+    """
 
     __slots__ = ("observable", "pointer_dim", "ready_index", "record_indices",
-                 "post_states", "unitary", "system_dim")
+                 "post_states", "isometry", "system_dim", "_unitary")
 
     def __init__(self, observable: Observable, pointer_dim: int, ready_index: int,
                  record_indices: Sequence[int], post_states: Sequence[PureState],
-                 unitary: LinearOperator):
+                 isometry):
         ds = observable.dim
         dp = pointer_dim
-        if unitary.dim != ds * dp:
-            raise DimensionMismatch("unitary does not act on system (x) pointer")
-        # the defining property: U|o_i>|ready> = |phi_i>|m_i>, read on a (system, pointer) grid
-        ready = _ready_slice(unitary, ds, dp, ready_index)
-        for i, (rec, phi) in enumerate(zip(record_indices, post_states)):
-            mapped = ready @ observable.eigenbasis(i)[:, 0]
-            mapped[:, rec] -= phi.amplitudes
-            defect = float(np.max(np.abs(mapped)))
-            if defect > MODEL_TOL:
-                raise ValueError(f"interaction misses target {i}: defect {defect:.3e}")
+        isometry = np.array(isometry, dtype=complex)
+        if isometry.shape != (ds * dp, ds):
+            raise DimensionMismatch("isometry does not map the system into system (x) pointer")
+        if not len(record_indices) == len(post_states) == observable.n_outcomes:
+            raise ValueError("one record and one post-measurement state per outcome required")
+        # the first eigenvector of each outcome: the observable's |o_i>
+        sources = observable._basis.columns([sl.start for sl in observable._slices])
+        _check_models(isometry[None], sources[None],
+                      np.array([phi.amplitudes for phi in post_states])[None], record_indices)
         self.observable = observable
         self.pointer_dim = dp
         self.ready_index = int(ready_index)
         self.record_indices = tuple(int(r) for r in record_indices)
         self.post_states = tuple(post_states)
-        self.unitary = unitary
+        self.isometry = _freeze(isometry)
         self.system_dim = ds
+        self._unitary = None
+
+    @property
+    def unitary(self) -> LinearOperator:
+        """The full interaction on system (x) pointer, completed from W on first read.
+
+        W fills the columns with the pointer ready, and a deterministic
+        orthonormal complement of W's range fills the others in order.  No
+        statistic computed here depends on that choice.  Raises NonExtendable
+        if the completion's unitarity defect exceeds 1e-9.
+        """
+        if self._unitary is None:
+            ds, dp = self.system_dim, self.pointer_dim
+            U = np.empty((ds * dp, ds, dp), dtype=complex)
+            U[:, :, self.ready_index] = self.isometry
+            U[:, :, np.arange(dp) != self.ready_index] = _orthonormal_complement(
+                self.isometry).reshape(ds * dp, ds, dp - 1)
+            U = U.reshape(ds * dp, ds * dp)
+            unitarity = _identity_defect(U.conj().T @ U)
+            if unitarity > MODEL_TOL:
+                raise NonExtendable(f"completion failed: unitarity defect {unitarity:.3e}")
+            self._unitary = LinearOperator._wrap(U)
+        return self._unitary
 
     def pointer_observable(self) -> Observable:
         """The record variable on the pointer space: diagonal, one level per index."""
@@ -69,9 +100,54 @@ class MeasurementModel:
                 f"pointer={self.pointer_dim})")
 
 
-def _ready_slice(unitary: LinearOperator, ds: int, dp: int, ready_index: int) -> np.ndarray:
-    """U[(a, b), (c, ready)] as a (ds, dp, ds) array: ``@ psi`` gives U|psi>|ready> as a grid."""
-    return unitary.matrix.reshape(ds, dp, ds, dp)[..., ready_index]
+def _records(n_out: int) -> list[int]:
+    """The pointer levels that record outcomes 0 .. n_out - 1: those after the ready level."""
+    return list(range(READY_INDEX + 1, READY_INDEX + 1 + n_out))
+
+
+def _isometries(sources: np.ndarray, post: np.ndarray, pointer_dim: int,
+                record_indices: Sequence[int]) -> np.ndarray:
+    """W = sum_i |phi_i>|m_i><o_i| for a stack of models.
+
+    ``sources`` (m, ds, n) holds the |o_i> as columns and ``post`` (m, n, ds)
+    the |phi_i> as rows; each W is (ds*dp, ds), one product per entry.
+    """
+    m, ds, _ = sources.shape
+    isometries = np.zeros((m, ds, pointer_dim, ds), dtype=complex)
+    isometries[:, :, record_indices] = np.einsum("tia,tci->taic", post, sources.conj())
+    return isometries.reshape(m, ds * pointer_dim, ds)
+
+
+def _check_models(isometries: np.ndarray, sources: np.ndarray, post: np.ndarray,
+                  record_indices: Sequence[int]):
+    """The model checks for a stack of W (m, ds*dp, ds), |o_i> columns and |phi_i> rows.
+
+    The Gram check max|W^dag W - 1| <= 1e-9 proves that each W extends to a
+    unitary (else NonExtendable); the defining property W|o_i> = |phi_i>|m_i>
+    is read on the (system, pointer) grid within 1e-9 (else ValueError).
+    """
+    m, ds, n = sources.shape
+    gram = _identity_defect(_adjoint(isometries) @ isometries)
+    i = _first(gram > MODEL_TOL)
+    if i is not None:
+        raise NonExtendable(f"interaction is not an isometry: Gram defect {gram[i]:.3e}")
+    mapped = (isometries @ sources).reshape(m, ds, -1, n)
+    mapped[:, :, record_indices, range(n)] -= np.swapaxes(post, 1, 2)
+    defect = np.max(np.abs(mapped), axis=(1, 2))
+    i = _first(defect > MODEL_TOL)
+    if i is not None:
+        raise ValueError(f"interaction misses target {i % n}: defect {defect.flat[i]:.3e}")
+
+
+def _record_weights(isometries: np.ndarray, psi: np.ndarray, pointer_dim: int,
+                    record_indices: Sequence[int]) -> np.ndarray:
+    """The Born weight of each record m_i in W|psi>, read on the (system, pointer) grid.
+
+    ``isometries`` is one W shared by all states or a stack (m, ds*dp, ds);
+    ``psi`` is a stack of states (m, ds); the weights are (m, n).
+    """
+    grid = (isometries @ psi[:, :, None]).reshape(len(psi), -1, pointer_dim)
+    return np.sum(np.abs(grid[:, :, record_indices]) ** 2, axis=1)
 
 
 def _orthonormal_complement(columns: np.ndarray) -> np.ndarray:
@@ -86,7 +162,7 @@ def _orthonormal_complement(columns: np.ndarray) -> np.ndarray:
 def build_measurement_unitary(obs: Observable,
                               post_states: Sequence[PureState] | None = None,
                               pointer_dim: int | None = None) -> MeasurementModel:
-    """Complete the partially specified interaction to a full unitary.
+    """The interaction that maps |o_i>|ready> to |phi_i>|m_i>, held as its isometry.
 
     ``obs`` must be nondegenerate (one eigenstate per outcome).  The
     disturbance map ``post_states`` defaults to the eigenstates themselves
@@ -96,14 +172,14 @@ def build_measurement_unitary(obs: Observable,
     state).  The ready state is pointer level 0 and the records occupy
     levels 1 .. n.
 
-    The interaction is pinned only on the (eigenstate, ready) slice; the rest
-    of the unitary is filled in by pairing deterministic orthonormal
-    complements of the source and image sets.  All measurement statistics
-    computed here are independent of that completion choice.
+    The interaction is pinned only on the (eigenstate, ready) slice, the
+    isometry W the model holds; the rest of the unitary is completed when
+    ``model.unitary`` is read.  All measurement statistics computed here read
+    W alone, so they are independent of that completion choice.
 
-    Raises NonExtendable if the mapped image vectors fail to be orthonormal
-    (possible only with invalid inputs, since orthogonal pointer records make
-    the images orthonormal for any normalized |phi_i>).
+    Raises NonExtendable if W fails the Gram check (possible only with
+    invalid inputs, since orthogonal pointer records make the images
+    orthonormal for any normalized |phi_i>).
     """
     ds = obs.dim
     n_out = obs.n_outcomes
@@ -122,27 +198,12 @@ def build_measurement_unitary(obs: Observable,
     for phi in post_states:
         if phi.dim != ds:
             raise DimensionMismatch("post-measurement state lives off the system")
-    record_indices = list(range(READY_INDEX + 1, READY_INDEX + 1 + n_out))
-
-    # column i of each: |o_i>|ready> and |phi_i>|m_i> on a (system, pointer) grid
-    sources = np.zeros((ds, pointer_dim, n_out), dtype=complex)
-    images = np.zeros_like(sources)
-    sources[:, READY_INDEX] = np.hstack([obs.eigenbasis(i) for i in range(n_out)])
-    images[:, record_indices, range(n_out)] = np.transpose([phi.amplitudes for phi in post_states])
-    sources, images = (a.reshape(ds * pointer_dim, n_out) for a in (sources, images))
-    gram = images.conj().T @ images
-    defect = _identity_defect(gram)
-    if defect > MODEL_TOL:
-        raise NonExtendable(f"image vectors not orthonormal: defect {defect:.3e}")
-
-    source_full = np.hstack([sources, _orthonormal_complement(sources)])
-    image_full = np.hstack([images, _orthonormal_complement(images)])
-    U = image_full @ source_full.conj().T
-    unitarity = _identity_defect(U.conj().T @ U)
-    if unitarity > MODEL_TOL:
-        raise NonExtendable(f"completion failed: unitarity defect {unitarity:.3e}")
+    record_indices = _records(n_out)
+    isometry = _isometries(obs._basis.columns()[None],
+                           np.array([phi.amplitudes for phi in post_states])[None],
+                           pointer_dim, record_indices)[0]
     return MeasurementModel(obs, pointer_dim, READY_INDEX, record_indices,
-                            post_states, LinearOperator._wrap(U))
+                            post_states, isometry)
 
 
 def modeled_single_measurement(state: PureState, model: MeasurementModel) -> OutcomeDistribution:
@@ -154,9 +215,8 @@ def modeled_single_measurement(state: PureState, model: MeasurementModel) -> Out
     """
     if state.dim != model.system_dim:
         raise DimensionMismatch(f"state dim {state.dim} vs system dim {model.system_dim}")
-    grid = _ready_slice(model.unitary, model.system_dim, model.pointer_dim,
-                        model.ready_index) @ state.amplitudes
-    probs = [float(np.sum(np.abs(grid[:, rec]) ** 2)) for rec in model.record_indices]
+    probs = _record_weights(model.isometry, state.amplitudes[None], model.pointer_dim,
+                            model.record_indices)[0]
     labels = [float(v) for v in model.observable.eigenvalues]
     return OutcomeDistribution(labels, probs)
 
@@ -167,25 +227,23 @@ def repeated_measurement_joint(state: PureState, model: MeasurementModel,
 
     Two fresh pointers, both ready, interact with the system in sequence;
     the joint distribution over (first record, second record) is read off
-    the final state with the Born rule.  Outcome labels are eigenvalue
-    pairs (o_i, o_j).
+    the final state with the Born rule.  Each pointer is ready when its
+    interaction starts, so both steps apply W.  Outcome labels are
+    eigenvalue pairs (o_i, o_j).
     """
     if n_repeats != 2:
         raise ValueError("only two successive measurements are modeled")
     if state.dim != model.system_dim:
         raise DimensionMismatch(f"state dim {state.dim} vs system dim {model.system_dim}")
     ds, dp = model.system_dim, model.pointer_dim
-    psi = np.zeros((ds, dp, dp), dtype=complex)
-    psi[:, model.ready_index, model.ready_index] = state.amplitudes
-    U = model.unitary.matrix.reshape(ds, dp, ds, dp)
-    psi = np.einsum("abij,ijc->abc", U, psi)
-    psi = np.einsum("acij,ibj->abc", U, psi)
+    first = (model.isometry @ state.amplitudes).reshape(ds, dp)       # (a, b1)
+    psi = (model.isometry @ first).reshape(ds, dp, dp)                 # (a, b2, b1)
     probs, labels = [], []
     vals = model.observable.eigenvalues
     for i, ri in enumerate(model.record_indices):
         for j, rj in enumerate(model.record_indices):
             labels.append((float(vals[i]), float(vals[j])))
-            probs.append(float(np.sum(np.abs(psi[:, ri, rj]) ** 2)))
+            probs.append(float(np.sum(np.abs(psi[:, rj, ri]) ** 2)))
     return OutcomeDistribution(labels, probs)
 
 
@@ -199,4 +257,4 @@ def collapse_rule_joint(state: PureState, obs: Observable) -> OutcomeDistributio
         raise DimensionMismatch(f"state dim {state.dim} vs observable dim {obs.dim}")
     vals = [float(v) for v in obs.eigenvalues]
     return OutcomeDistribution(list(itertools.product(vals, vals)),
-                               np.diag(_born_weights(obs, state.amplitudes)).ravel())
+                               np.diag(obs._weights(state.amplitudes)).ravel())

@@ -36,6 +36,11 @@ from .hilbert import (
     PureState,
     SIGMA_X,
     SIGMA_Z,
+    _born_weights,
+    _check_spectra,
+    _eigenspace_slices,
+    _require_hermitian,
+    _unit_rows,
     basis_state,
     partial_trace,
     spectral_decompose,
@@ -56,16 +61,22 @@ from .indefiniteness import (
     region_projector,
 )
 from .measurement import (
-    born_distribution,
+    POVM_SUM_TOL,
+    _effect_weights,
+    _normalized,
+    _pure_terms,
     build_fuzzy_povm,
     build_phase_space_povm,
     povm_distribution,
     total_variation,
 )
 from .modeling import (
+    _check_models,
+    _isometries,
+    _record_weights,
+    _records,
     build_measurement_unitary,
     collapse_rule_joint,
-    modeled_single_measurement,
     repeated_measurement_joint,
 )
 from .zeno import build_decay_model, iterated_projection_survival, rabi_zeno, \
@@ -188,6 +199,14 @@ def _flag(name: str, ok: bool) -> Assertion:
 # ---------------------------------------------------------------------------
 # scenario implementations
 
+# trials stacked into one computation: a block's arrays stay far below 1 MiB
+TRIAL_BLOCK = 256
+
+
+def _blocks(n: int) -> list[range]:
+    """range(n) cut into consecutive blocks of at most TRIAL_BLOCK."""
+    return [range(a, min(a + TRIAL_BLOCK, n)) for a in range(0, n, TRIAL_BLOCK)]
+
 
 def _run_stern_gerlach(params: dict, seed: int) -> tuple[list, list, list]:
     n_thetas = params["theta_steps"]
@@ -217,20 +236,23 @@ def _run_stern_gerlach(params: dict, seed: int) -> tuple[list, list, list]:
 
     obs_z = spectral_decompose(SIGMA_Z)
     split_model = build_measurement_unitary(obs_z)
+    plus, minus = obs_z.outcome_index(1.0), obs_z.outcome_index(-1.0)
 
     rows = []
     worst = 0.0
-    for theta in thetas:
+    for block in _blocks(n_thetas):
+        theta = thetas[block.start:block.stop]
         c, s = np.cos(theta / 2), np.sin(theta / 2)
-        rotation = LinearOperator([[c, -s], [s, c]])   # exp(-i theta sigma_y / 2)
-        rotated = PureState(rotation.matrix @ spin_state.amplitudes)
-        dist = modeled_single_measurement(rotated, split_model)
-        pr_minus = dist.probability(-1.0)
-        pr_plus = dist.probability(1.0)
-        expected = float(np.cos(theta / 2) ** 2)
-        err = abs(pr_plus - expected)
-        worst = max(worst, err)
-        rows.append((float(theta), pr_plus, pr_minus, expected, err))
+        # exp(-i theta sigma_y / 2) for each theta
+        rotation = np.moveaxis(np.array([[c, -s], [s, c]], dtype=complex), -1, 0)
+        rotated = _unit_rows(rotation @ spin_state.amplitudes)
+        probs = _normalized(_record_weights(split_model.isometry, rotated,
+                                            split_model.pointer_dim, split_model.record_indices))
+        expected = np.cos(theta / 2) ** 2
+        err = np.abs(probs[:, plus] - expected)
+        worst = max(worst, float(np.max(err)))
+        rows += zip(theta.tolist(), probs[:, plus].tolist(), probs[:, minus].tolist(),
+                    expected.tolist(), err.tolist())
 
     columns = [("theta", "rad"), ("pr_plus", ""), ("pr_minus", ""),
                ("expected_plus", ""), ("abs_error", "")]
@@ -265,19 +287,27 @@ def _run_repeated_measurement(params: dict, seed: int) -> tuple[list, list, list
     collapse_joint = collapse_rule_joint(plus_x, obs_z)
     tv = total_variation(joint_dist, collapse_joint)
 
+    # random (observable, state, disturbance) triples, drawn in the seed's order and
+    # stacked per dimension; the draw decides degeneracy, which the stream depends on
     worst_equiv = 0.0
+    pending = {dim: [] for dim in range(2, 5)}
     for _ in range(params["n_random"]):
         dim = int(rng.integers(2, 5))
-        h = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-        obs = spectral_decompose(LinearOperator(h + h.conj().T))
-        if obs.n_outcomes != dim:
+        re, im = rng.standard_normal((2, dim, dim))
+        h = re + 1j * im
+        h = h + h.conj().T
+        evals, evecs = np.linalg.eigh(h)
+        if len(_eigenspace_slices(evals)) != dim:
+            spectral_decompose(LinearOperator(h))  # checked as any observable, then skipped
             continue
-        state = PureState(rng.standard_normal(dim) + 1j * rng.standard_normal(dim))
-        posts = [PureState(rng.standard_normal(dim) + 1j * rng.standard_normal(dim))
-                 for _ in range(dim)]
-        model = build_measurement_unitary(obs, post_states=posts)
-        worst_equiv = max(worst_equiv, total_variation(
-            modeled_single_measurement(state, model), born_distribution(state, obs)))
+        trials = pending[dim]
+        trials.append((h, evals, evecs, rng.standard_normal((dim + 1, 2, dim))))
+        if len(trials) == TRIAL_BLOCK:
+            worst_equiv = max(worst_equiv, _modeled_born_worst_tv(trials))
+            trials.clear()
+    for trials in pending.values():
+        if trials:
+            worst_equiv = max(worst_equiv, _modeled_born_worst_tv(trials))
 
     rows = []
     for code, joint in ((0.0, joint_nd), (1.0, joint_abs), (2.0, joint_dist)):
@@ -293,6 +323,32 @@ def _run_repeated_measurement(params: dict, seed: int) -> tuple[list, list, list
         _near("modeled_equals_born_worst_tv", worst_equiv, 1e-10),
     ]
     return columns, rows, assertions
+
+
+def _modeled_born_worst_tv(trials: list) -> float:
+    """The worst TV between modeled pointer statistics and the Born rule over one block.
+
+    Each trial holds a Hermitian h of the block's dimension n, its ``eigh``
+    output and the normal draws (real, then imaginary) of its state and n
+    post-measurement states.  The block gets the checks of
+    spectral_decompose, build_measurement_unitary and OutcomeDistribution,
+    stacked; modeled weights are read through each W on the (system,
+    pointer) grid, Born weights from the eigenbasis.
+    """
+    h, evals, evecs, draws = (np.array(part) for part in zip(*trials))
+    m, n = evals.shape
+    unit = [slice(j, j + 1) for j in range(n)]
+    _require_hermitian(h)
+    _check_spectra(h, evals, evecs, unit)
+    amplitudes = _unit_rows((draws[:, :, 0] + 1j * draws[:, :, 1]).reshape(-1, n))
+    psi, post = amplitudes[::n + 1], amplitudes.reshape(m, n + 1, n)[:, 1:]
+    records = _records(n)
+    isometries = _isometries(evecs, post, n + 1, records)
+    _check_models(isometries, evecs, post, records)
+    modeled = _normalized(_record_weights(isometries, psi, n + 1, records))
+    # V^dag psi per trial, as a dense basis applies its adjoint
+    born = _normalized(_born_weights((psi.conj()[:, None, :] @ evecs)[:, 0].conj(), unit))
+    return float(np.max(0.5 * np.sum(np.abs(modeled - born), axis=1)))
 
 
 def _run_zeno_decay(params: dict, seed: int) -> tuple[list, list, list]:
@@ -689,23 +745,22 @@ def _run_fuzzy_povm(params: dict, seed: int) -> tuple[list, list, list]:
     worst_conv = 0.0
     worst_uniform = 0.0
     rows = []
-    for idx in range(params["n_random"]):
-        state = PureState(rng.standard_normal(2) + 1j * rng.standard_normal(2))
-        born = born_distribution(state, obs)
-        sharp_dist = povm_distribution(state, sharp_povm)
-        worst_sharp = max(worst_sharp, float(np.max(np.abs(
-            np.asarray(sharp_dist.probabilities) - np.asarray(born.probabilities)))))
-        fuzzy_dist = povm_distribution(state, fuzzy)
-        p_minus, p_plus = born.probabilities
-        expected = np.array([(1 - eps) * p_minus + eps * p_plus,
-                             eps * p_minus + (1 - eps) * p_plus])
-        worst_conv = max(worst_conv, float(np.max(np.abs(
-            np.asarray(fuzzy_dist.probabilities) - expected))))
-        uni = povm_distribution(state, uniform)
-        worst_uniform = max(worst_uniform, float(np.max(np.abs(
-            np.asarray(uni.probabilities) - 0.5))))
-        rows.append((float(idx), float(p_plus),
-                     float(fuzzy_dist.probabilities[1]), float(expected[1])))
+    for block in _blocks(params["n_random"]):
+        # each state's real then imaginary draws, in the seed's order
+        draws = rng.standard_normal((len(block), 2, 2))
+        psi = _unit_rows(draws[:, 0] + 1j * draws[:, 1])
+        born = _normalized(obs._weights(psi))
+        sharp_p, fuzzy_p, uniform_p = (
+            _normalized(_effect_weights(povm, _pure_terms(povm, psi)), POVM_SUM_TOL)
+            for povm in (sharp_povm, fuzzy, uniform))
+        worst_sharp = max(worst_sharp, float(np.max(np.abs(sharp_p - born))))
+        p_minus, p_plus = born.T
+        expected = np.stack([(1 - eps) * p_minus + eps * p_plus,
+                             eps * p_minus + (1 - eps) * p_plus], axis=1)
+        worst_conv = max(worst_conv, float(np.max(np.abs(fuzzy_p - expected))))
+        worst_uniform = max(worst_uniform, float(np.max(np.abs(uniform_p - 0.5))))
+        rows += zip(map(float, block), p_plus.tolist(), fuzzy_p[:, 1].tolist(),
+                    expected[:, 1].tolist())
 
     columns = [("state_index", ""), ("sharp_plus", ""), ("fuzzy_plus", ""),
                ("convolved_plus", "")]

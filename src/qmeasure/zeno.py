@@ -18,6 +18,9 @@ from .dynamics import Hamiltonian
 
 MIN_BAND_DECAY_PRODUCT = 20.0
 MIN_MODES = 200
+# rabi_zeno's rotation by t radians about x, and the state it starts in and is projected onto
+RABI_GENERATOR = Hamiltonian(LinearOperator([[0, 0.5], [0.5, 0]]))
+UP = basis_state(2, 0).amplitudes
 
 
 class DecayModel:
@@ -140,6 +143,5 @@ def rabi_zeno(theta: float, n_projections: int) -> float:
     """
     if n_projections < 1:
         raise ValueError("need at least one projection")
-    generator = Hamiltonian(LinearOperator([[0, 0.5], [0.5, 0]]))  # rotation by t radians
-    amplitude = generator.evolve_amplitudes(basis_state(2, 0).amplitudes, theta / n_projections)[0]
+    amplitude = RABI_GENERATOR.evolve_amplitudes(UP, theta / n_projections)[0]
     return float(abs(amplitude) ** (2 * n_projections))

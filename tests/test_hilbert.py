@@ -17,6 +17,7 @@ from qmeasure import (
     spectral_decompose,
     tensor_product,
 )
+from qmeasure.hilbert import _check_spectra, _require_hermitian, _unit_rows
 from conftest import random_density, random_hermitian, random_projector, random_state
 
 
@@ -302,3 +303,43 @@ class TestObservableConstructor:
     def test_rejects_non_square_basis(self):
         with pytest.raises(ValueError, match="square"):
             Observable([1.0], np.eye(3)[:, :2], [slice(0, 2)])
+
+
+class TestStackedChecks:
+    """The invariant checks take a stack; one object is a stack of one."""
+
+    def test_unit_rows_are_pure_states_bit_for_bit(self, rng):
+        rows = rng.standard_normal((7, 4)) + 1j * rng.standard_normal((7, 4))
+        np.testing.assert_array_equal(_unit_rows(rows), [PureState(r).amplitudes for r in rows])
+
+    def test_unit_rows_name_the_first_short_row(self, rng):
+        rows = rng.standard_normal((3, 2)) + 0j
+        rows[1], rows[2] = 1e-9, 0.0
+        with pytest.raises(ValueError, match=r"state norm 1\.414e-09 below floor"):
+            _unit_rows(rows)
+
+    def test_spectra_match_spectral_decompose(self, rng):
+        ops = [random_hermitian(rng, 4) for _ in range(5)]
+        mats = np.array([op.matrix for op in ops])
+        evals, evecs = np.linalg.eigh(mats)
+        vals, rebuilt = _check_spectra(mats, evals, evecs, [slice(j, j + 1) for j in range(4)])
+        for op, v, m in zip(ops, vals, rebuilt):
+            obs = spectral_decompose(op)
+            np.testing.assert_array_equal(v, obs.eigenvalues)
+            np.testing.assert_array_equal(m, obs.operator.matrix)
+
+    def test_spectra_reject_the_failing_member(self, rng):
+        mats = np.array([random_hermitian(rng, 3).matrix for _ in range(4)])
+        evals, evecs = np.linalg.eigh(mats)
+        unit = [slice(j, j + 1) for j in range(3)]
+        bent = evecs.copy()
+        bent[2, :, 0] *= 1.1
+        with pytest.raises(ValueError, match="not orthonormal"):
+            _check_spectra(mats, evals, bent, unit)
+        shifted = evals.copy()
+        shifted[3, 0] += 1e-3
+        with pytest.raises(ValueError, match="reconstruction defect"):
+            _check_spectra(mats, shifted, evecs, unit)
+        mats[1, 0, 1] += 1e-6
+        with pytest.raises(NotHermitian, match="1.000e-06"):
+            _require_hermitian(mats)

@@ -29,6 +29,9 @@ from qmeasure import (
     tensor_product,
     total_variation,
 )
+from qmeasure.dynamics import fourier_map
+from qmeasure.hilbert import _DenseBasis, _FourierBasis, _IndexOrder
+from qmeasure.indefiniteness import region_projector
 from conftest import random_density, random_hermitian, random_state
 
 OBS_Z = spectral_decompose(SIGMA_Z)
@@ -48,6 +51,18 @@ class TestOutcomeDistribution:
     def test_rejects_bad_total(self):
         with pytest.raises(ValueError, match="sum"):
             OutcomeDistribution(["a", "b"], [0.7, 0.2])
+
+
+    def test_stacked_normalization_matches_per_row(self, rng):
+        from qmeasure.measurement import _normalized
+        probs = rng.random((6, 3))
+        probs /= probs.sum(axis=1, keepdims=True)
+        probs[2, 0] -= 1e-12
+        np.testing.assert_array_equal(
+            _normalized(probs), [OutcomeDistribution("abc", p).probabilities for p in probs])
+        probs[4, 1] = -1e-6
+        with pytest.raises(ValueError, match="-1.000e-06 below clamp limit"):
+            _normalized(probs)
 
 
 class TestBornDistribution:
@@ -141,6 +156,63 @@ class TestCollapse:
     def test_impossible_outcome(self):
         with pytest.raises(ImpossibleOutcome):
             collapse(basis_state(2, 0), OBS_Z, -1.0)
+
+
+def _observable_of_kind(kind, n, rng):
+    """A three-outcome observable on a basis of the given kind, and that basis written out here."""
+    if kind == "index":
+        order = rng.permutation(n)
+        basis, dense = _IndexOrder(order), np.eye(n, dtype=complex)[:, order]
+    elif kind == "dense":
+        q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+        basis, dense = _DenseBasis(q.copy()), q
+    else:
+        basis, dense = _FourierBasis(n), fourier_map(GridSpace(n, 20.0)).conj().T
+    slices = [slice(0, 3), slice(3, 4), slice(4, n)]
+    return Observable._wrap([-1.0, 0.5, 2.0], basis, slices), dense, slices
+
+
+class TestProjectionThroughTheBasis:
+    """collapse and the mixed Born weights apply V[:, cols] and its adjoint, never the block."""
+
+    @pytest.mark.parametrize("kind", ["dense", "index", "fourier"])
+    def test_collapse_matches_dense_block(self, kind, rng):
+        obs, dense, slices = _observable_of_kind(kind, 16, rng)
+        s = random_state(rng, 16)
+        for value, sl in zip(obs.eigenvalues, slices):
+            block = dense[:, sl]
+            oracle = block @ (block.conj().T @ s.amplitudes)
+            np.testing.assert_allclose(collapse(s, obs, float(value)).amplitudes,
+                                       oracle / np.linalg.norm(oracle), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("kind", ["dense", "index", "fourier"])
+    def test_born_weights_match_dense_block(self, kind, rng):
+        obs, dense, slices = _observable_of_kind(kind, 16, rng)
+        rho, psi = random_density(rng, 16), random_state(rng, 16)
+        mixed = [np.trace(dense[:, sl].conj().T @ rho.matrix @ dense[:, sl]).real
+                 for sl in slices]
+        pure = [np.sum(np.abs(dense[:, sl].conj().T @ psi.amplitudes) ** 2) for sl in slices]
+        for state, oracle in ((rho, mixed), (psi, pure)):
+            np.testing.assert_allclose(born_distribution(state, obs).probabilities, oracle,
+                                       rtol=0, atol=1e-12)
+
+    def test_collapse_on_a_region_writes_no_dense_block(self):
+        # the block of the 4,091 points outside the window took 511 MiB as a dense n x k array
+        g = GridSpace(4096, 120.0)
+        packet = gaussian_packet(g, 0.0, 0.0, 1.0)
+        region = region_projector(g, (2000, 2005))
+        tracemalloc.start()
+        try:
+            out = collapse(packet, region, 0.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 ** 20, f"peak {peak / 2 ** 20:.2f} MiB"
+        outside = np.ones(4096, dtype=bool)
+        outside[2000:2005] = False
+        oracle = np.where(outside, packet.amplitudes, 0.0)
+        np.testing.assert_allclose(out.amplitudes, oracle / np.linalg.norm(oracle),
+                                   rtol=0, atol=1e-12)
 
 
 class TestSampleOutcome:

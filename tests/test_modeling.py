@@ -15,6 +15,8 @@ from qmeasure import (
     spectral_decompose,
     total_variation,
 )
+from qmeasure import MeasurementModel, NonExtendable
+from qmeasure.modeling import _isometries, _record_weights
 from conftest import random_hermitian, random_state
 
 OBS_Z = spectral_decompose(SIGMA_Z)
@@ -68,6 +70,53 @@ class TestBuildMeasurementUnitary:
     def test_rejects_small_pointer(self):
         with pytest.raises(ValueError, match="pointer"):
             build_measurement_unitary(OBS_Z, pointer_dim=2)
+
+
+class TestIsometry:
+    def test_statistics_read_only_the_isometry(self, rng):
+        obs = spectral_decompose(random_hermitian(rng, 3))
+        model = build_measurement_unitary(obs, post_states=[random_state(rng, 3) for _ in range(3)])
+        s = random_state(rng, 3)
+        modeled_single_measurement(s, model)
+        repeated_measurement_joint(s, model)
+        assert model._unitary is None
+        U = model.unitary.matrix.reshape(12, 3, 4)
+        np.testing.assert_array_equal(U[:, :, model.ready_index], model.isometry)
+        assert model.unitary is model.unitary
+
+    def test_isometry_is_the_designated_map(self, rng):
+        obs = spectral_decompose(random_hermitian(rng, 3))
+        posts = [random_state(rng, 3) for _ in range(3)]
+        model = build_measurement_unitary(obs, post_states=posts)
+        oracle = sum(np.outer(np.kron(phi.amplitudes, np.eye(4)[rec]), obs.eigenbasis(i)[:, 0].conj())
+                     for i, (rec, phi) in enumerate(zip(model.record_indices, posts)))
+        np.testing.assert_allclose(model.isometry, oracle, rtol=0, atol=1e-15)
+
+    def test_constructor_checks_the_isometry(self):
+        model = build_measurement_unitary(OBS_Z)
+        args = (OBS_Z, 3, 0, model.record_indices, model.post_states)
+        assert MeasurementModel(*args, model.isometry).isometry.flags.writeable is False
+        with pytest.raises(NonExtendable, match="isometry"):
+            MeasurementModel(*args, 2 * model.isometry)
+        swapped = model.isometry[:, ::-1]  # still an isometry, but records the wrong outcomes
+        with pytest.raises(ValueError, match="misses target"):
+            MeasurementModel(*args, swapped)
+        with pytest.raises(DimensionMismatch):
+            MeasurementModel(*args, model.isometry[:4])
+
+    def test_stacked_record_weights_match_completed_unitaries(self, rng):
+        # a stack of random models against the pointer marginals of each completed unitary
+        obs = [spectral_decompose(random_hermitian(rng, 3)) for _ in range(5)]
+        post = rng.standard_normal((5, 3, 3)) + 1j * rng.standard_normal((5, 3, 3))
+        post /= np.linalg.norm(post, axis=-1, keepdims=True)
+        psi = np.array([random_state(rng, 3).amplitudes for _ in range(5)])
+        sources = np.array([np.hstack([o.eigenbasis(i) for i in range(3)]) for o in obs])
+        stacked = _record_weights(_isometries(sources, post, 4, [1, 2, 3]), psi, 4, [1, 2, 3])
+        for o, phi, s, weights in zip(obs, post, psi, stacked):
+            model = build_measurement_unitary(o, post_states=[PureState(v) for v in phi])
+            grid = (model.unitary.matrix @ np.kron(s, np.eye(4)[0])).reshape(3, 4)
+            np.testing.assert_allclose(weights, np.sum(np.abs(grid[:, 1:]) ** 2, axis=0),
+                                       rtol=0, atol=1e-12)
 
 
 class TestModeledSingleMeasurement:

@@ -8,11 +8,19 @@ import yaml
 from hypothesis import given, settings, strategies as st
 
 from qmeasure import (
+    SIGMA_Z,
+    LinearOperator,
     ParseError,
+    PureState,
     RangeError,
     SCENARIOS,
     SimulationError,
+    born_distribution,
+    build_fuzzy_povm,
+    build_measurement_unitary,
+    povm_distribution,
     run_scenario,
+    spectral_decompose,
     validate_config,
 )
 from qmeasure.cli import main as cli_main
@@ -113,19 +121,54 @@ def _wavepacket_params(draw):
 
     As for delocalization: the width is drawn in grid spacings inside the
     resolvable band or across its edges, and box length and mass reach the
-    top of the double range; box lengths are also drawn where their square
-    leaves it, the window in which positions squared overflow.
+    top of the double range.  One example in four sits in the overflow
+    window instead: an even grid, a box length whose square leaves the
+    double range, a width inside its resolvable band (whose square stays
+    finite) and a mass of at most 1, so that the natural time m * width^2
+    is finite too and the run reaches the positions squared.
     """
     def mostly(common, rare):  # two draws in three from the common range
         return st.one_of(common, common, rare)
 
+    n_times = draw(mostly(st.integers(2, 20), st.integers(2, 1000)))
+    if draw(st.integers(0, 3)) == 0:
+        n = 2 * draw(st.integers(4, 64))
+        box = draw(st.floats(1.4e154, 1.2e155))
+        return {"n_points": n, "box_length": box,
+                "width": box / n * draw(st.floats(3.01, max(3.02, n / 10.1))),
+                "mass": draw(st.floats(1e-9, 1.0)), "n_times": n_times}
     n = draw(mostly(st.integers(4, 64).map(lambda half: 2 * half), st.integers(8, 128)))
     box = draw(mostly(st.floats(1e-3, 100.0), st.floats(1e-3, DOUBLE_MAX) | SQUARE_EDGE))
     width = max(1e-6, box / n * draw(mostly(st.floats(3.01, max(3.02, n / 10.1)),
                                             st.floats(1.0, 1.0 + n / 8))))
     return {"n_points": n, "box_length": box, "width": width,
             "mass": draw(mostly(st.floats(1e-9, 10.0), st.floats(1e-9, DOUBLE_MAX))),
-            "n_times": draw(mostly(st.integers(2, 20), st.integers(2, 1000)))}
+            "n_times": n_times}
+
+
+SEEDS = st.integers(0, 2 ** 63 - 1)
+
+
+@st.composite
+def _stern_gerlach_config(draw):
+    """stern_gerlach's documented range, with theta_steps capped at 2000."""
+    return {"scenario": "stern_gerlach", "seed": draw(SEEDS),
+            "params": {"theta_steps": draw(st.integers(2, 2000))}}
+
+
+@st.composite
+def _repeated_measurement_config(draw):
+    """repeated_measurement's documented range with n_random capped at 300, any seed."""
+    return {"scenario": "repeated_measurement", "seed": draw(SEEDS),
+            "params": {"n_random": draw(st.integers(1, 300))}}
+
+
+@st.composite
+def _fuzzy_povm_config(draw):
+    """fuzzy_povm's whole confusion range [0, 0.5], n_random capped at 300, any seed."""
+    return {"scenario": "fuzzy_povm", "seed": draw(SEEDS),
+            "params": {"confusion": draw(st.floats(0.0, 0.5)),
+                       "n_random": draw(st.integers(1, 300))}}
 
 
 @st.composite
@@ -153,6 +196,21 @@ def _phase_space_params(draw):
             "state_k0": draw(mostly(st.floats(-3.0, 3.0), st.floats(-DOUBLE_MAX, DOUBLE_MAX))),
             "probe_p_index": draw(mostly(st.integers(0, n - 1), st.integers(0, 255))),
             "probe_q_index": draw(mostly(st.integers(0, n - 1), st.integers(0, 255)))}
+
+
+def _check_trial_scenario(config: dict):
+    """Run one validated config: it runs or raises SimulationError, with finite values.
+
+    The assertions of the trial scenarios are identities, so each must also pass.
+    """
+    cfg = validate_config(yaml.safe_dump(config))
+    try:
+        result = run_scenario(cfg)
+    except SimulationError:
+        return
+    assert result.rows
+    assert all(np.isfinite(a.value) for a in result.assertions), result.assertions
+    assert result.all_passed, result.assertions
 
 
 class TestValidateConfig:
@@ -361,6 +419,21 @@ class TestRunScenario:
         # the packet holes reported NaN or infinite values instead of raising
         assert all(np.isfinite(a.value) for a in result.assertions), result.assertions
 
+    @settings(max_examples=60, deadline=None, database=None, derandomize=True)
+    @given(_stern_gerlach_config())
+    def test_validated_stern_gerlach_runs_or_raises_simulation_error(self, config):
+        _check_trial_scenario(config)
+
+    @settings(max_examples=60, deadline=None, database=None, derandomize=True)
+    @given(_repeated_measurement_config())
+    def test_validated_repeated_measurement_runs_or_raises_simulation_error(self, config):
+        _check_trial_scenario(config)
+
+    @settings(max_examples=60, deadline=None, database=None, derandomize=True)
+    @given(_fuzzy_povm_config())
+    def test_validated_fuzzy_povm_runs_or_raises_simulation_error(self, config):
+        _check_trial_scenario(config)
+
     def test_wavepacket_natural_time_overflow_names_mass(self):
         # width 5e298 is inside its resolvable band for box_length 1e300,
         # but mass * width^2 is past the double range
@@ -400,11 +473,107 @@ class TestRunScenario:
         assert peak <= 16 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MiB"
         assert table.all_passed
 
+    def test_repeated_measurement_range_memory(self):
+        # trials are stacked in blocks per dimension, never all at once
+        cfg = validate_config("scenario: repeated_measurement\nparams:\n  n_random: 20000\n")
+        tracemalloc.start()
+        try:
+            table = run_scenario(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MiB"
+        assert table.all_passed
+
+    def test_fuzzy_povm_range_top_memory(self):
+        # almost all of it is the 100,000-row table itself
+        cfg = validate_config("scenario: fuzzy_povm\nparams:\n  n_random: 100000\n")
+        tracemalloc.start()
+        try:
+            table = run_scenario(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 20 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MiB"
+        assert table.all_passed
+
     def test_module_errors_carry_scenario_context(self):
         from qmeasure import UnresolvableWidth
         raw = "scenario: wavepacket_spread\nparams:\n  width: 0.1\n"
         with pytest.raises(UnresolvableWidth, match="wavepacket_spread"):
             run_scenario(validate_config(raw))
+
+
+def _assertion(table, name):
+    return next(a.value for a in table.assertions if a.name == name)
+
+
+class TestTrialOracles:
+    """The stacked trial scenarios against per-trial loops written out here.
+
+    Modeled statistics are read from each model's completed unitary, not
+    from its isometry, and Born weights from an ``eigh`` in the test.
+    """
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_repeated_measurement_worst_tv(self, seed):
+        n_random = 40
+        table = run_scenario(validate_config(yaml.safe_dump(
+            {"scenario": "repeated_measurement", "seed": seed, "params": {"n_random": n_random}})))
+        rng = np.random.default_rng(seed)
+        worst, kept = 0.0, 0
+        for _ in range(n_random):
+            dim = int(rng.integers(2, 5))
+            h = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+            h = h + h.conj().T
+            evals, evecs = np.linalg.eigh(h)
+            if np.min(np.diff(evals)) <= 1e-9 * np.max(np.abs(evals)):
+                continue  # a degenerate draw is skipped before its state is drawn
+            state = PureState(rng.standard_normal(dim) + 1j * rng.standard_normal(dim))
+            posts = [PureState(rng.standard_normal(dim) + 1j * rng.standard_normal(dim))
+                     for _ in range(dim)]
+            model = build_measurement_unitary(spectral_decompose(LinearOperator(h)),
+                                              post_states=posts)
+            ready = np.eye(model.pointer_dim)[model.ready_index]
+            grid = (model.unitary.matrix @ np.kron(state.amplitudes, ready)).reshape(dim, -1)
+            modeled = np.sum(np.abs(grid[:, list(model.record_indices)]) ** 2, axis=0)
+            born = np.abs(evecs.conj().T @ state.amplitudes) ** 2
+            worst = max(worst, 0.5 * float(np.sum(np.abs(modeled - born))))
+            kept += 1
+        assert kept > n_random // 2
+        assert worst <= 1e-10
+        assert _assertion(table, "modeled_equals_born_worst_tv") == pytest.approx(worst, abs=1e-15)
+
+    def test_stern_gerlach_rows(self):
+        # 600 angles cross the scenario's blocks of stacked trials
+        table = run_scenario(validate_config("scenario: stern_gerlach\nparams:\n  theta_steps: 600\n"))
+        model = build_measurement_unitary(spectral_decompose(SIGMA_Z))
+        ready = np.eye(model.pointer_dim)[model.ready_index]
+        thetas = np.linspace(0.0, np.pi, 600)
+        assert [row[0] for row in table.rows] == thetas.tolist()
+        for theta, pr_plus, pr_minus, expected, err in table.rows:
+            rotated = np.array([np.cos(theta / 2), np.sin(theta / 2)])  # R(theta)|+z>
+            grid = (model.unitary.matrix @ np.kron(rotated, ready)).reshape(2, -1)
+            minus, plus = np.sum(np.abs(grid[:, list(model.record_indices)]) ** 2, axis=0)
+            assert (pr_plus, pr_minus) == pytest.approx((plus, minus), abs=1e-12)
+            assert expected == pytest.approx(np.cos(theta / 2) ** 2, abs=1e-15)
+            assert err == abs(pr_plus - expected)
+
+    def test_fuzzy_povm_rows(self):
+        eps, n_random, seed = 0.2, 600, 5
+        table = run_scenario(validate_config(yaml.safe_dump(
+            {"scenario": "fuzzy_povm", "seed": seed,
+             "params": {"confusion": eps, "n_random": n_random}})))
+        obs = spectral_decompose(SIGMA_Z)
+        fuzzy = build_fuzzy_povm(obs, [[1 - eps, eps], [eps, 1 - eps]])
+        rng = np.random.default_rng(seed)
+        assert len(table.rows) == n_random
+        for idx, row in enumerate(table.rows):
+            state = PureState(rng.standard_normal(2) + 1j * rng.standard_normal(2))
+            p_minus, p_plus = born_distribution(state, obs).probabilities
+            oracle = (idx, p_plus, povm_distribution(state, fuzzy).probabilities[1],
+                      eps * p_minus + (1 - eps) * p_plus)
+            assert row == pytest.approx(oracle, abs=1e-12)
 
 
 class TestCli:
