@@ -59,19 +59,19 @@ def _first(failed) -> int | None:
 
 
 def hermiticity_defect(matrix: np.ndarray) -> float:
-    """max|m - m^dag|, of a matrix or per matrix of a stack (..., n, n)."""
-    return np.max(np.abs(matrix - _adjoint(matrix)), axis=(-2, -1)) if matrix.size else 0.0
+    """max|m - m^dag|, of a matrix or per matrix of a stack (..., n, n); 0 for an empty one."""
+    return np.max(np.abs(matrix - _adjoint(matrix)), axis=(-2, -1), initial=0.0)
 
 
-def _hermitian_within_tol(matrix: np.ndarray) -> bool:
+def _hermitian_within_tol(matrix: np.ndarray) -> np.ndarray:
     """Whether the Hermiticity defect is at most 1e-10 * max(1, max|m|), per matrix."""
-    scale = np.maximum(1.0, np.max(np.abs(matrix), axis=(-2, -1))) if matrix.size else 1.0
+    scale = np.maximum(1.0, np.max(np.abs(matrix), axis=(-2, -1), initial=0.0))
     return hermiticity_defect(matrix) <= HERMITIAN_TOL * scale
 
 
 def _require_hermitian(matrices: np.ndarray):
     """Raise NotHermitian for the first matrix of a stack (m, n, n) outside 1e-10."""
-    i = _first(~_hermitian_within_tol(matrices))
+    i = _first(np.logical_not(_hermitian_within_tol(matrices)))
     if i is not None:
         raise NotHermitian(f"hermiticity defect {hermiticity_defect(matrices[i]):.3e}")
 
@@ -464,11 +464,13 @@ def _check_spectra(matrices: np.ndarray, evals: np.ndarray, evecs: np.ndarray,
                    slices: Sequence[slice]) -> tuple[np.ndarray, np.ndarray]:
     """Resolve a stack of Hermitian matrices (m, n, n) from their ``eigh`` output.
 
+    Each matrix must be Hermitian within 1e-10 (else NotHermitian).
     Eigenvalues of one slice merge into their mean.  The eigenbases must
     pass Observable's checks and the merged resolutions must rebuild each
     matrix within 1e-9 * max(1, max|v|).  Returns the merged eigenvalues
     (m, k) and the rebuilt operators.
     """
+    _require_hermitian(matrices)
     vals = np.stack([np.mean(evals[:, sl], axis=-1) for sl in slices], axis=-1)
     _check_eigenbases(vals, evecs, slices)
     rebuilt = _resolution(vals, evecs, slices)
@@ -489,7 +491,6 @@ def spectral_decompose(op: LinearOperator) -> Observable:
 
     Raises NotHermitian if ``op`` is not Hermitian within 1e-10.
     """
-    _require_hermitian(op.matrix[None])
     evals, evecs = np.linalg.eigh(op.matrix)
     slices = _eigenspace_slices(evals)
     vals, rebuilt = _check_spectra(op.matrix[None], evals[None], evecs[None], slices)

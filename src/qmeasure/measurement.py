@@ -221,6 +221,14 @@ def povm_distribution(state: State, povm: Povm) -> OutcomeDistribution:
     return OutcomeDistribution(povm.labels, probs, sum_tol=POVM_SUM_TOL)
 
 
+def _povm_weights(povm: Povm, psi: np.ndarray) -> np.ndarray:
+    """povm_distribution's probabilities for a stack of pure states (m, dim): (m, k).
+
+    Normalized as the OutcomeDistribution of povm_distribution normalizes them.
+    """
+    return _normalized(_effect_weights(povm, _pure_terms(povm, psi)), POVM_SUM_TOL)
+
+
 def _pure_terms(povm: Povm, psi: np.ndarray) -> np.ndarray:
     """|<l_i o r_j|psi>|^2 for a stack of states (m, dim): (m, p, q)."""
     # conj <l_i o r_j|psi> for every (i, j) is one p x q product (L o conj psi) R^T

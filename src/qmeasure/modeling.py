@@ -23,7 +23,7 @@ import numpy as np
 from .errors import DimensionMismatch, NonExtendable
 from .hilbert import LinearOperator, Observable, PureState, _IndexOrder, _adjoint, _first, \
     _freeze, _identity_defect
-from .measurement import OutcomeDistribution
+from .measurement import OutcomeDistribution, _normalized
 
 MODEL_TOL = 1e-9
 READY_INDEX = 0
@@ -103,6 +103,30 @@ class MeasurementModel:
 def _records(n_out: int) -> list[int]:
     """The pointer levels that record outcomes 0 .. n_out - 1: those after the ready level."""
     return list(range(READY_INDEX + 1, READY_INDEX + 1 + n_out))
+
+
+def _checked_isometries(sources: np.ndarray, post: np.ndarray) -> np.ndarray:
+    """build_measurement_unitary's W for a stack of models, checked as the constructor checks it.
+
+    ``sources`` (m, n, n) holds each nondegenerate observable's eigenbasis
+    and ``post`` (m, n, n) its |phi_i> as rows; each W has the default
+    pointer, n + 1 levels.
+    """
+    n = sources.shape[-1]
+    isometries = _isometries(sources, post, n + 1, _records(n))
+    _check_models(isometries, sources, post, _records(n))
+    return isometries
+
+
+def _modeled_weights(isometries: np.ndarray, psi: np.ndarray) -> np.ndarray:
+    """modeled_single_measurement's probabilities for a stack of states psi (m, n): (m, n).
+
+    ``isometries`` is one W with build_measurement_unitary's default pointer,
+    shared by all states, or a stack of them, one per state.  The record
+    weights are normalized as OutcomeDistribution normalizes them.
+    """
+    n = isometries.shape[-1]
+    return _normalized(_record_weights(isometries, psi, n + 1, _records(n)))
 
 
 def _isometries(sources: np.ndarray, post: np.ndarray, pointer_dim: int,

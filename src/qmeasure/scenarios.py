@@ -39,7 +39,6 @@ from .hilbert import (
     _born_weights,
     _check_spectra,
     _eigenspace_slices,
-    _require_hermitian,
     _unit_rows,
     basis_state,
     partial_trace,
@@ -61,20 +60,16 @@ from .indefiniteness import (
     region_projector,
 )
 from .measurement import (
-    POVM_SUM_TOL,
-    _effect_weights,
     _normalized,
-    _pure_terms,
+    _povm_weights,
     build_fuzzy_povm,
     build_phase_space_povm,
     povm_distribution,
     total_variation,
 )
 from .modeling import (
-    _check_models,
-    _isometries,
-    _record_weights,
-    _records,
+    _checked_isometries,
+    _modeled_weights,
     build_measurement_unitary,
     collapse_rule_joint,
     repeated_measurement_joint,
@@ -246,8 +241,7 @@ def _run_stern_gerlach(params: dict, seed: int) -> tuple[list, list, list]:
         # exp(-i theta sigma_y / 2) for each theta
         rotation = np.moveaxis(np.array([[c, -s], [s, c]], dtype=complex), -1, 0)
         rotated = _unit_rows(rotation @ spin_state.amplitudes)
-        probs = _normalized(_record_weights(split_model.isometry, rotated,
-                                            split_model.pointer_dim, split_model.record_indices))
+        probs = _modeled_weights(split_model.isometry, rotated)
         expected = np.cos(theta / 2) ** 2
         err = np.abs(probs[:, plus] - expected)
         worst = max(worst, float(np.max(err)))
@@ -330,22 +324,17 @@ def _modeled_born_worst_tv(trials: list) -> float:
 
     Each trial holds a Hermitian h of the block's dimension n, its ``eigh``
     output and the normal draws (real, then imaginary) of its state and n
-    post-measurement states.  The block gets the checks of
-    spectral_decompose, build_measurement_unitary and OutcomeDistribution,
-    stacked; modeled weights are read through each W on the (system,
-    pointer) grid, Born weights from the eigenbasis.
+    post-measurement states.  The block goes through the stacked forms of
+    spectral_decompose, PureState, build_measurement_unitary,
+    modeled_single_measurement and born_distribution.
     """
     h, evals, evecs, draws = (np.array(part) for part in zip(*trials))
     m, n = evals.shape
     unit = [slice(j, j + 1) for j in range(n)]
-    _require_hermitian(h)
     _check_spectra(h, evals, evecs, unit)
     amplitudes = _unit_rows((draws[:, :, 0] + 1j * draws[:, :, 1]).reshape(-1, n))
     psi, post = amplitudes[::n + 1], amplitudes.reshape(m, n + 1, n)[:, 1:]
-    records = _records(n)
-    isometries = _isometries(evecs, post, n + 1, records)
-    _check_models(isometries, evecs, post, records)
-    modeled = _normalized(_record_weights(isometries, psi, n + 1, records))
+    modeled = _modeled_weights(_checked_isometries(evecs, post), psi)
     # V^dag psi per trial, as a dense basis applies its adjoint
     born = _normalized(_born_weights((psi.conj()[:, None, :] @ evecs)[:, 0].conj(), unit))
     return float(np.max(0.5 * np.sum(np.abs(modeled - born), axis=1)))
@@ -750,9 +739,8 @@ def _run_fuzzy_povm(params: dict, seed: int) -> tuple[list, list, list]:
         draws = rng.standard_normal((len(block), 2, 2))
         psi = _unit_rows(draws[:, 0] + 1j * draws[:, 1])
         born = _normalized(obs._weights(psi))
-        sharp_p, fuzzy_p, uniform_p = (
-            _normalized(_effect_weights(povm, _pure_terms(povm, psi)), POVM_SUM_TOL)
-            for povm in (sharp_povm, fuzzy, uniform))
+        sharp_p, fuzzy_p, uniform_p = (_povm_weights(povm, psi)
+                                       for povm in (sharp_povm, fuzzy, uniform))
         worst_sharp = max(worst_sharp, float(np.max(np.abs(sharp_p - born))))
         p_minus, p_plus = born.T
         expected = np.stack([(1 - eps) * p_minus + eps * p_plus,

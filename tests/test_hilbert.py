@@ -17,7 +17,8 @@ from qmeasure import (
     spectral_decompose,
     tensor_product,
 )
-from qmeasure.hilbert import _check_spectra, _require_hermitian, _unit_rows
+from qmeasure.dynamics import Hamiltonian
+from qmeasure.hilbert import _check_spectra, _require_hermitian, _unit_rows, hermiticity_defect
 from conftest import random_density, random_hermitian, random_projector, random_state
 
 
@@ -343,3 +344,15 @@ class TestStackedChecks:
         mats[1, 0, 1] += 1e-6
         with pytest.raises(NotHermitian, match="1.000e-06"):
             _require_hermitian(mats)
+        with pytest.raises(NotHermitian, match="1.000e-06"):
+            _check_spectra(mats, evals, evecs, unit)
+
+    @pytest.mark.parametrize("shape", [(0, 0), (1, 0, 0), (3, 0, 0), (0, 2, 2)])
+    def test_empty_matrices_are_hermitian(self, shape):
+        mats = np.zeros(shape, dtype=complex)
+        assert np.all(hermiticity_defect(mats) == 0.0)
+        _require_hermitian(mats)
+
+    def test_zero_dimensional_hamiltonian_is_accepted(self):
+        H = Hamiltonian(LinearOperator(np.zeros((0, 0))))
+        assert H.dim == 0

@@ -400,6 +400,17 @@ class TestFuzzyPovm:
             build_fuzzy_povm(OBS_Z, [[1.1, 0.0], [-0.1, 1.0]])
 
 
+    def test_stacked_povm_weights_match_povm_distribution(self, rng):
+        from qmeasure.measurement import _povm_weights
+        obs = spectral_decompose(random_hermitian(rng, 3))
+        povm = build_fuzzy_povm(obs, [[0.7, 0.2, 0.1], [0.2, 0.6, 0.3], [0.1, 0.2, 0.6]])
+        states = [random_state(rng, 3) for _ in range(6)]
+        # a stack of rows may take another BLAS kernel than one row: equal up to roundoff
+        np.testing.assert_allclose(
+            _povm_weights(povm, np.array([s.amplitudes for s in states])),
+            [povm_distribution(s, povm).probabilities for s in states], rtol=0, atol=1e-15)
+
+
 class TestPhaseSpacePovm:
     def test_completeness_on_64_grid(self):
         g = GridSpace(64, 16.0)

@@ -16,7 +16,7 @@ from qmeasure import (
     total_variation,
 )
 from qmeasure import MeasurementModel, NonExtendable
-from qmeasure.modeling import _isometries, _record_weights
+from qmeasure.modeling import _checked_isometries, _isometries, _modeled_weights, _record_weights
 from conftest import random_hermitian, random_state
 
 OBS_Z = spectral_decompose(SIGMA_Z)
@@ -117,6 +117,32 @@ class TestIsometry:
             grid = (model.unitary.matrix @ np.kron(s, np.eye(4)[0])).reshape(3, 4)
             np.testing.assert_allclose(weights, np.sum(np.abs(grid[:, 1:]) ** 2, axis=0),
                                        rtol=0, atol=1e-12)
+
+
+    def test_stacked_models_match_the_per_object_api(self, rng):
+        obs = [spectral_decompose(random_hermitian(rng, 3)) for _ in range(5)]
+        posts = [[random_state(rng, 3) for _ in range(3)] for _ in range(5)]
+        states = [random_state(rng, 3) for _ in range(5)]
+        sources = np.array([np.hstack([o.eigenbasis(i) for i in range(3)]) for o in obs])
+        post = np.array([[phi.amplitudes for phi in p] for p in posts])
+        isometries = _checked_isometries(sources, post)
+        stacked = _modeled_weights(isometries, np.array([s.amplitudes for s in states]))
+        for o, p, s, w, weights in zip(obs, posts, states, isometries, stacked):
+            model = build_measurement_unitary(o, post_states=p)
+            np.testing.assert_array_equal(w, model.isometry)
+            np.testing.assert_array_equal(weights, modeled_single_measurement(s, model).probabilities)
+        # one model shared by a stack of states
+        model = build_measurement_unitary(obs[0], post_states=posts[0])
+        np.testing.assert_array_equal(
+            _modeled_weights(model.isometry, np.array([s.amplitudes for s in states])),
+            [modeled_single_measurement(s, model).probabilities for s in states])
+
+    def test_stacked_models_reject_the_failing_member(self, rng):
+        sources = np.array([np.eye(2, dtype=complex)] * 3)
+        post = sources.copy()
+        post[1, 0] *= 2  # |phi_0| = 2: W^dag W is not 1
+        with pytest.raises(NonExtendable, match="Gram defect 3.000e\\+00"):
+            _checked_isometries(sources, post)
 
 
 class TestModeledSingleMeasurement:
