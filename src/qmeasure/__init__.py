@@ -26,6 +26,7 @@ from .errors import (
     RangeError,
     SimulationError,
     UnresolvableWidth,
+    UnresolvedSpectrum,
 )
 from .hilbert import (
     DensityOperator,

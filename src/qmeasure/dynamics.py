@@ -63,6 +63,17 @@ def _chebyshev_coefficients(z: np.ndarray) -> np.ndarray:
     return np.where(np.asarray(z) == 0, (k == 0).astype(complex), b)
 
 
+def _phase_step(energies: np.ndarray, coefficients, times) -> np.ndarray:
+    """e^{-iEt} times the eigenbasis coefficients: the phase step of every evolution.
+
+    ``coefficients`` has one row per energy (its columns all evolve by a
+    scalar ``times``); a vector with a 1-d array of times gives one column
+    per time.
+    """
+    phases = np.exp(-1j * np.multiply.outer(energies, times))
+    return (phases.T * np.asarray(coefficients).T).T  # broadcast over columns or times
+
+
 class Hamiltonian:
     """A Hermitian generator of time evolution.
 
@@ -174,9 +185,7 @@ class Hamiltonian:
         if self._potential is not None:
             return self._chebyshev_evolution(amplitudes, times)
         evals, basis = self._diagonalized()
-        coeff = basis.apply_adjoint(amplitudes)
-        phases = np.exp(-1j * np.multiply.outer(evals, times))
-        return basis.apply((phases.T * coeff.T).T)  # broadcast over columns or times
+        return basis.apply(_phase_step(evals, basis.apply_adjoint(amplitudes), times))
 
     def _chebyshev_evolution(self, amplitudes: np.ndarray, times: np.ndarray) -> np.ndarray:
         """e^{-iHt} a = e^{-ict} sum_k (2 - delta_k0) (-i)^k J_k(Rt) T_k((H - c)/R) a.

@@ -41,6 +41,10 @@ class InvalidRegime(SimulationError):
     """Decay-model parameters violate the weak-coupling regime."""
 
 
+class UnresolvedSpectrum(SimulationError):
+    """The decay model's secular equation gave no converged, finite, normalized spectrum."""
+
+
 class OutsideValidityWindow(SimulationError):
     """A requested time exceeds the model's recurrence-safe window."""
 

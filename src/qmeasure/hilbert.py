@@ -64,9 +64,12 @@ def hermiticity_defect(matrix: np.ndarray) -> float:
 
 
 def _hermitian_within_tol(matrix: np.ndarray) -> np.ndarray:
-    """Whether the Hermiticity defect is at most 1e-10 * max(1, max|m|), per matrix."""
+    """Whether every entry is finite and the Hermiticity defect is at most 1e-10 * max(1, max|m|).
+
+    Per matrix of a stack; the scale is finite exactly when every entry is.
+    """
     scale = np.maximum(1.0, np.max(np.abs(matrix), axis=(-2, -1), initial=0.0))
-    return hermiticity_defect(matrix) <= HERMITIAN_TOL * scale
+    return np.isfinite(scale) & (hermiticity_defect(matrix) <= HERMITIAN_TOL * scale)
 
 
 def _require_hermitian(matrices: np.ndarray):

@@ -88,10 +88,11 @@ def born_distribution(state: State, obs: Observable) -> OutcomeDistribution:
     if isinstance(state, PureState):
         probs = obs._weights(state.amplitudes)
     else:
-        # Tr(B^dag rho B) for B = V[:, cols], from two adjoint applications: B is never formed
+        # Tr(B^dag rho B) for B = V[:, cols], summed from the diagonal of V^dag rho V, which
+        # two full adjoint applications give: no block is formed, nor one transform per outcome
         basis = obs._basis
-        probs = [float(np.trace(basis.apply_adjoint(_adjoint(basis.apply_adjoint(state.matrix, sl)),
-                                                    sl)).real) for sl in obs._slices]
+        diagonal = np.diagonal(basis.apply_adjoint(_adjoint(basis.apply_adjoint(state.matrix)))).real
+        probs = [float(np.sum(diagonal[sl])) for sl in obs._slices]
     return OutcomeDistribution([float(v) for v in obs.eigenvalues], probs)
 
 

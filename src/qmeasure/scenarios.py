@@ -342,8 +342,11 @@ def _modeled_born_worst_tv(trials: list) -> float:
 
 def _run_zeno_decay(params: dict, seed: int) -> tuple[list, list, list]:
     tau = params["tau"]
-    model = build_decay_model(tau, params["n_modes"], params["bandwidth"])
     horizon = params["horizon_over_tau"] * tau
+    if not np.isfinite(max(3 * tau, horizon)):  # the last survival time and the horizon
+        raise RangeError([f"params.tau: {tau} overflows the longest time "
+                          f"max(3, horizon_over_tau) * tau"])
+    model = build_decay_model(tau, params["n_modes"], params["bandwidth"])
 
     deltas = [tau / 4, tau / 16, tau / 64, model.t0 / 10, model.t0 / 50]
     rows = []

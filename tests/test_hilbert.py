@@ -18,7 +18,8 @@ from qmeasure import (
     tensor_product,
 )
 from qmeasure.dynamics import Hamiltonian
-from qmeasure.hilbert import _check_spectra, _require_hermitian, _unit_rows, hermiticity_defect
+from qmeasure.hilbert import _check_spectra, _hermitian_within_tol, _require_hermitian, _unit_rows, \
+    hermiticity_defect
 from conftest import random_density, random_hermitian, random_projector, random_state
 
 
@@ -346,6 +347,17 @@ class TestStackedChecks:
             _require_hermitian(mats)
         with pytest.raises(NotHermitian, match="1.000e-06"):
             _check_spectra(mats, evals, evecs, unit)
+
+    @pytest.mark.parametrize("entry", [np.inf, -np.inf, np.nan])
+    def test_non_finite_entry_is_not_hermitian(self, entry):
+        # an infinite entry made the defect scale infinite too, so inf <= 1e-10 * inf passed;
+        # the per-object and the stacked entry points share the check
+        matrix = [[1.0, entry], [0.0, 2.0]]
+        for build in (Hamiltonian, spectral_decompose):
+            with pytest.raises(NotHermitian):
+                build(LinearOperator(matrix))
+        stack = np.array([np.eye(2), matrix, np.eye(2)], dtype=complex)
+        np.testing.assert_array_equal(_hermitian_within_tol(stack), [True, False, True])
 
     @pytest.mark.parametrize("shape", [(0, 0), (1, 0, 0), (3, 0, 0), (0, 2, 2)])
     def test_empty_matrices_are_hermitian(self, shape):

@@ -196,6 +196,22 @@ class TestProjectionThroughTheBasis:
             np.testing.assert_allclose(born_distribution(state, obs).probabilities, oracle,
                                        rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("kind", ["dense", "index", "fourier"])
+    def test_mixed_born_weights_take_one_transform_pair(self, kind, rng, monkeypatch):
+        # one pair of full adjoint applications serves every outcome: one transform
+        # of rho per outcome made a Fourier observable's n outcomes cost O(n^3 log n)
+        obs, dense, _ = _observable_of_kind(kind, 16, rng)
+        fine = Observable._wrap(np.arange(16.0), obs._basis, [slice(j, j + 1) for j in range(16)])
+        rho = random_density(rng, 16)
+        calls = []
+        adjoint = type(obs._basis).apply_adjoint
+        monkeypatch.setattr(type(obs._basis), "apply_adjoint",
+                            lambda basis, *args: calls.append(args[1:]) or adjoint(basis, *args))
+        probs = born_distribution(rho, fine).probabilities
+        assert calls == [(), ()]
+        oracle = np.diagonal(dense.conj().T @ rho.matrix @ dense).real
+        np.testing.assert_allclose(probs, oracle, rtol=0, atol=1e-12)
+
     def test_collapse_on_a_region_writes_no_dense_block(self):
         # the block of the 4,091 points outside the window took 511 MiB as a dense n x k array
         g = GridSpace(4096, 120.0)

@@ -146,6 +146,29 @@ def _wavepacket_params(draw):
             "n_times": n_times}
 
 
+@st.composite
+def _zeno_decay_params(draw):
+    """zeno_decay's documented ranges, the whole n_modes range up to 20,000 included.
+
+    Two draws in three put bandwidth * tau in [20, 500], across the
+    weak-coupling floor and the recurrence window's edge, with tau spread
+    over twelve decades; the rest draw tau and bandwidth each from its
+    whole unbounded range, with one in two from 1e150 to 1e300, where the
+    product and the phases E t can leave the double range.
+    """
+    def mostly(common, rare):  # two draws in three from the common range
+        return st.one_of(common, common, rare)
+
+    tau = draw(mostly(st.floats(-6.0, 6.0).map(lambda e: 10.0 ** e),
+                      st.floats(1e-6, DOUBLE_MAX) | st.floats(1e150, 1e300)))
+    product = draw(st.floats(20.0, 500.0))
+    bandwidth = draw(mostly(st.just(max(1e-6, product / tau)),
+                            st.floats(1e-6, DOUBLE_MAX) | st.floats(1e150, 1e300)))
+    return {"tau": tau, "bandwidth": bandwidth,
+            "n_modes": draw(mostly(st.integers(200, 2000), st.integers(200, 20000))),
+            "horizon_over_tau": draw(st.floats(0.25, 10.0))}
+
+
 SEEDS = st.integers(0, 2 ** 63 - 1)
 
 
@@ -420,6 +443,18 @@ class TestRunScenario:
         assert all(np.isfinite(a.value) for a in result.assertions), result.assertions
 
     @settings(max_examples=60, deadline=None, database=None, derandomize=True)
+    @given(_zeno_decay_params())
+    def test_validated_zeno_decay_runs_or_raises_simulation_error(self, params):
+        cfg = validate_config(yaml.safe_dump({"scenario": "zeno_decay", "params": params}))
+        try:
+            result = run_scenario(cfg)
+        except SimulationError:
+            return
+        assert result.rows and np.all(np.isfinite(result.rows))
+        # the defaults fail the golden-rule law by design, so only finiteness is asserted
+        assert all(np.isfinite(a.value) for a in result.assertions), result.assertions
+
+    @settings(max_examples=60, deadline=None, database=None, derandomize=True)
     @given(_stern_gerlach_config())
     def test_validated_stern_gerlach_runs_or_raises_simulation_error(self, config):
         _check_trial_scenario(config)
@@ -433,6 +468,16 @@ class TestRunScenario:
     @given(_fuzzy_povm_config())
     def test_validated_fuzzy_povm_runs_or_raises_simulation_error(self, config):
         _check_trial_scenario(config)
+
+    def test_zeno_decay_horizon_overflow_names_tau(self):
+        # horizon_over_tau * tau is past the double range, so the cycle count
+        # int(horizon / delta) ended in a bare OverflowError
+        raw = ("scenario: zeno_decay\nparams:\n  tau: 9.0e+307\n  bandwidth: 1.0e-06\n"
+               "  n_modes: 200\n  horizon_over_tau: 2.0\n")
+        with pytest.raises(RangeError) as err:
+            run_scenario(validate_config(raw))
+        assert len(err.value.violations) == 1
+        assert err.value.violations[0].startswith("params.tau:")
 
     def test_wavepacket_natural_time_overflow_names_mass(self):
         # width 5e298 is inside its resolvable band for box_length 1e300,
@@ -472,6 +517,21 @@ class TestRunScenario:
             tracemalloc.stop()
         assert peak <= 16 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MiB"
         assert table.all_passed
+
+    def test_zeno_decay_range_top_peak_memory(self):
+        # the decay model holds its N + 1 roots and weights: no (N + 1)^2 Hamiltonian,
+        # which alone took 3.2 GB at this size
+        cfg = validate_config("scenario: zeno_decay\nparams:\n  n_modes: 20000\n")
+        tracemalloc.start()
+        try:
+            table = run_scenario(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MiB"
+        passed = {a.name: a.passed for a in table.assertions}
+        assert passed["survival_monotone_along_sweep"]
+        assert passed["frozen_survival_at_finest_delta"]
 
     def test_repeated_measurement_range_memory(self):
         # trials are stacked in blocks per dimension, never all at once

@@ -6,16 +6,27 @@ import pytest
 from qmeasure import (
     InvalidRegime,
     OutsideValidityWindow,
+    UnresolvedSpectrum,
     build_decay_model,
     iterated_projection_survival,
     rabi_zeno,
     survival_probability,
 )
+from qmeasure import zeno
+from qmeasure.zeno import _comb_tails
 
 
 @pytest.fixture(scope="module")
 def model():
     return build_decay_model(tau=1.0, n_modes=400, bandwidth=40.0)
+
+
+def _band_hamiltonian(model):
+    """The dense (N+1)^2 band Hamiltonian, written out here from the model's scales."""
+    n = model.n_modes
+    H = np.diag(np.concatenate([[0.0], (np.arange(n) - (n - 1) / 2) * model.delta_omega]))
+    H[0, 1:] = H[1:, 0] = model.coupling
+    return H
 
 
 def _cycle_loop(U, n_cycles):
@@ -46,7 +57,13 @@ class TestBuildDecayModel:
         assert model.coupling == pytest.approx(math.sqrt(0.1 / (2 * math.pi)))
 
     def test_undecayed_level_at_energy_origin(self, model):
-        assert model.hamiltonian.op.matrix[0, 0] == 0.0
+        # the spectrum's first two moments as the level sees them are the
+        # entries <0|H|0> and <0|H^2|0> of the band Hamiltonian written out here
+        H = _band_hamiltonian(model)
+        assert H[0, 0] == 0.0
+        assert abs(np.sum(model.weights * model.energies) - H[0, 0]) < 1e-12
+        assert np.sum(model.weights * model.energies ** 2) == pytest.approx(
+            (H @ H)[0, 0], rel=1e-12)
 
     def test_survival_at_zero_is_one(self, model):
         assert survival_probability(model, 0.0) == pytest.approx(1.0, abs=1e-12)
@@ -62,9 +79,7 @@ class TestBuildDecayModel:
     def test_decay_products_decorrelate_on_band_timescale(self, model):
         # oracle: the band Hamiltonian written out here, evolved by its own eigh
         n = model.n_modes
-        H = np.diag(np.concatenate([[0.0], (np.arange(n) - (n - 1) / 2) * model.delta_omega]))
-        H[0, 1:] = H[1:, 0] = model.coupling
-        evals, evecs = np.linalg.eigh(H)
+        evals, evecs = np.linalg.eigh(_band_hamiltonian(model))
         dp = np.concatenate([[0.0], np.full(n, 1.0 / np.sqrt(n))])  # uniform over the band
         coeff = evecs.T @ dp
 
@@ -74,6 +89,68 @@ class TestBuildDecayModel:
         assert abs(autocorrelation(0.0)) == pytest.approx(1.0, abs=1e-12)
         for mult in (1.0, 2.0, 4.0):
             assert abs(autocorrelation(mult * model.t0)) < 0.1
+
+
+class TestCombSpectrum:
+    @pytest.mark.parametrize("n_modes", [200, 400, 1000])
+    def test_matches_dense_eigh(self, n_modes):
+        model = build_decay_model(tau=1.0, n_modes=n_modes, bandwidth=40.0)
+        evals, evecs = np.linalg.eigh(_band_hamiltonian(model))
+        weights = evecs[0] ** 2
+        assert model.energies.shape == model.weights.shape == (n_modes + 1,)
+        assert np.max(np.abs(model.energies - evals)) <= 1e-12
+        assert np.max(np.abs(model.weights - weights)) <= 1e-12
+        assert abs(np.sum(model.weights) - 1.0) <= 1e-12
+        # survival over criterion 3's window
+        ts = np.linspace(0.2, 3.0, 141)
+        dense = np.abs(np.exp(-1j * np.multiply.outer(ts, evals)) @ weights) ** 2
+        assert np.max(np.abs([survival_probability(model, t) for t in ts] - dense)) <= 1e-12
+
+    def test_amplitude_rejects_non_finite_time(self, model):
+        for t in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="time must be finite"):
+                model.survival_amplitude(t)
+
+    def test_arrays_are_read_only(self, model):
+        for arr in (model.energies, model.weights):
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
+
+    @pytest.mark.parametrize("k,s", [(17, 1e-9), (17, 1e-6), (17, 0.5), (17, 1 - 1e-6),
+                                     (17, 1 - 2 ** -30), (0, 0.25), (298, 0.75),
+                                     (-1, 1e-3), (-1, 0.5), (-1, 1 - 1e-6),
+                                     (299, 1e-6), (299, 0.5), (299, 1 - 1e-3)])
+    def test_psi_sums_against_brute_force(self, k, s):
+        # sum_j 1/(u - j) and sum_j 1/(u - j)^2 over the comb j = 0..n-1 at u = k + s,
+        # near both poles of a gap and in both outer gaps; the lattice terms pi cot(pi s)
+        # and pi^2 / sin^2(pi s) are taken from the pole nearer s.  Each sum must hold to
+        # 1e-12 of the largest magnitude it adds up: next to a band edge's missing pole
+        # the lattice term and the tail cancel to O(1) from O(1/distance) or its square
+        n = 300
+        terms = [1.0 / ((k - j) + s) for j in range(n)]
+        near = s if s < 0.5 else s - 1.0  # distance to the nearer lattice point, exact
+        tail, tail2 = _comb_tails(np.array([float(k)]), np.array([s]), n)
+        cot, csc2 = np.pi / math.tan(np.pi * near), (np.pi / math.sin(np.pi * near)) ** 2
+        first, second = cot + tail[0], csc2 - tail2[0]
+        assert abs(first - math.fsum(terms)) <= 1e-12 * max(abs(cot), math.fsum(map(abs, terms)))
+        assert abs(second - math.fsum(t * t for t in terms)) <= 1e-12 * csc2
+
+    def test_unconverged_solve_raises(self, monkeypatch):
+        monkeypatch.setattr(zeno, "SECULAR_MAX_SWEEPS", 1)
+        with pytest.raises(UnresolvedSpectrum, match="unconverged"):
+            build_decay_model(tau=1.0, n_modes=400, bandwidth=40.0)
+
+    @pytest.mark.parametrize("defect,message", [(lambda E, w: (E, 1.01 * w), "sum to"),
+                                                (lambda E, w: (E * np.nan, w), "non-finite")])
+    def test_defective_spectrum_raises(self, monkeypatch, defect, message):
+        solve = zeno._comb_spectrum
+        monkeypatch.setattr(zeno, "_comb_spectrum", lambda n, b: defect(*solve(n, b)))
+        with pytest.raises(UnresolvedSpectrum, match=message):
+            build_decay_model(tau=1.0, n_modes=400, bandwidth=40.0)
+
+    def test_rejects_overflowing_band_decay_product(self):
+        with pytest.raises(InvalidRegime, match="overflows"):
+            build_decay_model(tau=1e300, n_modes=400, bandwidth=1e10)
 
 
 class TestSurvivalProbability:
@@ -107,10 +184,14 @@ class TestSurvivalProbability:
             assert abs(amp.imag) < 0.01
 
     def test_unitarity_of_underlying_evolution(self, model):
-        psi0 = model.undecayed_state()
+        # the dense evolution the amplitude stands for: unitary, and its
+        # undecayed component is the model's A(t)
+        evals, evecs = np.linalg.eigh(_band_hamiltonian(model))
+        psi0 = model.undecayed_state().amplitudes
         for t in (0.0, 0.4, 1.0, 2.7):
-            psi = model.hamiltonian.evolve(psi0, t)
-            assert abs(np.linalg.norm(psi.amplitudes) - 1.0) < 1e-10
+            psi = evecs @ (np.exp(-1j * evals * t) * (evecs.T @ psi0))
+            assert abs(np.linalg.norm(psi) - 1.0) < 1e-10
+            assert abs(psi[0] - model.survival_amplitude(t)) < 1e-12
 
 
 class TestIteratedProjection:
@@ -122,7 +203,7 @@ class TestIteratedProjection:
     def test_product_identity_oracle(self, model):
         # the closed form |A(delta)|^(2n) against the evolve-and-project cycle
         # loop run with a dense U(delta) from the test's own diagonalization
-        evals, evecs = np.linalg.eigh(model.hamiltonian.op.matrix)
+        evals, evecs = np.linalg.eigh(_band_hamiltonian(model))
         for delta in (0.25, 0.0625, model.t0 / 10):
             n = int(np.floor(1.0 / delta + 1e-12))
             U = (evecs * np.exp(-1j * evals * delta)) @ evecs.conj().T
