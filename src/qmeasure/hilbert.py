@@ -305,10 +305,6 @@ class DensityOperator:
         self.dim = mat.shape[0]
 
     @classmethod
-    def from_pure(cls, state: PureState) -> "DensityOperator":
-        return state.to_density()
-
-    @classmethod
     def maximally_mixed(cls, dim: int) -> "DensityOperator":
         return cls(np.eye(dim) / dim)
 

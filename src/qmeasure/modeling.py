@@ -34,38 +34,44 @@ class MeasurementModel:
 
     W = sum_i |phi_i>|m_i><o_i| is the interaction's ready slice, U|psi>|ready>
     = W|psi>: a (ds*dp) x ds array whose row a*dp + b is amplitude (a, b) of
-    the (system, pointer) grid.  The constructor copies W and checks that it
-    is an isometry (the Gram check max|W^dag W - 1| <= 1e-9, so W extends to
-    a unitary; else NonExtendable) and that it maps each |o_i> to
-    |phi_i>|m_i> within 1e-9 (else ValueError).  The full unitary is
-    completed only when :attr:`unitary` is read.
+    the (system, pointer) grid.  The pointer has dp = n + 1 levels: ready at
+    READY_INDEX, outcome i's record m_i at READY_INDEX + 1 + i.  The
+    constructor copies W and checks that it is an isometry (the Gram check
+    max|W^dag W - 1| <= 1e-9, so W extends to a unitary; else NonExtendable)
+    and that it maps each |o_i> to |phi_i>|m_i> within 1e-9 (else
+    ValueError).  The full unitary is completed only when :attr:`unitary` is read.
     """
 
-    __slots__ = ("observable", "pointer_dim", "ready_index", "record_indices",
-                 "post_states", "isometry", "system_dim", "_unitary")
+    __slots__ = ("observable", "post_states", "isometry", "_unitary")
+    ready_index = READY_INDEX
 
-    def __init__(self, observable: Observable, pointer_dim: int, ready_index: int,
-                 record_indices: Sequence[int], post_states: Sequence[PureState],
-                 isometry):
-        ds = observable.dim
-        dp = pointer_dim
+    def __init__(self, observable: Observable, post_states: Sequence[PureState], isometry):
+        ds, n = observable.dim, observable.n_outcomes
         isometry = np.array(isometry, dtype=complex)
-        if isometry.shape != (ds * dp, ds):
+        if isometry.shape != (ds * (n + 1), ds):
             raise DimensionMismatch("isometry does not map the system into system (x) pointer")
-        if not len(record_indices) == len(post_states) == observable.n_outcomes:
+        if len(post_states) != n:
             raise ValueError("one record and one post-measurement state per outcome required")
         # the first eigenvector of each outcome: the observable's |o_i>
         sources = observable._basis.columns([sl.start for sl in observable._slices])
         _check_models(isometry[None], sources[None],
-                      np.array([phi.amplitudes for phi in post_states])[None], record_indices)
+                      np.array([phi.amplitudes for phi in post_states])[None])
         self.observable = observable
-        self.pointer_dim = dp
-        self.ready_index = int(ready_index)
-        self.record_indices = tuple(int(r) for r in record_indices)
         self.post_states = tuple(post_states)
         self.isometry = _freeze(isometry)
-        self.system_dim = ds
         self._unitary = None
+
+    @property
+    def system_dim(self) -> int:
+        return self.observable.dim
+
+    @property
+    def pointer_dim(self) -> int:
+        return self.observable.n_outcomes + 1
+
+    @property
+    def record_indices(self) -> tuple[int, ...]:
+        return tuple(range(READY_INDEX + 1, READY_INDEX + self.pointer_dim))
 
     @property
     def unitary(self) -> LinearOperator:
@@ -79,8 +85,8 @@ class MeasurementModel:
         if self._unitary is None:
             ds, dp = self.system_dim, self.pointer_dim
             U = np.empty((ds * dp, ds, dp), dtype=complex)
-            U[:, :, self.ready_index] = self.isometry
-            U[:, :, np.arange(dp) != self.ready_index] = _orthonormal_complement(
+            U[:, :, READY_INDEX] = self.isometry
+            U[:, :, np.arange(dp) != READY_INDEX] = _orthonormal_complement(
                 self.isometry).reshape(ds * dp, ds, dp - 1)
             U = U.reshape(ds * dp, ds * dp)
             unitarity = _identity_defect(U.conj().T @ U)
@@ -100,50 +106,39 @@ class MeasurementModel:
                 f"pointer={self.pointer_dim})")
 
 
-def _records(n_out: int) -> list[int]:
-    """The pointer levels that record outcomes 0 .. n_out - 1: those after the ready level."""
-    return list(range(READY_INDEX + 1, READY_INDEX + 1 + n_out))
-
-
 def _checked_isometries(sources: np.ndarray, post: np.ndarray) -> np.ndarray:
     """build_measurement_unitary's W for a stack of models, checked as the constructor checks it.
 
     ``sources`` (m, n, n) holds each nondegenerate observable's eigenbasis
-    and ``post`` (m, n, n) its |phi_i> as rows; each W has the default
-    pointer, n + 1 levels.
+    and ``post`` (m, n, n) its |phi_i> as rows.
     """
-    n = sources.shape[-1]
-    isometries = _isometries(sources, post, n + 1, _records(n))
-    _check_models(isometries, sources, post, _records(n))
+    isometries = _isometries(sources, post)
+    _check_models(isometries, sources, post)
     return isometries
 
 
 def _modeled_weights(isometries: np.ndarray, psi: np.ndarray) -> np.ndarray:
     """modeled_single_measurement's probabilities for a stack of states psi (m, n): (m, n).
 
-    ``isometries`` is one W with build_measurement_unitary's default pointer,
-    shared by all states, or a stack of them, one per state.  The record
-    weights are normalized as OutcomeDistribution normalizes them.
+    ``isometries`` is one W shared by all states, or a stack of them, one per
+    state.  The weights are normalized as OutcomeDistribution normalizes them.
     """
-    n = isometries.shape[-1]
-    return _normalized(_record_weights(isometries, psi, n + 1, _records(n)))
+    return _normalized(_record_weights(isometries, psi))
 
 
-def _isometries(sources: np.ndarray, post: np.ndarray, pointer_dim: int,
-                record_indices: Sequence[int]) -> np.ndarray:
+def _isometries(sources: np.ndarray, post: np.ndarray) -> np.ndarray:
     """W = sum_i |phi_i>|m_i><o_i| for a stack of models.
 
     ``sources`` (m, ds, n) holds the |o_i> as columns and ``post`` (m, n, ds)
-    the |phi_i> as rows; each W is (ds*dp, ds), one product per entry.
+    the |phi_i> as rows; each W is (ds*(n+1), ds), one product per entry.
     """
-    m, ds, _ = sources.shape
-    isometries = np.zeros((m, ds, pointer_dim, ds), dtype=complex)
-    isometries[:, :, record_indices] = np.einsum("tia,tci->taic", post, sources.conj())
-    return isometries.reshape(m, ds * pointer_dim, ds)
+    m, ds, n = sources.shape
+    isometries = np.zeros((m, ds, n + 1, ds), dtype=complex)
+    isometries[:, :, READY_INDEX + 1:] = np.einsum("tia,tci->taic", post, sources.conj())
+    return isometries.reshape(m, ds * (n + 1), ds)
 
 
-def _check_models(isometries: np.ndarray, sources: np.ndarray, post: np.ndarray,
-                  record_indices: Sequence[int]):
+def _check_models(isometries: np.ndarray, sources: np.ndarray, post: np.ndarray):
     """The model checks for a stack of W (m, ds*dp, ds), |o_i> columns and |phi_i> rows.
 
     The Gram check max|W^dag W - 1| <= 1e-9 proves that each W extends to a
@@ -156,22 +151,21 @@ def _check_models(isometries: np.ndarray, sources: np.ndarray, post: np.ndarray,
     if i is not None:
         raise NonExtendable(f"interaction is not an isometry: Gram defect {gram[i]:.3e}")
     mapped = (isometries @ sources).reshape(m, ds, -1, n)
-    mapped[:, :, record_indices, range(n)] -= np.swapaxes(post, 1, 2)
+    mapped[:, :, READY_INDEX + 1:][:, :, range(n), range(n)] -= np.swapaxes(post, 1, 2)
     defect = np.max(np.abs(mapped), axis=(1, 2))
     i = _first(defect > MODEL_TOL)
     if i is not None:
         raise ValueError(f"interaction misses target {i % n}: defect {defect.flat[i]:.3e}")
 
 
-def _record_weights(isometries: np.ndarray, psi: np.ndarray, pointer_dim: int,
-                    record_indices: Sequence[int]) -> np.ndarray:
+def _record_weights(isometries: np.ndarray, psi: np.ndarray) -> np.ndarray:
     """The Born weight of each record m_i in W|psi>, read on the (system, pointer) grid.
 
     ``isometries`` is one W shared by all states or a stack (m, ds*dp, ds);
     ``psi`` is a stack of states (m, ds); the weights are (m, n).
     """
-    grid = (isometries @ psi[:, :, None]).reshape(len(psi), -1, pointer_dim)
-    return np.sum(np.abs(grid[:, :, record_indices]) ** 2, axis=1)
+    grid = (isometries @ psi[:, :, None]).reshape(*psi.shape, -1)
+    return np.sum(np.abs(grid[:, :, READY_INDEX + 1:]) ** 2, axis=1)
 
 
 def _orthonormal_complement(columns: np.ndarray) -> np.ndarray:
@@ -184,17 +178,14 @@ def _orthonormal_complement(columns: np.ndarray) -> np.ndarray:
 
 
 def build_measurement_unitary(obs: Observable,
-                              post_states: Sequence[PureState] | None = None,
-                              pointer_dim: int | None = None) -> MeasurementModel:
+                              post_states: Sequence[PureState] | None = None) -> MeasurementModel:
     """The interaction that maps |o_i>|ready> to |phi_i>|m_i>, held as its isometry.
 
     ``obs`` must be nondegenerate (one eigenstate per outcome).  The
     disturbance map ``post_states`` defaults to the eigenstates themselves
     (a non-disturbing measurement); the |phi_i> need not be orthogonal, and
-    may even all coincide (an absorbing measurement).  The pointer has
-    ``pointer_dim`` levels (default: one record per outcome plus the ready
-    state).  The ready state is pointer level 0 and the records occupy
-    levels 1 .. n.
+    may even all coincide (an absorbing measurement).  The pointer is ready
+    at level 0 and records outcome i at level i + 1, n + 1 levels in all.
 
     The interaction is pinned only on the (eigenstate, ready) slice, the
     isometry W the model holds; the rest of the unitary is completed when
@@ -205,15 +196,10 @@ def build_measurement_unitary(obs: Observable,
     invalid inputs, since orthogonal pointer records make the images
     orthonormal for any normalized |phi_i>).
     """
-    ds = obs.dim
-    n_out = obs.n_outcomes
+    ds, n_out = obs.dim, obs.n_outcomes
     if n_out != ds:
         raise ValueError("observable must be nondegenerate "
                          f"({n_out} outcomes on a dim-{ds} system)")
-    if pointer_dim is None:
-        pointer_dim = n_out + 1
-    if pointer_dim < n_out + 1:
-        raise ValueError(f"pointer needs at least {n_out + 1} levels")
     if post_states is None:
         post_states = [PureState(obs.eigenbasis(i)[:, 0]) for i in range(n_out)]
     post_states = list(post_states)
@@ -222,12 +208,9 @@ def build_measurement_unitary(obs: Observable,
     for phi in post_states:
         if phi.dim != ds:
             raise DimensionMismatch("post-measurement state lives off the system")
-    record_indices = _records(n_out)
     isometry = _isometries(obs._basis.columns()[None],
-                           np.array([phi.amplitudes for phi in post_states])[None],
-                           pointer_dim, record_indices)[0]
-    return MeasurementModel(obs, pointer_dim, READY_INDEX, record_indices,
-                            post_states, isometry)
+                           np.array([phi.amplitudes for phi in post_states])[None])[0]
+    return MeasurementModel(obs, post_states, isometry)
 
 
 def modeled_single_measurement(state: PureState, model: MeasurementModel) -> OutcomeDistribution:
@@ -239,14 +222,12 @@ def modeled_single_measurement(state: PureState, model: MeasurementModel) -> Out
     """
     if state.dim != model.system_dim:
         raise DimensionMismatch(f"state dim {state.dim} vs system dim {model.system_dim}")
-    probs = _record_weights(model.isometry, state.amplitudes[None], model.pointer_dim,
-                            model.record_indices)[0]
+    probs = _record_weights(model.isometry, state.amplitudes[None])[0]
     labels = [float(v) for v in model.observable.eigenvalues]
     return OutcomeDistribution(labels, probs)
 
 
-def repeated_measurement_joint(state: PureState, model: MeasurementModel,
-                               n_repeats: int = 2) -> OutcomeDistribution:
+def repeated_measurement_joint(state: PureState, model: MeasurementModel) -> OutcomeDistribution:
     """Joint record statistics of two back-to-back modeled measurements.
 
     Two fresh pointers, both ready, interact with the system in sequence;
@@ -255,20 +236,15 @@ def repeated_measurement_joint(state: PureState, model: MeasurementModel,
     interaction starts, so both steps apply W.  Outcome labels are
     eigenvalue pairs (o_i, o_j).
     """
-    if n_repeats != 2:
-        raise ValueError("only two successive measurements are modeled")
     if state.dim != model.system_dim:
         raise DimensionMismatch(f"state dim {state.dim} vs system dim {model.system_dim}")
     ds, dp = model.system_dim, model.pointer_dim
     first = (model.isometry @ state.amplitudes).reshape(ds, dp)       # (a, b1)
     psi = (model.isometry @ first).reshape(ds, dp, dp)                 # (a, b2, b1)
-    probs, labels = [], []
-    vals = model.observable.eigenvalues
-    for i, ri in enumerate(model.record_indices):
-        for j, rj in enumerate(model.record_indices):
-            labels.append((float(vals[i]), float(vals[j])))
-            probs.append(float(np.sum(np.abs(psi[:, rj, ri]) ** 2)))
-    return OutcomeDistribution(labels, probs)
+    records = np.sum(np.abs(psi[:, READY_INDEX + 1:, READY_INDEX + 1:]) ** 2, axis=0)
+    vals = [float(v) for v in model.observable.eigenvalues]
+    # records[j, i] is the weight of (o_i, o_j)
+    return OutcomeDistribution(list(itertools.product(vals, vals)), records.T.ravel())
 
 
 def collapse_rule_joint(state: PureState, obs: Observable) -> OutcomeDistribution:

@@ -346,9 +346,18 @@ def _run_zeno_decay(params: dict, seed: int) -> tuple[list, list, list]:
     if not np.isfinite(max(3 * tau, horizon)):  # the last survival time and the horizon
         raise RangeError([f"params.tau: {tau} overflows the longest time "
                           f"max(3, horizon_over_tau) * tau"])
-    model = build_decay_model(tau, params["n_modes"], params["bandwidth"])
+    # DecayModel's t0 and recurrence window T_valid, checked against the law's last
+    # time and each sweep's n_cycles * delta before any solve
+    bandwidth, n_modes = params["bandwidth"], params["n_modes"]
+    t0, t_valid = 2 * np.pi / bandwidth, 2 * np.pi / (bandwidth / n_modes)
+    deltas = [tau / 4, tau / 16, tau / 64, t0 / 10, t0 / 50]
+    longest = max([3 * tau] + [np.floor(horizon / d + 1e-12) * d for d in deltas])
+    if not longest <= t_valid / 3:
+        raise RangeError([f"params.bandwidth: {bandwidth} puts time {longest:.4g} past the "
+                          f"recurrence-safe window 2 pi n_modes / (3 bandwidth) = "
+                          f"{t_valid / 3:.4g}"])
+    model = build_decay_model(tau, n_modes, bandwidth)
 
-    deltas = [tau / 4, tau / 16, tau / 64, model.t0 / 10, model.t0 / 50]
     rows = []
     survivals = []
     for delta in deltas:
@@ -767,10 +776,15 @@ def _run_hegerfeldt_scan(params: dict, seed: int) -> tuple[list, list, list]:
     rng = np.random.default_rng(seed)
     dim = params["dim"]
     rank = params["rank"]
+    if rank >= dim:  # the commuting projector would be the identity, with no kernel
+        raise RangeError([f"params.rank: {rank} must be below dim {dim}"])
     times = np.linspace(0.0, params["t_max"], params["n_times"])
 
     h = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     H = Hamiltonian(LinearOperator(h + h.conj().T))
+    evals, evecs = H.eigensystem()
+    if not np.isfinite(params["t_max"] * float(np.max(np.abs(evals)))):  # the last phase E t
+        raise RangeError([f"params.t_max: {params['t_max']} overflows the phases E t"])
     q, _ = np.linalg.qr(rng.standard_normal((dim, rank))
                         + 1j * rng.standard_normal((dim, rank)))
     proj = LinearOperator(q @ q.conj().T)
@@ -778,7 +792,6 @@ def _run_hegerfeldt_scan(params: dict, seed: int) -> tuple[list, list, list]:
     generic = indefiniteness_scan(H, psi0, proj, times)
 
     # projector commuting with H, initial state in its kernel
-    evals, evecs = H.eigensystem()
     proj_comm = LinearOperator(evecs[:, :rank] @ evecs[:, :rank].conj().T)
     psi_kernel = PureState(evecs[:, -1])
     kernel_scan = indefiniteness_scan(H, psi_kernel, proj_comm, times)

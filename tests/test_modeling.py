@@ -33,12 +33,11 @@ def kron3(a, b, c):
 class TestBuildMeasurementUnitary:
     def test_nondisturbing_maps_eigenstates_to_records(self):
         model = build_measurement_unitary(OBS_Z)
-        ready = np.zeros(model.pointer_dim)
-        ready[model.ready_index] = 1.0
+        # the pointer layout: ready at level 0, outcome i recorded at level i + 1
+        ready = np.eye(3)[0]
         # ascending eigenvalue order: outcome 0 is -1 (|1>), outcome 1 is +1 (|0>)
         for i, sys_vec in enumerate((MINUS_Z.amplitudes, PLUS_Z.amplitudes)):
-            rec = np.zeros(model.pointer_dim)
-            rec[model.record_indices[i]] = 1.0
+            rec = np.eye(3)[i + 1]
             out = model.unitary.matrix @ np.kron(sys_vec, ready)
             np.testing.assert_allclose(out, np.kron(sys_vec, rec), atol=1e-9)
 
@@ -62,14 +61,18 @@ class TestBuildMeasurementUnitary:
             U = model.unitary.matrix
             assert np.max(np.abs(U.conj().T @ U - np.eye(U.shape[0]))) < 1e-9
 
+    def test_layout_attributes_are_fixed_and_read_only(self):
+        model = build_measurement_unitary(spectral_decompose(LinearOperator(np.diag([1.0, 2.0, 3.0]))))
+        assert (model.system_dim, model.pointer_dim, model.ready_index,
+                model.record_indices) == (3, 4, 0, (1, 2, 3))
+        for name in ("system_dim", "pointer_dim", "ready_index", "record_indices"):
+            with pytest.raises(AttributeError):
+                setattr(model, name, 0)
+
     def test_rejects_degenerate_observable(self):
         degenerate = spectral_decompose(LinearOperator(np.diag([1.0, 1.0, 2.0])))
         with pytest.raises(ValueError, match="nondegenerate"):
             build_measurement_unitary(degenerate)
-
-    def test_rejects_small_pointer(self):
-        with pytest.raises(ValueError, match="pointer"):
-            build_measurement_unitary(OBS_Z, pointer_dim=2)
 
 
 class TestIsometry:
@@ -88,13 +91,14 @@ class TestIsometry:
         obs = spectral_decompose(random_hermitian(rng, 3))
         posts = [random_state(rng, 3) for _ in range(3)]
         model = build_measurement_unitary(obs, post_states=posts)
-        oracle = sum(np.outer(np.kron(phi.amplitudes, np.eye(4)[rec]), obs.eigenbasis(i)[:, 0].conj())
-                     for i, (rec, phi) in enumerate(zip(model.record_indices, posts)))
+        # outcome i is recorded at pointer level i + 1 of 4
+        oracle = sum(np.outer(np.kron(phi.amplitudes, np.eye(4)[i + 1]), obs.eigenbasis(i)[:, 0].conj())
+                     for i, phi in enumerate(posts))
         np.testing.assert_allclose(model.isometry, oracle, rtol=0, atol=1e-15)
 
     def test_constructor_checks_the_isometry(self):
         model = build_measurement_unitary(OBS_Z)
-        args = (OBS_Z, 3, 0, model.record_indices, model.post_states)
+        args = (OBS_Z, model.post_states)
         assert MeasurementModel(*args, model.isometry).isometry.flags.writeable is False
         with pytest.raises(NonExtendable, match="isometry"):
             MeasurementModel(*args, 2 * model.isometry)
@@ -111,7 +115,7 @@ class TestIsometry:
         post /= np.linalg.norm(post, axis=-1, keepdims=True)
         psi = np.array([random_state(rng, 3).amplitudes for _ in range(5)])
         sources = np.array([np.hstack([o.eigenbasis(i) for i in range(3)]) for o in obs])
-        stacked = _record_weights(_isometries(sources, post, 4, [1, 2, 3]), psi, 4, [1, 2, 3])
+        stacked = _record_weights(_isometries(sources, post), psi)
         for o, phi, s, weights in zip(obs, post, psi, stacked):
             model = build_measurement_unitary(o, post_states=[PureState(v) for v in phi])
             grid = (model.unitary.matrix @ np.kron(s, np.eye(4)[0])).reshape(3, 4)
@@ -264,11 +268,6 @@ class TestRepeatedMeasurementJoint:
                 assert off < 1e-10
             else:
                 assert off > 1e-3
-
-    def test_only_two_repeats_supported(self):
-        model = build_measurement_unitary(OBS_Z)
-        with pytest.raises(ValueError):
-            repeated_measurement_joint(PLUS_X, model, n_repeats=3)
 
 
 def _brute_force_joint(state, post_states):

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from qmeasure import (
     SIGMA_Z,
     LinearOperator,
+    OutsideValidityWindow,
     ParseError,
     PureState,
     RangeError,
@@ -57,6 +58,17 @@ PACKET_OVERFLOW_HOLES = [
                           "state_width": 1.5e154, "state_x0": 0.0, "probe_p_index": 10,
                           "probe_q_index": 10}, "box_length"),
     ("phase_space_povm", {"state_k0": 1.0e308}, "state_k0")]
+
+# configs that validate field by field but cannot run, and the field each
+# RangeError names: a zeno_decay time past the recurrence-safe window (it ended
+# in an OutsideValidityWindow naming no field), a hegerfeldt_scan projector of
+# rank >= dim, which has no kernel (the run failed kernel_scan_identically_zero),
+# and a t_max whose phase E t leaves the double range (NaN series)
+CROSS_FIELD_HOLES = [
+    ("zeno_decay", {"n_modes": 200, "bandwidth": 80.0, "horizon_over_tau": 10.0}, "bandwidth"),
+    ("hegerfeldt_scan", {"dim": 4, "rank": 5}, "rank"),
+    ("hegerfeldt_scan", {"dim": 8, "rank": 8}, "rank"),
+    ("hegerfeldt_scan", {"dim": 8, "rank": 3, "t_max": 1.7e308}, "t_max")]
 
 DOUBLE_MAX = float(np.finfo(float).max)
 SQUARE_EDGE = st.floats(1e153, 1e156)  # box lengths whose square leaves the double range
@@ -195,6 +207,33 @@ def _fuzzy_povm_config(draw):
 
 
 @st.composite
+def _zeno_rabi_config(draw):
+    """zeno_rabi's whole documented range; half the draws take theta = pi, a full flip."""
+    theta = draw(st.just(float(np.pi)) | st.floats(1e-9, 2 * float(np.pi)))
+    return {"scenario": "zeno_rabi", "seed": draw(SEEDS),
+            "params": {"theta": theta, "n_max": draw(st.integers(1, 4096))}}
+
+
+@st.composite
+def _hegerfeldt_config(draw):
+    """hegerfeldt_scan with dim <= 16 and n_times <= 2000; rank and t_max over their whole ranges.
+
+    Two draws in three take rank below dim and t_max up to 100; the rest
+    take rank from 1 to 63 and t_max up to the top of the double range.
+    """
+    def mostly(common, rare):  # two draws in three from the common range
+        return st.one_of(common, common, rare)
+
+    dim = draw(st.integers(2, 16))
+    return {"scenario": "hegerfeldt_scan", "seed": draw(SEEDS),
+            "params": {"dim": dim,
+                       "rank": draw(mostly(st.integers(1, dim - 1), st.integers(1, 63))),
+                       "n_times": draw(st.integers(1000, 2000)),
+                       "t_max": draw(mostly(st.floats(1e-3, 100.0),
+                                            st.floats(1e-3, DOUBLE_MAX)))}}
+
+
+@st.composite
 def _phase_space_params(draw):
     """phase_space_povm's documented ranges, with n_points capped at 64.
 
@@ -224,7 +263,7 @@ def _phase_space_params(draw):
 def _check_trial_scenario(config: dict):
     """Run one validated config: it runs or raises SimulationError, with finite values.
 
-    The assertions of the trial scenarios are identities, so each must also pass.
+    The assertions of these scenarios hold for every valid config, so each must also pass.
     """
     cfg = validate_config(yaml.safe_dump(config))
     try:
@@ -442,13 +481,23 @@ class TestRunScenario:
         # the packet holes reported NaN or infinite values instead of raising
         assert all(np.isfinite(a.value) for a in result.assertions), result.assertions
 
+    @pytest.mark.parametrize("scenario,params,name", CROSS_FIELD_HOLES)
+    def test_cross_field_holes_name_the_field(self, scenario, params, name):
+        raw = yaml.safe_dump({"scenario": scenario, "params": params})
+        with pytest.raises(RangeError) as err:
+            run_scenario(validate_config(raw))
+        assert len(err.value.violations) == 1
+        assert err.value.violations[0].startswith(f"params.{name}:")
+
     @settings(max_examples=60, deadline=None, database=None, derandomize=True)
     @given(_zeno_decay_params())
     def test_validated_zeno_decay_runs_or_raises_simulation_error(self, params):
         cfg = validate_config(yaml.safe_dump({"scenario": "zeno_decay", "params": params}))
         try:
             result = run_scenario(cfg)
-        except SimulationError:
+        except SimulationError as exc:
+            # the recurrence window is known before the solve, so a RangeError names the field
+            assert not isinstance(exc, OutsideValidityWindow), exc
             return
         assert result.rows and np.all(np.isfinite(result.rows))
         # the defaults fail the golden-rule law by design, so only finiteness is asserted
@@ -467,6 +516,16 @@ class TestRunScenario:
     @settings(max_examples=60, deadline=None, database=None, derandomize=True)
     @given(_fuzzy_povm_config())
     def test_validated_fuzzy_povm_runs_or_raises_simulation_error(self, config):
+        _check_trial_scenario(config)
+
+    @settings(max_examples=60, deadline=None, database=None, derandomize=True)
+    @given(_zeno_rabi_config())
+    def test_validated_zeno_rabi_runs_or_raises_simulation_error(self, config):
+        _check_trial_scenario(config)
+
+    @settings(max_examples=60, deadline=None, database=None, derandomize=True)
+    @given(_hegerfeldt_config())
+    def test_validated_hegerfeldt_scan_runs_or_raises_simulation_error(self, config):
         _check_trial_scenario(config)
 
     def test_zeno_decay_horizon_overflow_names_tau(self):
