@@ -68,9 +68,15 @@ def _phase_step(energies: np.ndarray, coefficients, times) -> np.ndarray:
 
     ``coefficients`` has one row per energy (its columns all evolve by a
     scalar ``times``); a vector with a 1-d array of times gives one column
-    per time.
+    per time.  ValueError, naming the time, when a phase E*t leaves the
+    double range.
     """
-    phases = np.exp(-1j * np.multiply.outer(energies, times))
+    with np.errstate(over="ignore"):
+        angles = np.multiply.outer(energies, times)
+    if not np.isfinite(angles).all():
+        times = np.asarray(times)
+        raise ValueError(f"phase E*t overflows at time {times.flat[np.argmax(np.abs(times))]}")
+    phases = np.exp(-1j * angles)
     return (phases.T * np.asarray(coefficients).T).T  # broadcast over columns or times
 
 
@@ -176,7 +182,8 @@ class Hamiltonian:
         """e^{-iHt} applied to unnormalized amplitudes: the one evolution kernel.
 
         Columns of a matrix all evolve by ``t``; a vector with a 1-d array of
-        times gives one column per time.  Raises ValueError for a non-finite t.
+        times gives one column per time.  Raises ValueError for a non-finite t
+        or one whose phase E*t overflows.
         """
         times = np.asarray(t, dtype=float)
         if not np.all(np.isfinite(times)):

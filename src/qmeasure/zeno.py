@@ -204,7 +204,8 @@ class DecayModel:
         """A(t) = <undecayed|e^{-iHt}|undecayed> = sum_j w_j e^{-i E_j t}.
 
         The phase step of ``Hamiltonian.evolve_amplitudes``, applied to the
-        weights; no window check.  ValueError for a non-finite t.
+        weights; no window check.  ValueError for a non-finite t or an
+        overflowing phase E*t.
         """
         if not math.isfinite(t):
             raise ValueError(f"time must be finite, got {t}")

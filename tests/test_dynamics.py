@@ -1,5 +1,7 @@
 import math
+import re
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -79,6 +81,18 @@ class TestPropagate:
         for t in (np.nan, np.inf):
             with pytest.raises(ValueError, match="time must be finite"):
                 H.evolve(random_state(rng, 3), t)
+
+    @pytest.mark.parametrize("t,named", [(1.7e308, "1.7e+308"),
+                                         ([0.0, 1.0, -1.7e308], "-1.7e+308")])
+    def test_evolve_rejects_overflowing_phase(self, t, named):
+        # a finite time whose phase E*t leaves the double range gave NaN amplitudes
+        # with only a RuntimeWarning
+        g = GridSpace(64, 20.0)
+        psi = gaussian_packet(g, 0.0, 0.0, 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=re.escape(f"overflows at time {named}")):
+                free_hamiltonian(g, 1.0).evolve_amplitudes(psi.amplitudes, np.asarray(t))
 
     def test_hamiltonian_evolve_matches_propagator(self, rng):
         H = Hamiltonian(random_hermitian(rng, 5))

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import time
 import tracemalloc
@@ -9,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from qmeasure import (
     SIGMA_Z,
+    GridSpace,
     LinearOperator,
     OutsideValidityWindow,
     ParseError,
@@ -19,6 +21,9 @@ from qmeasure import (
     born_distribution,
     build_fuzzy_povm,
     build_measurement_unitary,
+    free_hamiltonian,
+    gaussian_packet,
+    packet_width,
     povm_distribution,
     run_scenario,
     spectral_decompose,
@@ -373,23 +378,44 @@ class TestRunScenario:
         assert not norm.passed
         assert norm.value == pytest.approx(0.01, rel=1e-9)
 
-    def test_fourier_unitarity_checks_every_column(self, monkeypatch):
-        # the round trip runs on blocks of identity columns; 300 points leave a
-        # partial last block, and only the last sample drifts
+    def test_fourier_unitarity_sees_round_trip_drift(self, monkeypatch):
+        # F^dag puts a 1.01 drift on the centre sample, in the evolution too, so the
+        # evolved state at t = 0 carries 1.01 psi0[c] there and its round trip
+        # adds 0.01 of that
         from qmeasure.dynamics import _FourierBasis
         apply = _FourierBasis.apply
+        g = GridSpace(256, 60.0)
+        centre = int(np.argmin(np.abs(g.positions)))
 
-        def drift_on_last_sample(self, coefficients):
+        def drift_on_centre(self, coefficients):
             out = apply(self, coefficients)
-            out[-1] *= 1.01
+            out[centre] *= 1.01
             return out
 
-        monkeypatch.setattr(_FourierBasis, "apply", drift_on_last_sample)
+        monkeypatch.setattr(_FourierBasis, "apply", drift_on_centre)
         table = run_scenario(validate_config(
-            "scenario: wavepacket_spread\nparams:\n  n_points: 300\n  box_length: 60.0\n"))
+            "scenario: wavepacket_spread\nparams:\n  n_points: 256\n  box_length: 60.0\n"))
+        unitarity = {a.name: a for a in table.assertions}["fourier_map_unitarity"]
+        psi0 = np.exp(-g.positions ** 2 / 2.0)  # exp(-x^2 / 2 width^2) at width 1, normalized here
+        psi0 /= np.linalg.norm(psi0)
+        assert not unitarity.passed
+        assert unitarity.value == pytest.approx(0.01 * 1.01 * psi0[centre], rel=1e-9)
+
+    def test_fourier_unitarity_sees_scaled_map_pair(self, monkeypatch):
+        # F scaled by 1 + eps and F^dag by its inverse: the round trip cancels and
+        # only Parseval's identity sees the fault, eps times a unit norm
+        from qmeasure.dynamics import _FourierBasis
+        eps = 1e-6
+        apply, adjoint = _FourierBasis.apply, _FourierBasis.apply_adjoint
+        monkeypatch.setattr(_FourierBasis, "apply_adjoint",
+                            lambda self, amplitudes: (1 + eps) * adjoint(self, amplitudes))
+        monkeypatch.setattr(_FourierBasis, "apply",
+                            lambda self, coefficients: apply(self, coefficients) / (1 + eps))
+        table = run_scenario(validate_config(
+            "scenario: wavepacket_spread\nparams:\n  n_points: 256\n  box_length: 60.0\n"))
         unitarity = {a.name: a for a in table.assertions}["fourier_map_unitarity"]
         assert not unitarity.passed
-        assert unitarity.value == pytest.approx(0.01, rel=1e-6)
+        assert unitarity.value == pytest.approx(eps, rel=1e-9)
 
     def test_determinism_byte_identical(self):
         cfg = validate_config("scenario: fuzzy_povm\nseed: 7")
@@ -592,6 +618,20 @@ class TestRunScenario:
         assert passed["survival_monotone_along_sweep"]
         assert passed["frozen_survival_at_finest_delta"]
 
+    def test_wavepacket_spread_range_top_peak_memory(self):
+        # times are evolved in blocks of 128 KiB: all 1000 at once peaked at 312.8 MiB
+        # at this size
+        cfg = validate_config("scenario: wavepacket_spread\nparams:\n  n_points: 4096\n"
+                              "  n_times: 1000\n")
+        tracemalloc.start()
+        try:
+            table = run_scenario(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MiB"
+        assert table.all_passed
+
     def test_repeated_measurement_range_memory(self):
         # trials are stacked in blocks per dimension, never all at once
         cfg = validate_config("scenario: repeated_measurement\nparams:\n  n_random: 20000\n")
@@ -677,6 +717,22 @@ class TestTrialOracles:
             assert (pr_plus, pr_minus) == pytest.approx((plus, minus), abs=1e-12)
             assert expected == pytest.approx(np.cos(theta / 2) ** 2, abs=1e-15)
             assert err == abs(pr_plus - expected)
+
+    @pytest.mark.parametrize("n_points", [1024, 4096])
+    def test_wavepacket_spread_rows(self, n_points):
+        # 40 times cross the scenario's blocks of stacked times (8 at 1024 points,
+        # 2 at 4096); the per-time kernel calls must give the same CSV bytes
+        table = run_scenario(validate_config(yaml.safe_dump(
+            {"scenario": "wavepacket_spread", "params": {"n_points": n_points, "n_times": 40}})))
+        g = GridSpace(n_points, 120.0)
+        H = free_hamiltonian(g, 1.0)
+        psi0 = gaussian_packet(g, 0.0, 0.0, 1.0)
+        rows = []
+        for t in np.linspace(0.0, np.sqrt(30.0 ** 2 - 1.0), 40):  # until width 120 / 4
+            w_num = packet_width(g, PureState(H.evolve_amplitudes(psi0.amplitudes, float(t))))
+            w_ref = np.sqrt(1.0 + t ** 2)
+            rows.append((float(t), w_num, float(w_ref), float(abs(w_num - w_ref) / w_ref)))
+        assert table.to_csv() == dataclasses.replace(table, rows=rows).to_csv()
 
     def test_fuzzy_povm_rows(self):
         eps, n_random, seed = 0.2, 600, 5

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -110,6 +111,12 @@ class TestCombSpectrum:
         for t in (np.nan, np.inf):
             with pytest.raises(ValueError, match="time must be finite"):
                 model.survival_amplitude(t)
+
+    def test_amplitude_rejects_overflowing_phase(self, model):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"overflows at time 1\.7e\+308"):
+                model.survival_amplitude(1.7e308)
 
     def test_arrays_are_read_only(self, model):
         for arr in (model.energies, model.weights):
