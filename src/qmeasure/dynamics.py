@@ -63,27 +63,35 @@ def _chebyshev_coefficients(z: np.ndarray) -> np.ndarray:
     return np.where(np.asarray(z) == 0, (k == 0).astype(complex), b)
 
 
-def _phase_step(energies: np.ndarray, coefficients, times) -> np.ndarray:
-    """e^{-iEt} times the eigenbasis coefficients: the phase step of every evolution.
+def _phases(energies: np.ndarray, times) -> np.ndarray:
+    """e^{-iEt}, one row per energy (and a column per time of a 1-d array).
 
-    ``coefficients`` has one row per energy (its columns all evolve by a
-    scalar ``times``); a vector with a 1-d array of times gives one column
-    per time.  ValueError, naming the time, when a phase E*t leaves the
-    double range.
+    ValueError, naming the time, when a phase E*t leaves the double range.
     """
     with np.errstate(over="ignore"):
         angles = np.multiply.outer(energies, times)
     if not np.isfinite(angles).all():
         times = np.asarray(times)
         raise ValueError(f"phase E*t overflows at time {times.flat[np.argmax(np.abs(times))]}")
-    phases = np.exp(-1j * angles)
-    return (phases.T * np.asarray(coefficients).T).T  # broadcast over columns or times
+    return np.exp(-1j * angles)
+
+
+def _phase_step(energies: np.ndarray, coefficients, times) -> np.ndarray:
+    """e^{-iEt} times the eigenbasis coefficients: the phase step of every evolution.
+
+    ``coefficients`` has one row per energy (its columns all evolve by a
+    scalar ``times``); a vector with a 1-d array of times gives one column
+    per time.
+    """
+    return (_phases(energies, times).T * np.asarray(coefficients).T).T  # over columns or times
 
 
 class Hamiltonian:
     """A Hermitian generator of time evolution.
 
-    Every propagation goes through :meth:`evolve_amplitudes`.  Mostly it is
+    Every propagation goes through :meth:`evolve_amplitudes`, except that
+    ``indefiniteness_scan`` applies one block's phase table e^{-iEt} to
+    several states over the same V and E.  Mostly it is
     U(t) = V e^{-iEt} V^dag from energies E and a basis V (see
     :mod:`qmeasure.hilbert`): a dense operator is diagonalized once, on
     first use, by a real symmetric ``eigh`` when its matrix is exactly real;
@@ -155,7 +163,12 @@ class Hamiltonian:
         return self._op
 
     def _diagonalized(self) -> tuple[np.ndarray, _DenseBasis | _FourierBasis]:
-        """(E, V) with E in the order of V's columns; diagonalizes an operator once."""
+        """(E, V) with E in the order of V's columns; diagonalizes an operator once.
+
+        A grid potential's dense operator is diagonalized on each call.
+        """
+        if self._potential is not None:   # the Fourier map diagonalizes the kinetic part only
+            return Hamiltonian(self.op)._diagonalized()
         if self._basis is None:
             m = self.op.matrix
             evals, evecs = np.linalg.eigh(m if m.imag.any() else m.real)
@@ -171,8 +184,6 @@ class Hamiltonian:
         on each call; a grid potential's dense operator is diagonalized on
         each call.
         """
-        if self._potential is not None:   # the Fourier map diagonalizes the kinetic part only
-            return Hamiltonian(self.op).eigensystem()
         evals, basis = self._diagonalized()
         # an ascending spectrum (every eigh) keeps its basis as it is stored
         order = slice(None) if np.all(evals[:-1] <= evals[1:]) else np.argsort(evals, kind="stable")

@@ -119,6 +119,12 @@ def _eigenspace_slices(evals: np.ndarray) -> list[slice]:
     return _cluster_slices(evals, SPECTRAL_TOL * radius)
 
 
+def _degenerate_spectra(evals: np.ndarray) -> np.ndarray:
+    """Per row of ascending eigenvalues (m, n): whether _eigenspace_slices merges any two."""
+    radius = np.abs(evals).max(axis=-1, keepdims=True)
+    return np.any(np.diff(evals, axis=-1) <= SPECTRAL_TOL * radius, axis=-1)
+
+
 def _cluster_slices(evals: np.ndarray, gap: float) -> list[slice]:
     """Split ascending eigenvalues into runs whose neighbours lie within ``gap``."""
     ev = evals.tolist()

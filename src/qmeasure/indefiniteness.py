@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, EmptyRegion
-from .dynamics import GridSpace, Hamiltonian
+from .dynamics import GridSpace, Hamiltonian, _phases
 from .hilbert import LinearOperator, Observable, PureState, _IndexOrder, \
     _cluster_slices, _projector_defect
 
@@ -143,14 +143,14 @@ def _projector_matrix(projector) -> np.ndarray:
     return mat
 
 
-def _kernel_criterion(H: Hamiltonian, psi0: PureState, proj: np.ndarray) -> bool:
+def _kernel_criterion(evals: np.ndarray, evecs: np.ndarray, psi0: PureState,
+                      proj: np.ndarray) -> bool:
     """Whether the evolved ray stays in ker(Pi) for all times.
 
-    The trajectory spans the eigenspace components of the initial state, so
-    psi(t) remains in the kernel iff Pi kills every energy-eigenspace
-    projection of psi0.
+    ``evals`` and ``evecs`` are H's ascending eigensystem.  The trajectory
+    spans the eigenspace components of the initial state, so psi(t) remains
+    in the kernel iff Pi kills every energy-eigenspace projection of psi0.
     """
-    evals, evecs = H.eigensystem()
     coeff = evecs.conj().T @ psi0.amplitudes
     radius = float(np.max(np.abs(evals))) if len(evals) else 0.0
     for sl in _cluster_slices(evals, 1e-9 * max(radius, 1.0)):
@@ -162,22 +162,58 @@ def _kernel_criterion(H: Hamiltonian, psi0: PureState, proj: np.ndarray) -> bool
     return True
 
 
-def indefiniteness_scan(H: Hamiltonian, psi0: PureState, projector,
-                        times) -> IndefinitenessScan:
+SCAN_BLOCK = 4096  # times per block: one block's phases and evolved states are live at once
+
+
+def indefiniteness_scan(H: Hamiltonian, psi0, projector, times):
     """Scan <psi(t)|Pi|psi(t)> over a time grid and classify its zero set.
 
     Values at most 1e-10 count as zero.  The grid must carry at least 1000
     points; zero-set classification on a sparser grid says little.
+    ``psi0`` and ``projector`` may also be equal-length sequences of states
+    and projectors that share H and the times: the result is then a list of
+    scans, one per pair, and each block of times has its phases e^{-iEt}
+    computed once for every pair.  A state or projector whose dimension is
+    not H's raises DimensionMismatch.
     """
-    proj = _projector_matrix(projector)
+    single = isinstance(psi0, PureState)
+    states, projectors = ([psi0], [projector]) if single else (list(psi0), list(projector))
+    if len(states) != len(projectors):
+        raise ValueError(f"{len(states)} states vs {len(projectors)} projectors")
+    mats = [_projector_matrix(p) for p in projectors]
+    for state, mat in zip(states, mats):
+        for kind, dim in (("state", state.dim), ("projector", mat.shape[0])):
+            if dim != H.dim:
+                raise DimensionMismatch(f"{kind} dim {dim} vs Hamiltonian dim {H.dim}")
     times = np.asarray(times, dtype=float)
     if times.size < 1000:
         raise ValueError(f"need a time grid of at least 1000 points, got {times.size}")
-    blocks = np.array_split(times, 1 + times.size // 4096)  # bounds memory to 4096 times
-    psi_t = (H.evolve_amplitudes(psi0.amplitudes, b) for b in blocks)  # a column per time
-    series = np.clip(np.concatenate([np.real(np.sum(c.conj() * (proj @ c), axis=0))
-                                     for c in psi_t]), 0.0, None)
-    kernel_invariant = _kernel_criterion(H, psi0, proj)
+    if not np.all(np.isfinite(times)):
+        raise ValueError("times must be finite")
+    evals, basis = H._diagonalized()
+    coefficients = [basis.apply_adjoint(state.amplitudes)[:, None] for state in states]
+    series = np.empty((len(states), times.size))
+    for block in np.array_split(np.arange(times.size), 1 + times.size // SCAN_BLOCK):
+        lo, hi = block[0], block[-1] + 1
+        phases = _phases(evals, times[lo:hi])
+        for row, c, mat in zip(series, coefficients, mats):
+            row[lo:hi] = _expectations(basis.apply(phases * c), mat)  # a column per time
+        del phases  # the next block's phases replace these rather than join them
+    np.clip(series, 0.0, None, out=series)
+    eigensystem = H.eigensystem()
+    scans = [_classified(times, row, _kernel_criterion(*eigensystem, state, mat))
+             for row, state, mat in zip(series, states, mats)]
+    return scans[0] if single else scans
+
+
+def _expectations(psi_t: np.ndarray, proj: np.ndarray) -> np.ndarray:
+    """Re sum_j conj(psi_j) (Pi psi)_j per column, overwriting ``psi_t`` with its conjugate."""
+    weighted = proj @ psi_t
+    np.multiply(np.conjugate(psi_t, out=psi_t), weighted, out=weighted)
+    return np.sum(weighted, axis=0).real
+
+
+def _classified(times: np.ndarray, series: np.ndarray, kernel_invariant: bool) -> IndefinitenessScan:
     below = series <= ZERO_THRESHOLD
     if below.all() and kernel_invariant:
         classification = "identically-zero"
@@ -185,10 +221,8 @@ def indefiniteness_scan(H: Hamiltonian, psi0: PureState, projector,
         classification = "never-zero"
     else:
         classification = "isolated-zeros"
-    return IndefinitenessScan(times=times, series=series,
-                              classification=classification,
-                              kernel_invariant=kernel_invariant,
-                              threshold=ZERO_THRESHOLD)
+    return IndefinitenessScan(times=times, series=series, classification=classification,
+                              kernel_invariant=kernel_invariant, threshold=ZERO_THRESHOLD)
 
 
 def invariant_subspace_check(H: Hamiltonian, obs: Observable) -> list[bool]:

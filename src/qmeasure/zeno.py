@@ -253,14 +253,28 @@ def iterated_projection_survival(model: DecayModel, delta: float, horizon: float
     return float(abs(model.survival_amplitude(delta)) ** (2 * n_cycles))
 
 
-def rabi_zeno(theta: float, n_projections: int) -> float:
+def rabi_zeno(theta: float, n_projections):
     """Survival of a two-level rotation interrupted by N projections.
 
     A spin is rotated by total angle theta in N equal steps; after each step
     it is projected back onto its initial state, so the survival is
     |<up|U(theta/N)|up>|^2N (closed form cos^2N(theta / 2N)).
+    ``n_projections`` is N, an integer >= 1, or an array of such integers,
+    which gives an array of survivals from one evolution.  Any other count
+    (a bool, a float, N < 1) raises ValueError naming it.
     """
-    if n_projections < 1:
-        raise ValueError("need at least one projection")
-    amplitude = RABI_GENERATOR.evolve_amplitudes(UP, theta / n_projections)[0]
-    return float(abs(amplitude) ** (2 * n_projections))
+    n = np.asarray(n_projections)
+    wrong = n < 1 if n.dtype.kind in "iu" else np.ones(n.shape, dtype=bool)
+    if wrong.any():
+        raise ValueError(f"need integer projection counts >= 1, got {n[wrong].flat[0].item()!r}")
+    survival = _rabi_survivals(theta, n)
+    return float(survival) if n.ndim == 0 else survival
+
+
+def _rabi_survivals(theta: float, n: np.ndarray) -> np.ndarray:
+    """|<up|U(theta/N)|up>|^2N for an integer array of counts N >= 1, from one evolution."""
+    counts = n.ravel()
+    magnitudes = np.abs(RABI_GENERATOR.evolve_amplitudes(UP, theta / counts)[0])
+    # libm's pow per count: numpy's array power can differ from it in the last bit
+    return np.reshape([m ** (2 * k) for m, k in zip(magnitudes.tolist(), counts.tolist())],
+                      n.shape)

@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from qmeasure import (
+    DimensionMismatch,
     EmptyRegion,
     GridSpace,
     Hamiltonian,
@@ -11,6 +13,7 @@ from qmeasure import (
     PureState,
     SIGMA_X,
     SIGMA_Z,
+    barrier_hamiltonian,
     basis_state,
     born_distribution,
     delocalization_demo,
@@ -237,6 +240,97 @@ class TestIndefinitenessScan:
             indefiniteness_scan(H, random_state(rng, 3),
                                 LinearOperator(np.diag([1.0, 0.0, 0.0])),
                                 np.linspace(0, 1, 50))
+
+    def test_rejects_non_finite_times(self, rng):
+        times = np.linspace(0, 1, 1000)
+        times[500] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            indefiniteness_scan(Hamiltonian(random_hermitian(rng, 3)), random_state(rng, 3),
+                                LinearOperator(np.diag([1.0, 0.0, 0.0])), times)
+
+    def test_rejects_state_or_projector_of_another_dimension(self, rng):
+        H = Hamiltonian(random_hermitian(rng, 4))
+        times = np.linspace(0, 1, 1000)
+        with pytest.raises(DimensionMismatch, match="state dim 3 vs Hamiltonian dim 4"):
+            indefiniteness_scan(H, random_state(rng, 3), random_projector(rng, 4, 2), times)
+        with pytest.raises(DimensionMismatch, match="projector dim 5 vs Hamiltonian dim 4"):
+            indefiniteness_scan(H, random_state(rng, 4), random_projector(rng, 5, 2), times)
+        with pytest.raises(DimensionMismatch, match="state dim 6 vs Hamiltonian dim 4"):
+            indefiniteness_scan(H, [random_state(rng, 4), random_state(rng, 6)],
+                                [random_projector(rng, 4, 2)] * 2, times)
+
+    def test_rejects_unpaired_states_and_projectors(self, rng):
+        H = Hamiltonian(random_hermitian(rng, 4))
+        with pytest.raises(ValueError, match="2 states vs 1 projectors"):
+            indefiniteness_scan(H, [random_state(rng, 4)] * 2, [random_projector(rng, 4, 2)],
+                                np.linspace(0, 1, 1000))
+
+    def test_barrier_hamiltonian_scan_matches_chebyshev_evolution(self, rng):
+        # a grid potential is scanned on its dense eigensystem; the oracle evolves
+        # by the Chebyshev expansion
+        g = GridSpace(64, 20.0)
+        H = barrier_hamiltonian(g, 1.0, 2.0, (30, 34))
+        psi0 = truncated_gaussian_packet(g, -4.0, 1.0, 1.0, (10, 30))
+        proj = region_projector(g, (34, 64)).projector(1).matrix
+        times = np.linspace(0.0, 3.0, 1000)
+        scan = indefiniteness_scan(H, psi0, proj, times)
+        psi_t = H.evolve_amplitudes(psi0.amplitudes, times)
+        oracle = np.real(np.sum(psi_t.conj() * (proj @ psi_t), axis=0))
+        np.testing.assert_allclose(scan.series, np.clip(oracle, 0.0, None), rtol=0, atol=1e-12)
+        assert scan.classification == "isolated-zeros"
+
+
+def _three_pairs(rng, H):
+    """A generic pair, a state in an invariant kernel, and one that is zero at t = 0 only."""
+    evals, evecs = H.eigensystem()
+    generic = random_state(rng, H.dim)
+    kernel = LinearOperator(evecs[:, :2] @ evecs[:, :2].conj().T)
+    start = random_state(rng, H.dim)
+    complement = LinearOperator(np.eye(H.dim) - np.outer(start.amplitudes, start.amplitudes.conj()))
+    return ([generic, PureState(evecs[:, -1]), start],
+            [random_projector(rng, H.dim, 2), kernel, complement])
+
+
+class TestStackedScan:
+    """Several (state, projector) pairs scanned on one H and one time grid.
+
+    The oracle evolves each state by itself with ``evolve_amplitudes`` over
+    the whole grid and applies the dense projector.
+    """
+
+    @pytest.mark.parametrize("grid", [False, True], ids=["dense", "fourier"])
+    def test_matches_per_state_loop_bit_for_bit(self, rng, grid):
+        H = free_hamiltonian(GridSpace(64, 20.0), 1.0) if grid else Hamiltonian(random_hermitian(rng, 6))
+        states, projectors = _three_pairs(rng, H)
+        times = np.linspace(0.0, 40.0, 9000)  # three blocks of 3000 times
+        scans = indefiniteness_scan(H, states, projectors, times)
+        assert [scan.classification for scan in scans] == ["never-zero", "identically-zero",
+                                                           "isolated-zeros"]
+        assert [scan.kernel_invariant for scan in scans] == [False, True, False]
+        for scan, state, projector in zip(scans, states, projectors):
+            psi_t = H.evolve_amplitudes(state.amplitudes, times)
+            oracle = np.real(np.sum(psi_t.conj() * (projector.matrix @ psi_t), axis=0))
+            assert np.array_equal(scan.series, np.clip(oracle, 0.0, None))
+            single = indefiniteness_scan(H, state, projector, times)
+            assert np.array_equal(single.series, scan.series)
+            assert (single.classification, single.kernel_invariant) == (
+                scan.classification, scan.kernel_invariant)
+
+    def test_holds_one_block_of_phases_at_a_time(self, rng):
+        # 65,536 times at dim 32: each of the 17 blocks' phases take 1.9 MiB, all
+        # of them 32 MiB; the series table of two pairs takes 1 MiB
+        H = Hamiltonian(random_hermitian(rng, 32))
+        states = [random_state(rng, 32), random_state(rng, 32)]
+        projectors = [random_projector(rng, 32, 4), random_projector(rng, 32, 16)]
+        times = np.linspace(0.0, 10.0, 65536)
+        tracemalloc.start()
+        try:
+            scans = indefiniteness_scan(H, states, projectors, times)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert [scan.classification for scan in scans] == ["never-zero"] * 2
+        assert peak < 16 * 2**20
 
 
 class TestInvariantSubspaceCheck:

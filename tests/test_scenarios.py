@@ -703,6 +703,73 @@ class TestTrialOracles:
         assert worst <= 1e-10
         assert _assertion(table, "modeled_equals_born_worst_tv") == pytest.approx(worst, abs=1e-15)
 
+    @pytest.mark.parametrize("forced", [[0], [117], [255], [40, 41], [300]],
+                             ids=["first", "mid_block", "block_end", "two_in_block",
+                                  "second_block"])
+    def test_repeated_measurement_restarts_at_degenerate_draws(self, monkeypatch, forced):
+        # draws judged degenerate at chosen positions: the scenario restores its
+        # generator to the block's start and replays the stream up to that draw's h,
+        # which is checked by spectral_decompose and skipped before its state is drawn
+        from qmeasure import scenarios
+        n_random, seed = 320, 5
+        rng = np.random.default_rng(seed)
+        skipped, kept, worst = [], {dim: [] for dim in range(2, 5)}, 0.0
+        for position in range(n_random):
+            dim = int(rng.integers(2, 5))
+            h = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+            h = h + h.conj().T
+            if position in forced:
+                skipped.append(h)
+                continue
+            normals = rng.standard_normal((dim + 1, 2, dim))
+            kept[dim].append((h, normals))
+            state, *posts = (PureState(re + 1j * im) for re, im in normals)
+            model = build_measurement_unitary(spectral_decompose(LinearOperator(h)),
+                                              post_states=posts)
+            ready = np.eye(model.pointer_dim)[model.ready_index]
+            grid = (model.unitary.matrix @ np.kron(state.amplitudes, ready)).reshape(dim, -1)
+            modeled = np.sum(np.abs(grid[:, list(model.record_indices)]) ** 2, axis=0)
+            born = np.abs(np.linalg.eigh(h)[1].conj().T @ state.amplitudes) ** 2
+            worst = max(worst, 0.5 * float(np.sum(np.abs(modeled - born))))
+
+        skipped_spectra = [np.linalg.eigh(h)[0] for h in skipped]
+        real_verdict = scenarios._degenerate_spectra
+
+        def judged(evals):
+            verdict = real_verdict(evals)
+            for spectrum in skipped_spectra:
+                if spectrum.size == evals.shape[-1]:
+                    verdict = verdict | np.all(np.abs(evals - spectrum)
+                                               <= 1e-12 * np.abs(spectrum).max(), axis=-1)
+            return verdict
+
+        decomposed, used = [], {dim: [] for dim in range(2, 5)}
+        real_decompose, real_worst = scenarios.spectral_decompose, scenarios._modeled_born_worst_tv
+
+        def decompose(op):
+            decomposed.append(op.matrix.copy())
+            return real_decompose(op)
+
+        def worst_tv(trials):
+            used[trials[0][1].size] += [(h, draws) for h, _, _, draws in trials]
+            return real_worst(trials)
+
+        monkeypatch.setattr(scenarios, "_degenerate_spectra", judged)
+        monkeypatch.setattr(scenarios, "spectral_decompose", decompose)
+        monkeypatch.setattr(scenarios, "_modeled_born_worst_tv", worst_tv)
+        table = run_scenario(validate_config(yaml.safe_dump(
+            {"scenario": "repeated_measurement", "seed": seed, "params": {"n_random": n_random}})))
+
+        assert len(skipped) == len(forced)
+        for h in skipped:
+            assert any(np.array_equal(h, m) for m in decomposed)
+        for dim in kept:
+            assert len(used[dim]) == len(kept[dim])
+            for (h, normals), (h_used, draws_used) in zip(kept[dim], used[dim]):
+                assert np.array_equal(h, h_used) and np.array_equal(normals, draws_used)
+        assert worst <= 1e-10
+        assert _assertion(table, "modeled_equals_born_worst_tv") == pytest.approx(worst, abs=1e-15)
+
     def test_stern_gerlach_rows(self):
         # 600 angles cross the scenario's blocks of stacked trials
         table = run_scenario(validate_config("scenario: stern_gerlach\nparams:\n  theta_steps: 600\n"))

@@ -271,3 +271,32 @@ class TestRabiZeno:
     def test_rejects_zero_projections(self):
         with pytest.raises(ValueError):
             rabi_zeno(math.pi, 0)
+
+    @pytest.mark.parametrize("counts, named", [
+        (2.5, "2.5"), (True, "True"), (0, "0"), (-3, "-3"), (3.0, "3.0"),
+        (np.array([4, 0, 5]), "0"), (np.array([1.0, 2.5]), "1.0"), ([True, False], "True"),
+    ])
+    def test_rejects_counts_that_are_not_integers_at_least_one(self, counts, named):
+        # a float count was once truncated into a survival (2.5 gave 0.3466)
+        # and a bool counted as 1
+        with pytest.raises(ValueError, match=rf"got {named}$"):
+            rabi_zeno(math.pi, counts)
+
+    @pytest.mark.parametrize("theta", [math.pi, 1.234, 2 * math.pi])
+    def test_scalar_and_array_counts_match_closed_form(self, theta):
+        counts = np.arange(1, 4097)
+        oracle = np.array([math.cos(theta / (2 * n)) ** (2 * n) for n in range(1, 4097)])
+        stacked = rabi_zeno(theta, counts)
+        scalars = [rabi_zeno(theta, n) for n in range(1, 4097)]
+        assert isinstance(stacked, np.ndarray) and stacked.shape == (4096,)
+        assert all(type(value) is float for value in scalars)
+        # the roundoff of |amplitude|^2N grows as 2N ulps: 1.8e-12 at N = 4096
+        np.testing.assert_allclose(stacked, oracle, rtol=0, atol=1e-11)
+        np.testing.assert_allclose(scalars, oracle, rtol=0, atol=1e-11)
+
+    def test_array_counts_keep_their_shape(self):
+        counts = np.array([[1, 2], [3, 40]], dtype=np.int32)
+        values = rabi_zeno(1.0, counts)
+        assert values.shape == (2, 2)
+        assert values[1, 1] == pytest.approx(math.cos(1.0 / 80) ** 80, abs=1e-12)
+        assert rabi_zeno(1.0, np.int64(3)) == pytest.approx(math.cos(1.0 / 6) ** 6, abs=1e-12)
