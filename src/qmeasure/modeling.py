@@ -170,9 +170,7 @@ def _record_weights(isometries: np.ndarray, psi: np.ndarray) -> np.ndarray:
 
 def _orthonormal_complement(columns: np.ndarray) -> np.ndarray:
     """Deterministic orthonormal basis of the complement of given columns."""
-    dim, n = columns.shape
-    if n == dim:
-        return np.zeros((dim, 0), dtype=complex)
+    n = columns.shape[1]
     u, _, _ = np.linalg.svd(columns, full_matrices=True)
     return u[:, n:]
 

@@ -203,6 +203,20 @@ def _blocks(n: int) -> list[range]:
     return [range(a, min(a + TRIAL_BLOCK, n)) for a in range(0, n, TRIAL_BLOCK)]
 
 
+def _require(params: dict, *limits: tuple[str, bool, str]):
+    """RangeError ``params.<field>: <value> <why>`` for the first (field, holds, why) that fails."""
+    for name, holds, why in limits:
+        if not holds:
+            raise RangeError([f"params.{name}: {params[name]} {why}"])
+
+
+def _finite_box(params: dict) -> tuple[str, bool, str]:
+    """The limit on box_length^2, which bounds the squared distances of a packet centred
+    in the box and, for any width below box_length / 10, 2 * width^2."""
+    box = params["box_length"]
+    return "box_length", np.isfinite(box * box), "overflows box_length^2"
+
+
 def _run_stern_gerlach(params: dict, seed: int) -> tuple[list, list, list]:
     n_thetas = params["theta_steps"]
     thetas = np.linspace(0.0, np.pi, n_thetas)
@@ -282,48 +296,34 @@ def _run_repeated_measurement(params: dict, seed: int) -> tuple[list, list, list
     tv = total_variation(joint_dist, collapse_joint)
 
     # random (observable, state, disturbance) triples, drawn in the seed's order and
-    # stacked per dimension.  A degenerate draw is skipped before its state is drawn,
-    # so the stream depends on the verdict: each block of draws is made as if none
-    # were degenerate, from a saved generator state, and judged by one stacked eigh
-    # per dimension; at the first degenerate draw the state is restored, the stream
-    # is replayed up to that draw's h, and drawing goes on after it.
-    def draw(whole=True):  # (dim, real and imaginary parts of h, state draws)
+    # stacked per dimension.  Every draw takes its state draws, so the stream does not
+    # depend on any verdict; each block of draws is judged by one stacked eigh per
+    # dimension, and a degenerate h is checked as any observable and skipped.
+    def draw():  # (dim, real and imaginary parts of h, state draws)
         dim = int(rng.integers(2, 5))
-        parts = rng.standard_normal((2, dim, dim))
-        return dim, parts, rng.standard_normal((dim + 1, 2, dim)) if whole else None
+        return dim, rng.standard_normal((2, dim, dim)), rng.standard_normal((dim + 1, 2, dim))
 
-    worst_equiv, start = 0.0, 0
+    worst_equiv = 0.0
     pending = {dim: [] for dim in range(2, 5)}
-    while start < params["n_random"]:
-        checkpoint = rng.bit_generator.state
-        drawn = [draw() for _ in range(min(TRIAL_BLOCK, params["n_random"] - start))]
-        spectra = [None] * len(drawn)
-        degenerate = np.zeros(len(drawn), dtype=bool)
-        for dim in pending:
-            at = [k for k, trial in enumerate(drawn) if trial[0] == dim]
-            if at:
-                parts = np.array([drawn[k][1] for k in at])
-                h = parts[:, 0] + 1j * parts[:, 1]
-                h = h + h.conj().transpose(0, 2, 1)
-                evals, evecs = np.linalg.eigh(h)
-                degenerate[at] = _degenerate_spectra(evals)
-                for k, spectrum in zip(at, zip(h, evals, evecs)):
-                    spectra[k] = spectrum
-        kept = int(np.argmax(degenerate)) if degenerate.any() else len(drawn)
-        for (dim, _, draws), spectrum in zip(drawn[:kept], spectra):
-            trials = pending[dim]
-            trials.append((*spectrum, draws))
-            if len(trials) == TRIAL_BLOCK:
-                worst_equiv = max(worst_equiv, _modeled_born_worst_tv(trials))
-                trials.clear()
-        if kept < len(drawn):
-            rng.bit_generator.state = checkpoint
-            for _ in range(kept):
-                draw()
-            re, im = draw(whole=False)[1]
-            h = re + 1j * im
-            spectral_decompose(LinearOperator(h + h.conj().T))  # checked as any observable
-        start += min(kept + 1, len(drawn))
+    for block in _blocks(params["n_random"]):
+        drawn = [draw() for _ in block]
+        for dim, trials in pending.items():
+            at = [trial for trial in drawn if trial[0] == dim]
+            if not at:
+                continue
+            parts = np.array([trial[1] for trial in at])
+            h = parts[:, 0] + 1j * parts[:, 1]
+            h = h + h.conj().transpose(0, 2, 1)
+            evals, evecs = np.linalg.eigh(h)
+            verdicts = _degenerate_spectra(evals)
+            for (_, _, draws), *spectrum, degenerate in zip(at, h, evals, evecs, verdicts):
+                if degenerate:  # checked as any observable, then skipped
+                    spectral_decompose(LinearOperator(spectrum[0]))
+                    continue
+                trials.append((*spectrum, draws))
+                if len(trials) == TRIAL_BLOCK:
+                    worst_equiv = max(worst_equiv, _modeled_born_worst_tv(trials))
+                    trials.clear()
     for trials in pending.values():
         if trials:
             worst_equiv = max(worst_equiv, _modeled_born_worst_tv(trials))
@@ -368,19 +368,18 @@ def _modeled_born_worst_tv(trials: list) -> float:
 def _run_zeno_decay(params: dict, seed: int) -> tuple[list, list, list]:
     tau = params["tau"]
     horizon = params["horizon_over_tau"] * tau
-    if not np.isfinite(max(3 * tau, horizon)):  # the last survival time and the horizon
-        raise RangeError([f"params.tau: {tau} overflows the longest time "
-                          f"max(3, horizon_over_tau) * tau"])
     # DecayModel's t0 and recurrence window T_valid, checked against the law's last
     # time and each sweep's n_cycles * delta before any solve
     bandwidth, n_modes = params["bandwidth"], params["n_modes"]
     t0, t_valid = 2 * np.pi / bandwidth, 2 * np.pi / (bandwidth / n_modes)
     deltas = [tau / 4, tau / 16, tau / 64, t0 / 10, t0 / 50]
     longest = max([3 * tau] + [np.floor(horizon / d + 1e-12) * d for d in deltas])
-    if not longest <= t_valid / 3:
-        raise RangeError([f"params.bandwidth: {bandwidth} puts time {longest:.4g} past the "
-                          f"recurrence-safe window 2 pi n_modes / (3 bandwidth) = "
-                          f"{t_valid / 3:.4g}"])
+    _require(params,  # the last survival time and the horizon, then the window
+             ("tau", np.isfinite(max(3 * tau, horizon)),
+              "overflows the longest time max(3, horizon_over_tau) * tau"),
+             ("bandwidth", longest <= t_valid / 3,
+              f"puts time {longest:.4g} past the recurrence-safe window "
+              f"2 pi n_modes / (3 bandwidth) = {t_valid / 3:.4g}"))
     model = build_decay_model(tau, n_modes, bandwidth)
 
     rows = []
@@ -425,15 +424,14 @@ def _run_zeno_rabi(params: dict, seed: int) -> tuple[list, list, list]:
         _near("simulated_matches_closed_form", float(np.max(errs, initial=0.0)), 1e-9),
         _flag("survival_monotone_for_n_at_least_2", monotone),
     ]
-    if params["n_max"] >= 1 and abs(theta - np.pi) < 1e-12:
+    if abs(theta - np.pi) < 1e-12:
         assertions.append(_near("single_projection_full_flip", float(simulated[0]), 1e-30))
     return columns, rows, assertions
 
 
 def _grid(params: dict) -> GridSpace:
     """The scenario's grid; RangeError naming n_points when it is odd."""
-    if params["n_points"] % 2:
-        raise RangeError([f"params.n_points: {params['n_points']} must be even"])
+    _require(params, ("n_points", params["n_points"] % 2 == 0, "must be even"))
     return GridSpace(params["n_points"], params["box_length"])
 
 
@@ -443,8 +441,10 @@ def _run_wavepacket_spread(params: dict, seed: int) -> tuple[list, list, list]:
     mass = params["mass"]
     _check_width(g, width)  # before the horizon is scaled by it
     horizon = float(np.sqrt((g.box_length / 4 / width) ** 2 - 1.0))  # until width box_length/4
-    natural = _natural_time(params, horizon)
-    _check_packet_range(params)
+    natural = mass * (width * width)  # inf, not OverflowError
+    _require(params, ("mass", np.isfinite(horizon * natural),
+                      f"overflows the last time {horizon:.4g} * mass * width^2"),
+             _finite_box(params))
     H = free_hamiltonian(g, mass)
     psi0 = gaussian_packet(g, 0.0, 0.0, width)
 
@@ -518,8 +518,17 @@ def _run_delocalization(params: dict, seed: int) -> tuple[list, list, list]:
     window = (center - half, center + half + 1)
     barrier_lo = window[1] + 2
     barrier_window = (barrier_lo, barrier_lo + max(2, int(round(width / g.dx))))
-    natural = _check_delocalization_range(params, g, barrier_window)
-    _check_packet_range(params)
+    natural = mass * (width * width)
+    phase = 0.05 * natural * params["barrier_height"]
+    _require(params,
+             ("support_halfwidth", barrier_window[1] <= g.n_points,
+              f"widths of support plus the barrier beside it need {barrier_window[1]} of "
+              f"{g.n_points} grid points"),
+             ("mass", np.isfinite(natural), "overflows mass * width^2"),
+             ("barrier_height", phase <= BARRIER_PHASE_CAP,
+              f"puts the barrier phase 0.05 * mass * width^2 * barrier_height = {phase:.4g} rad "
+              f"above {BARRIER_PHASE_CAP:.0e}"),
+             _finite_box(params))
     psi0 = truncated_gaussian_packet(g, g.positions[center], 0.0, width, window)
     H = free_hamiltonian(g, mass)
 
@@ -554,52 +563,6 @@ def _run_delocalization(params: dict, seed: int) -> tuple[list, list, list]:
 BARRIER_PHASE_CAP = 1e4  # rad; the barrier's Chebyshev order grows with it
 
 
-def _natural_time(params: dict, horizon: float = 1.0) -> float:
-    """mass * width^2; RangeError naming mass unless horizon times it, the last time, is finite."""
-    natural = params["mass"] * (params["width"] * params["width"])  # inf, not OverflowError
-    if not np.isfinite(horizon * natural):
-        raise RangeError([f"params.mass: {horizon:.4g} * mass * width^2 = {horizon:.4g} * "
-                          f"{params['mass']} * {params['width']}^2 overflows"])
-    return natural
-
-
-def _check_packet_range(params: dict, boost: str | None = None):
-    """RangeError unless a packet's squared distances and its phases stay finite.
-
-    A packet centred in the box lies within box_length of every grid point,
-    so box_length^2, which also bounds 2 * width^2 for any width below
-    box_length / 10, must be finite; the field ``boost`` names a momentum
-    k0 whose phase k0 * x must be finite for |x| <= box_length / 2.
-    """
-    box = params["box_length"]
-    if not np.isfinite(box * box):  # a float product overflows to inf, not OverflowError
-        raise RangeError([f"params.box_length: {box} overflows box_length^2"])
-    if boost is not None and not np.isfinite(params[boost] * (box / 2)):
-        raise RangeError([f"params.{boost}: {params[boost]} overflows the phase "
-                          f"{boost} * box_length/2"])
-
-
-def _check_delocalization_range(params: dict, g: GridSpace,
-                                barrier_window: tuple[int, int]) -> float:
-    """RangeError for field combinations that validate one by one but cannot run.
-
-    The support window and the barrier beside it must fit on the grid, the
-    natural time mass * width^2, which is returned, must be finite, and the
-    barrier phase 0.05 * natural * barrier_height is capped at
-    BARRIER_PHASE_CAP radians, which bounds the barrier's Chebyshev order.
-    """
-    if barrier_window[1] > g.n_points:
-        raise RangeError([f"params.support_halfwidth: {params['support_halfwidth']} widths of "
-                          f"support plus the barrier beside it need {barrier_window[1]} of "
-                          f"{g.n_points} grid points"])
-    natural = _natural_time(params)
-    phase = 0.05 * natural * params["barrier_height"]
-    if phase > BARRIER_PHASE_CAP:
-        raise RangeError([f"params.barrier_height: barrier phase 0.05 * mass * width^2 * "
-                          f"barrier_height = {phase:.4g} rad exceeds {BARRIER_PHASE_CAP:.0e}"])
-    return natural
-
-
 def _two_slit_grid(params: dict):
     g = _grid(params)
     a = params["separation"]
@@ -626,18 +589,16 @@ def _block_weight(cell: np.ndarray, amplitudes: np.ndarray) -> float:
 def _run_two_slit(params: dict, seed: int) -> tuple[list, list, list]:
     half_box = params["box_length"] / 2
     top_energy = (np.pi * params["n_points"] / params["box_length"]) ** 2 / (2 * params["mass"])
-    for name, ok, why in [
-            ("n_cells", params["n_points"] % params["n_cells"] == 0,
-             f"must divide n_points={params['n_points']}"),
-            ("separation", params["separation"] <= half_box,
-             f"must not exceed box_length/2={half_box}"),
-            ("packet_width", np.isfinite(2 * params["packet_width"] * params["packet_width"]),
-             "overflows 2 * packet_width^2"),
-            ("boost", np.isfinite(params["boost"] * half_box), "overflows boost * box_length/2"),
-            ("screen_time", np.isfinite(top_energy * params["screen_time"]),
-             f"overflows the phase of the top kinetic energy (pi/dx)^2/2m = {top_energy:.4g}")]:
-        if not ok:
-            raise RangeError([f"params.{name}: {params[name]} {why}"])
+    _require(params,
+             ("n_cells", params["n_points"] % params["n_cells"] == 0,
+              f"must divide n_points={params['n_points']}"),
+             ("separation", params["separation"] <= half_box,
+              f"must not exceed box_length/2={half_box}"),
+             ("packet_width", np.isfinite(2 * params["packet_width"] * params["packet_width"]),
+              "overflows 2 * packet_width^2"),
+             ("boost", np.isfinite(params["boost"] * half_box), "overflows boost * box_length/2"),
+             ("screen_time", np.isfinite(top_energy * params["screen_time"]),
+              f"overflows the phase of the top kinetic energy (pi/dx)^2/2m = {top_energy:.4g}"))
     g, psi0, slit_family, screen_family = _two_slit_grid(params)
     H = free_hamiltonian(g, params["mass"])
     t2 = params["screen_time"]
@@ -706,14 +667,17 @@ def _run_two_slit(params: dict, seed: int) -> tuple[list, list, list]:
 
 def _run_phase_space_povm(params: dict, seed: int) -> tuple[list, list, list]:
     g = _grid(params)
-    if not (params["probe_p_index"] < g.n_points
-            and params["probe_q_index"] < g.n_points):
-        raise RangeError([f"params.probe_p_index/probe_q_index must be below "
-                          f"n_points={g.n_points}"])
-    if abs(params["state_x0"]) > g.box_length / 2:
-        raise RangeError([f"params.state_x0: {params['state_x0']} lies outside the box "
-                          f"[-{g.box_length / 2}, {g.box_length / 2}]"])
-    _check_packet_range(params, boost="state_k0")
+    half_box = g.box_length / 2
+    _require(params,
+             ("probe_p_index", params["probe_p_index"] < g.n_points,
+              f"must be below n_points={g.n_points}"),
+             ("probe_q_index", params["probe_q_index"] < g.n_points,
+              f"must be below n_points={g.n_points}"),
+             ("state_x0", abs(params["state_x0"]) <= half_box,
+              f"lies outside the box [-{half_box}, {half_box}]"),
+             _finite_box(params),
+             ("state_k0", np.isfinite(params["state_k0"] * half_box),
+              "overflows the phase state_k0 * box_length/2"))
     povm = build_phase_space_povm(g, params["packet_width"])
     deficit = povm.completeness_deficit()
 
@@ -800,15 +764,15 @@ def _run_hegerfeldt_scan(params: dict, seed: int) -> tuple[list, list, list]:
     rng = np.random.default_rng(seed)
     dim = params["dim"]
     rank = params["rank"]
-    if rank >= dim:  # the commuting projector would be the identity, with no kernel
-        raise RangeError([f"params.rank: {rank} must be below dim {dim}"])
+    # the commuting projector would be the identity, with no kernel
+    _require(params, ("rank", rank < dim, f"must be below dim {dim}"))
     times = np.linspace(0.0, params["t_max"], params["n_times"])
 
     h = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     H = Hamiltonian(LinearOperator(h + h.conj().T))
     evals, evecs = H.eigensystem()
-    if not np.isfinite(params["t_max"] * float(np.max(np.abs(evals)))):  # the last phase E t
-        raise RangeError([f"params.t_max: {params['t_max']} overflows the phases E t"])
+    last_phase = params["t_max"] * float(np.max(np.abs(evals)))  # the last phase E t
+    _require(params, ("t_max", np.isfinite(last_phase), "overflows the phases E t"))
     q, _ = np.linalg.qr(rng.standard_normal((dim, rank))
                         + 1j * rng.standard_normal((dim, rank)))
     proj = LinearOperator(q @ q.conj().T)

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 import time
 import tracemalloc
 
@@ -68,12 +69,17 @@ PACKET_OVERFLOW_HOLES = [
 # RangeError names: a zeno_decay time past the recurrence-safe window (it ended
 # in an OutsideValidityWindow naming no field), a hegerfeldt_scan projector of
 # rank >= dim, which has no kernel (the run failed kernel_scan_identically_zero),
-# and a t_max whose phase E t leaves the double range (NaN series)
+# a t_max whose phase E t leaves the double range (NaN series), and a
+# phase_space_povm probe cell off the grid (the refusal named neither index)
 CROSS_FIELD_HOLES = [
     ("zeno_decay", {"n_modes": 200, "bandwidth": 80.0, "horizon_over_tau": 10.0}, "bandwidth"),
     ("hegerfeldt_scan", {"dim": 4, "rank": 5}, "rank"),
     ("hegerfeldt_scan", {"dim": 8, "rank": 8}, "rank"),
-    ("hegerfeldt_scan", {"dim": 8, "rank": 3, "t_max": 1.7e308}, "t_max")]
+    ("hegerfeldt_scan", {"dim": 8, "rank": 3, "t_max": 1.7e308}, "t_max"),
+    ("phase_space_povm", {"n_points": 64, "probe_p_index": 10, "probe_q_index": 64},
+     "probe_q_index"),
+    ("phase_space_povm", {"n_points": 64, "probe_p_index": 64, "probe_q_index": 10},
+     "probe_p_index")]
 
 DOUBLE_MAX = float(np.finfo(float).max)
 SQUARE_EDGE = st.floats(1e153, 1e156)  # box lengths whose square leaves the double range
@@ -265,15 +271,29 @@ def _phase_space_params(draw):
             "probe_q_index": draw(mostly(st.integers(0, n - 1), st.integers(0, 255)))}
 
 
+def _run_validated(config: dict):
+    """run_scenario on a validated config: its ResultTable, or the SimulationError it raised.
+
+    A RangeError must name exactly one field, and one the scenario declares.
+    """
+    cfg = validate_config(yaml.safe_dump(config))
+    try:
+        return run_scenario(cfg)
+    except SimulationError as exc:
+        if isinstance(exc, RangeError):
+            assert len(exc.violations) == 1, exc.violations
+            named = re.match(r"params\.(\w+):", exc.violations[0])
+            assert named and named[1] in SCENARIOS[cfg.scenario].params, exc.violations
+        return exc
+
+
 def _check_trial_scenario(config: dict):
     """Run one validated config: it runs or raises SimulationError, with finite values.
 
     The assertions of these scenarios hold for every valid config, so each must also pass.
     """
-    cfg = validate_config(yaml.safe_dump(config))
-    try:
-        result = run_scenario(cfg)
-    except SimulationError:
+    result = _run_validated(config)
+    if isinstance(result, SimulationError):
         return
     assert result.rows
     assert all(np.isfinite(a.value) for a in result.assertions), result.assertions
@@ -466,30 +486,24 @@ class TestRunScenario:
     @settings(max_examples=60, deadline=None, database=None, derandomize=True)
     @given(_delocalization_params())
     def test_validated_delocalization_runs_or_raises_simulation_error(self, params):
-        cfg = validate_config(yaml.safe_dump({"scenario": "delocalization", "params": params}))
-        try:
-            result = run_scenario(cfg)
-        except SimulationError:
+        result = _run_validated({"scenario": "delocalization", "params": params})
+        if isinstance(result, SimulationError):
             return
         assert result.rows
 
     @settings(max_examples=60, deadline=None, database=None, derandomize=True)
     @given(_two_slit_params())
     def test_validated_two_slit_runs_or_raises_simulation_error(self, params):
-        cfg = validate_config(yaml.safe_dump({"scenario": "two_slit", "params": params}))
-        try:
-            result = run_scenario(cfg)
-        except SimulationError:
+        result = _run_validated({"scenario": "two_slit", "params": params})
+        if isinstance(result, SimulationError):
             return
         assert result.rows
 
     @settings(max_examples=60, deadline=None, database=None, derandomize=True)
     @given(_wavepacket_params())
     def test_validated_wavepacket_spread_runs_or_raises_simulation_error(self, params):
-        cfg = validate_config(yaml.safe_dump({"scenario": "wavepacket_spread", "params": params}))
-        try:
-            result = run_scenario(cfg)
-        except SimulationError:
+        result = _run_validated({"scenario": "wavepacket_spread", "params": params})
+        if isinstance(result, SimulationError):
             return
         assert result.rows
         # the packet holes reported NaN or infinite values instead of raising
@@ -498,10 +512,8 @@ class TestRunScenario:
     @settings(max_examples=60, deadline=None, database=None, derandomize=True)
     @given(_phase_space_params())
     def test_validated_phase_space_povm_runs_or_raises_simulation_error(self, params):
-        cfg = validate_config(yaml.safe_dump({"scenario": "phase_space_povm", "params": params}))
-        try:
-            result = run_scenario(cfg)
-        except SimulationError:
+        result = _run_validated({"scenario": "phase_space_povm", "params": params})
+        if isinstance(result, SimulationError):
             return
         assert result.rows
         # the packet holes reported NaN or infinite values instead of raising
@@ -518,12 +530,10 @@ class TestRunScenario:
     @settings(max_examples=60, deadline=None, database=None, derandomize=True)
     @given(_zeno_decay_params())
     def test_validated_zeno_decay_runs_or_raises_simulation_error(self, params):
-        cfg = validate_config(yaml.safe_dump({"scenario": "zeno_decay", "params": params}))
-        try:
-            result = run_scenario(cfg)
-        except SimulationError as exc:
-            # the recurrence window is known before the solve, so a RangeError names the field
-            assert not isinstance(exc, OutsideValidityWindow), exc
+        result = _run_validated({"scenario": "zeno_decay", "params": params})
+        # the recurrence window is known before the solve, so a RangeError names the field
+        assert not isinstance(result, OutsideValidityWindow), result
+        if isinstance(result, SimulationError):
             return
         assert result.rows and np.all(np.isfinite(result.rows))
         # the defaults fail the golden-rule law by design, so only finiteness is asserted
@@ -686,11 +696,12 @@ class TestTrialOracles:
             h = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
             h = h + h.conj().T
             evals, evecs = np.linalg.eigh(h)
-            if np.min(np.diff(evals)) <= 1e-9 * np.max(np.abs(evals)):
-                continue  # a degenerate draw is skipped before its state is drawn
+            # every draw takes its state draws; a degenerate one is then skipped
             state = PureState(rng.standard_normal(dim) + 1j * rng.standard_normal(dim))
             posts = [PureState(rng.standard_normal(dim) + 1j * rng.standard_normal(dim))
                      for _ in range(dim)]
+            if np.min(np.diff(evals)) <= 1e-9 * np.max(np.abs(evals)):
+                continue
             model = build_measurement_unitary(spectral_decompose(LinearOperator(h)),
                                               post_states=posts)
             ready = np.eye(model.pointer_dim)[model.ready_index]
@@ -706,10 +717,10 @@ class TestTrialOracles:
     @pytest.mark.parametrize("forced", [[0], [117], [255], [40, 41], [300]],
                              ids=["first", "mid_block", "block_end", "two_in_block",
                                   "second_block"])
-    def test_repeated_measurement_restarts_at_degenerate_draws(self, monkeypatch, forced):
-        # draws judged degenerate at chosen positions: the scenario restores its
-        # generator to the block's start and replays the stream up to that draw's h,
-        # which is checked by spectral_decompose and skipped before its state is drawn
+    def test_repeated_measurement_skips_degenerate_draws(self, monkeypatch, forced):
+        # draws judged degenerate at chosen positions: each still takes its state
+        # draws, so the stream does not move, and its h is checked by
+        # spectral_decompose and skipped
         from qmeasure import scenarios
         n_random, seed = 320, 5
         rng = np.random.default_rng(seed)
@@ -718,10 +729,10 @@ class TestTrialOracles:
             dim = int(rng.integers(2, 5))
             h = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
             h = h + h.conj().T
+            normals = rng.standard_normal((dim + 1, 2, dim))
             if position in forced:
                 skipped.append(h)
                 continue
-            normals = rng.standard_normal((dim + 1, 2, dim))
             kept[dim].append((h, normals))
             state, *posts = (PureState(re + 1j * im) for re, im in normals)
             model = build_measurement_unitary(spectral_decompose(LinearOperator(h)),
