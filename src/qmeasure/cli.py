@@ -6,12 +6,15 @@ import argparse
 import sys
 from pathlib import Path
 
-from .errors import InvalidConfig, RangeError, SimulationError
+from .errors import InvalidConfig, ParseError, RangeError, SimulationError
 from .scenarios import SCENARIOS, ScenarioConfig, run_scenario, validate_config
 
 
 def _load_config(path: str) -> ScenarioConfig:
-    text = Path(path).read_text()
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(f"cannot read {path}: {exc}") from exc
     return validate_config(text)
 
 

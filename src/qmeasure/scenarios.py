@@ -295,38 +295,27 @@ def _run_repeated_measurement(params: dict, seed: int) -> tuple[list, list, list
     collapse_joint = collapse_rule_joint(plus_x, obs_z)
     tv = total_variation(joint_dist, collapse_joint)
 
-    # random (observable, state, disturbance) triples, drawn in the seed's order and
-    # stacked per dimension.  Every draw takes its state draws, so the stream does not
-    # depend on any verdict; each block of draws is judged by one stacked eigh per
-    # dimension, and a degenerate h is checked as any observable and skipped.
-    def draw():  # (dim, real and imaginary parts of h, state draws)
-        dim = int(rng.integers(2, 5))
-        return dim, rng.standard_normal((2, dim, dim)), rng.standard_normal((dim + 1, 2, dim))
-
+    # random (observable, state, disturbance) triples, drawn a block at a time: the
+    # block's dimensions, then per dimension its h parts and its state draws.  The
+    # stream depends on no verdict; one stacked eigh per dimension judges the block,
+    # and a degenerate h is checked as any observable and skipped.
     worst_equiv = 0.0
-    pending = {dim: [] for dim in range(2, 5)}
     for block in _blocks(params["n_random"]):
-        drawn = [draw() for _ in block]
-        for dim, trials in pending.items():
-            at = [trial for trial in drawn if trial[0] == dim]
-            if not at:
-                continue
-            parts = np.array([trial[1] for trial in at])
+        dims = rng.integers(2, 5, size=len(block))
+        for dim in range(2, 5):
+            m = np.count_nonzero(dims == dim)
+            parts = rng.standard_normal((m, 2, dim, dim))
+            draws = rng.standard_normal((m, dim + 1, 2, dim))
             h = parts[:, 0] + 1j * parts[:, 1]
             h = h + h.conj().transpose(0, 2, 1)
             evals, evecs = np.linalg.eigh(h)
-            verdicts = _degenerate_spectra(evals)
-            for (_, _, draws), *spectrum, degenerate in zip(at, h, evals, evecs, verdicts):
-                if degenerate:  # checked as any observable, then skipped
-                    spectral_decompose(LinearOperator(spectrum[0]))
-                    continue
-                trials.append((*spectrum, draws))
-                if len(trials) == TRIAL_BLOCK:
-                    worst_equiv = max(worst_equiv, _modeled_born_worst_tv(trials))
-                    trials.clear()
-    for trials in pending.values():
-        if trials:
-            worst_equiv = max(worst_equiv, _modeled_born_worst_tv(trials))
+            degenerate = _degenerate_spectra(evals)
+            for skipped in h[degenerate]:
+                spectral_decompose(LinearOperator(skipped))
+            kept = ~degenerate
+            if kept.any():
+                worst_equiv = max(worst_equiv, _modeled_born_worst_tv(
+                    h[kept], evals[kept], evecs[kept], draws[kept]))
 
     rows = []
     for code, joint in ((0.0, joint_nd), (1.0, joint_abs), (2.0, joint_dist)):
@@ -344,16 +333,15 @@ def _run_repeated_measurement(params: dict, seed: int) -> tuple[list, list, list
     return columns, rows, assertions
 
 
-def _modeled_born_worst_tv(trials: list) -> float:
-    """The worst TV between modeled pointer statistics and the Born rule over one block.
+def _modeled_born_worst_tv(h, evals, evecs, draws) -> float:
+    """The worst TV between modeled pointer statistics and the Born rule over m trials.
 
-    Each trial holds a Hermitian h of the block's dimension n, its ``eigh``
-    output and the normal draws (real, then imaginary) of its state and n
-    post-measurement states.  The block goes through the stacked forms of
-    spectral_decompose, PureState, build_measurement_unitary,
-    modeled_single_measurement and born_distribution.
+    ``h`` stacks m Hermitian (n, n) matrices, ``evals`` and ``evecs`` their
+    ``eigh`` output, and ``draws`` (m, n + 1, 2, n) the normal draws (real,
+    then imaginary) of each trial's state and n post-measurement states.
+    The trials go through the stacked forms of spectral_decompose, PureState,
+    build_measurement_unitary, modeled_single_measurement and born_distribution.
     """
-    h, evals, evecs, draws = (np.array(part) for part in zip(*trials))
     m, n = evals.shape
     unit = [slice(j, j + 1) for j in range(n)]
     _check_spectra(h, evals, evecs, unit)
@@ -802,9 +790,8 @@ def _run_hegerfeldt_scan(params: dict, seed: int) -> tuple[list, list, list]:
     pairs = [(psi0, proj), (psi_kernel, proj_comm), (psi_comm, proj_comm)]
     if not any(invariant_generic):
         outcomes = [obs_generic.projector(i) for i in range(obs_generic.n_outcomes)]
-        for _ in range(5):
-            psi = PureState(rng.standard_normal(dim) + 1j * rng.standard_normal(dim))
-            pairs += [(psi, outcome) for outcome in outcomes]
+        for re, im in rng.standard_normal((5, 2, dim)):
+            pairs += [(PureState(re + 1j * im), outcome) for outcome in outcomes]
     # every scan on H in one call: each block of times has its phases computed once
     generic, kernel_scan, comm_series, *open_scans = indefiniteness_scan(H, *zip(*pairs), times)
     comm_drift = float(np.max(np.abs(comm_series.series - comm_series.series[0])))

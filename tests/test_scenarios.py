@@ -31,6 +31,7 @@ from qmeasure import (
     validate_config,
 )
 from qmeasure.cli import main as cli_main
+from qmeasure.scenarios import TRIAL_BLOCK
 
 # inputs that once ended in a bare ValueError: a horizon shorter than the first
 # projection interval tau/4, packets centred far outside the periodic box, and
@@ -643,7 +644,8 @@ class TestRunScenario:
         assert table.all_passed
 
     def test_repeated_measurement_range_memory(self):
-        # trials are stacked in blocks per dimension, never all at once
+        # each block of 256 trials is drawn and judged as arrays per dimension,
+        # never all trials at once
         cfg = validate_config("scenario: repeated_measurement\nparams:\n  n_random: 20000\n")
         tracemalloc.start()
         try:
@@ -677,6 +679,34 @@ def _assertion(table, name):
     return next(a.value for a in table.assertions if a.name == name)
 
 
+def _repeated_measurement_draws(seed, n_random):
+    """repeated_measurement's (h, state draws) in its draw order: each block of
+    trials draws its dimensions, then per dimension 2, 3 and 4 the h parts and
+    the state draws of its trials."""
+    rng = np.random.default_rng(seed)
+    for start in range(0, n_random, TRIAL_BLOCK):
+        dims = rng.integers(2, 5, size=min(TRIAL_BLOCK, n_random - start))
+        for dim in range(2, 5):
+            m = np.count_nonzero(dims == dim)
+            parts = rng.standard_normal((m, 2, dim, dim))
+            draws = rng.standard_normal((m, dim + 1, 2, dim))
+            for (re, im), normals in zip(parts, draws):
+                h = re + 1j * im
+                yield h + h.conj().T, normals
+
+
+def _modeled_born_tv(h, normals):
+    """TV between one trial's modeled pointer statistics, read from its completed
+    unitary, and the Born weights of an eigh of h."""
+    state, *posts = (PureState(re + 1j * im) for re, im in normals)
+    model = build_measurement_unitary(spectral_decompose(LinearOperator(h)), post_states=posts)
+    ready = np.eye(model.pointer_dim)[model.ready_index]
+    grid = (model.unitary.matrix @ np.kron(state.amplitudes, ready)).reshape(len(h), -1)
+    modeled = np.sum(np.abs(grid[:, list(model.record_indices)]) ** 2, axis=0)
+    born = np.abs(np.linalg.eigh(h)[1].conj().T @ state.amplitudes) ** 2
+    return 0.5 * float(np.sum(np.abs(modeled - born)))
+
+
 class TestTrialOracles:
     """The stacked trial scenarios against per-trial loops written out here.
 
@@ -685,32 +715,29 @@ class TestTrialOracles:
     """
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_repeated_measurement_worst_tv(self, seed):
+    def test_repeated_measurement_worst_tv(self, monkeypatch, seed):
+        from qmeasure import scenarios
         n_random = 40
+        judged, real_worst = [], scenarios._modeled_born_worst_tv
+
+        def worst_tv(h, evals, evecs, draws):
+            judged.extend(zip(h, draws))
+            return real_worst(h, evals, evecs, draws)
+
+        monkeypatch.setattr(scenarios, "_modeled_born_worst_tv", worst_tv)
         table = run_scenario(validate_config(yaml.safe_dump(
             {"scenario": "repeated_measurement", "seed": seed, "params": {"n_random": n_random}})))
-        rng = np.random.default_rng(seed)
-        worst, kept = 0.0, 0
-        for _ in range(n_random):
-            dim = int(rng.integers(2, 5))
-            h = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-            h = h + h.conj().T
+        worst, kept = 0.0, []
+        for h, normals in _repeated_measurement_draws(seed, n_random):
             evals, evecs = np.linalg.eigh(h)
-            # every draw takes its state draws; a degenerate one is then skipped
-            state = PureState(rng.standard_normal(dim) + 1j * rng.standard_normal(dim))
-            posts = [PureState(rng.standard_normal(dim) + 1j * rng.standard_normal(dim))
-                     for _ in range(dim)]
             if np.min(np.diff(evals)) <= 1e-9 * np.max(np.abs(evals)):
                 continue
-            model = build_measurement_unitary(spectral_decompose(LinearOperator(h)),
-                                              post_states=posts)
-            ready = np.eye(model.pointer_dim)[model.ready_index]
-            grid = (model.unitary.matrix @ np.kron(state.amplitudes, ready)).reshape(dim, -1)
-            modeled = np.sum(np.abs(grid[:, list(model.record_indices)]) ** 2, axis=0)
-            born = np.abs(evecs.conj().T @ state.amplitudes) ** 2
-            worst = max(worst, 0.5 * float(np.sum(np.abs(modeled - born))))
-            kept += 1
-        assert kept > n_random // 2
+            kept.append((h, normals))
+            worst = max(worst, _modeled_born_tv(h, normals))
+        assert len(kept) > n_random // 2
+        assert len(judged) == len(kept)
+        for (h, normals), (h_used, draws_used) in zip(kept, judged):
+            assert np.array_equal(h, h_used) and np.array_equal(normals, draws_used)
         assert worst <= 1e-10
         assert _assertion(table, "modeled_equals_born_worst_tv") == pytest.approx(worst, abs=1e-15)
 
@@ -718,30 +745,19 @@ class TestTrialOracles:
                              ids=["first", "mid_block", "block_end", "two_in_block",
                                   "second_block"])
     def test_repeated_measurement_skips_degenerate_draws(self, monkeypatch, forced):
-        # draws judged degenerate at chosen positions: each still takes its state
-        # draws, so the stream does not move, and its h is checked by
+        # draws judged degenerate at chosen positions (counted block by block, then
+        # dimension 2, 3 and 4, then within the dimension): each still takes its
+        # state draws, so the stream does not move, and its h is checked by
         # spectral_decompose and skipped
         from qmeasure import scenarios
         n_random, seed = 320, 5
-        rng = np.random.default_rng(seed)
         skipped, kept, worst = [], {dim: [] for dim in range(2, 5)}, 0.0
-        for position in range(n_random):
-            dim = int(rng.integers(2, 5))
-            h = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-            h = h + h.conj().T
-            normals = rng.standard_normal((dim + 1, 2, dim))
+        for position, (h, normals) in enumerate(_repeated_measurement_draws(seed, n_random)):
             if position in forced:
                 skipped.append(h)
                 continue
-            kept[dim].append((h, normals))
-            state, *posts = (PureState(re + 1j * im) for re, im in normals)
-            model = build_measurement_unitary(spectral_decompose(LinearOperator(h)),
-                                              post_states=posts)
-            ready = np.eye(model.pointer_dim)[model.ready_index]
-            grid = (model.unitary.matrix @ np.kron(state.amplitudes, ready)).reshape(dim, -1)
-            modeled = np.sum(np.abs(grid[:, list(model.record_indices)]) ** 2, axis=0)
-            born = np.abs(np.linalg.eigh(h)[1].conj().T @ state.amplitudes) ** 2
-            worst = max(worst, 0.5 * float(np.sum(np.abs(modeled - born))))
+            kept[len(h)].append((h, normals))
+            worst = max(worst, _modeled_born_tv(h, normals))
 
         skipped_spectra = [np.linalg.eigh(h)[0] for h in skipped]
         real_verdict = scenarios._degenerate_spectra
@@ -761,9 +777,9 @@ class TestTrialOracles:
             decomposed.append(op.matrix.copy())
             return real_decompose(op)
 
-        def worst_tv(trials):
-            used[trials[0][1].size] += [(h, draws) for h, _, _, draws in trials]
-            return real_worst(trials)
+        def worst_tv(h, evals, evecs, draws):
+            used[h.shape[-1]].extend(zip(h, draws))
+            return real_worst(h, evals, evecs, draws)
 
         monkeypatch.setattr(scenarios, "_degenerate_spectra", judged)
         monkeypatch.setattr(scenarios, "spectral_decompose", decompose)
@@ -780,6 +796,30 @@ class TestTrialOracles:
                 assert np.array_equal(h, h_used) and np.array_equal(normals, draws_used)
         assert worst <= 1e-10
         assert _assertion(table, "modeled_equals_born_worst_tv") == pytest.approx(worst, abs=1e-15)
+
+    def test_repeated_measurement_generator_calls_per_block(self, monkeypatch):
+        # each block of trials is drawn as arrays: its dimensions, then per
+        # dimension the h parts and the state draws, so at most 7 calls per block
+        raw = "scenario: repeated_measurement\nparams:\n  n_random: 1000\n"
+        expected = run_scenario(validate_config(raw))
+        calls, real_rng = [], np.random.default_rng
+
+        class CountingRng:
+            def __init__(self, *args, **kwargs):
+                self._rng = real_rng(*args, **kwargs)
+
+            def __getattr__(self, name):
+                method = getattr(self._rng, name)
+
+                def counted(*args, **kwargs):
+                    calls.append(name)
+                    return method(*args, **kwargs)
+                return counted
+
+        monkeypatch.setattr(np.random, "default_rng", CountingRng)
+        table = run_scenario(validate_config(raw))
+        assert len(calls) <= 7 * 4
+        assert (table.to_csv(), table.sidecar_json()) == (expected.to_csv(), expected.sidecar_json())
 
     def test_stern_gerlach_rows(self):
         # 600 angles cross the scenario's blocks of stacked trials
@@ -918,6 +958,20 @@ class TestCli:
         cfg.write_text(f"scenario: {scenario}\nparams:\n  {name}: {value}\n")
         assert cli_main(["run", str(cfg), "--out-dir", str(tmp_path)]) == 2
         assert f"params.{name}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,prefix", [("run", "invalid config: "),
+                                                ("validate", "PARSE ")])
+    @pytest.mark.parametrize("unreadable", ["missing", "directory", "not_utf8"])
+    def test_unreadable_config_is_a_parse_error(self, tmp_path, capsys, command, prefix,
+                                                unreadable):
+        path = tmp_path / "config.yaml"
+        if unreadable == "directory":
+            path.mkdir()
+        elif unreadable == "not_utf8":
+            path.write_bytes(b"scenario: zeno_rabi\n# \xff\xfe\n")
+        args = [command, str(path)] + (["--out-dir", str(tmp_path)] if command == "run" else [])
+        assert cli_main(args) == 2
+        assert capsys.readouterr().err.startswith(f"{prefix}cannot read {path}: ")
 
     def test_list_shows_scenarios(self, capsys):
         assert cli_main(["list"]) == 0
