@@ -5,13 +5,15 @@ sequence of times, with unitary evolution in between.  The decoherence
 functional D(alpha, beta) = Tr(C_alpha rho C_beta^dag) collects the
 interference between pairs of histories; its diagonal entries behave as
 probabilities exactly when the off-diagonal entries are negligible, which is
-what the consistency test checks.  Asking for probabilities from an
-inconsistent family is an error, not a number.
+what the consistency test checks.  Histories that end in different entries
+of the last family never interfere, so D is built one final-entry block at a
+time.  Asking for probabilities from an inconsistent family is an error.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from typing import Sequence
 
 import numpy as np
@@ -166,43 +168,37 @@ class DecoherenceFunctional:
         return f"DecoherenceFunctional(n_histories={len(self.histories)})"
 
 
-def _branch_vectors(hs: HistorySet, start: np.ndarray) -> np.ndarray:
-    """Evolve-and-split a single initial vector; one row per history.
-
-    Splitting v into [P_0 v, P_1 v, ...] nests the newest choice fastest,
-    which is the lexicographic order of the labels.
-    """
-    branches = start[:, None]
-    for (basis, slices), dt in zip(hs.families, hs._steps()):
-        evolved = hs.hamiltonian.evolve_amplitudes(branches, dt)
-        # axis 2 is the new choice: column j of ``evolved`` splits into j*len + a
-        split = np.stack([basis.apply(basis.apply_adjoint(evolved, sl), sl) for sl in slices],
-                         axis=2)
-        branches = split.reshape(hs.dim, -1)
-    return branches.T
-
-
 def decoherence_functional(hs: HistorySet) -> DecoherenceFunctional:
     """D(alpha, beta) = Tr(C_alpha rho_0 C_beta^dag) over all history pairs.
 
-    Computed from branch vectors rather than materialized class operators:
-    for a pure initial state D is the Gram matrix of the history branches
-    of |psi>, and a mixed initial state contributes one weighted Gram matrix
-    per eigenvector.
+    Computed from branches, not class operators: each column sqrt(p_k) v_k
+    of rho_0 (|psi> for a pure state) is evolved and split by every family
+    but the last, column j into j*len + a, so the newest choice nests
+    fastest, as in the labels.  Final entries are orthogonal, so D is exactly
+    zero between histories ending in different ones, and entry B_a's block
+    is the Gram matrix of the coefficients B_a^dag u of the evolved branches,
+    since <B B^dag u|B B^dag v> = <B^dag u|B^dag v>.
     """
-    labels = hs.histories()
     if isinstance(hs.initial_state, PureState):
-        Y = _branch_vectors(hs, hs.initial_state.amplitudes)
-        D = Y @ Y.conj().T
+        columns = hs.initial_state.amplitudes[:, None]
     else:
         evals, evecs = np.linalg.eigh(hs.initial_state.matrix)
-        D = np.zeros((len(labels), len(labels)), dtype=complex)
-        for p, vec in zip(evals, evecs.T):
-            if p <= 1e-14:
-                continue
-            Y = _branch_vectors(hs, vec.astype(complex))
-            D += p * (Y @ Y.conj().T)
-    return DecoherenceFunctional(labels, D)
+        columns = evecs[:, evals > 1e-14] * np.sqrt(evals[evals > 1e-14])
+    *earlier, (basis, slices) = hs.families
+    *steps, last = hs._steps()
+    paths, n = math.prod(hs.shape[:-1]), len(slices)
+    D = np.zeros((paths, n, paths, n), dtype=complex)
+    for u in columns.T:     # one column at a time keeps the branches at dim x paths
+        branches = u[:, None]
+        for (family, cuts), dt in zip(earlier, steps):
+            evolved = hs.hamiltonian.evolve_amplitudes(branches, dt)
+            branches = np.stack([family.apply(family.apply_adjoint(evolved, sl), sl)
+                                 for sl in cuts], axis=2).reshape(hs.dim, -1)
+        evolved = hs.hamiltonian.evolve_amplitudes(branches, last)
+        for a, sl in enumerate(slices):
+            c = basis.apply_adjoint(evolved, sl)
+            D[:, a, :, a] += c.T @ c.conj()
+    return DecoherenceFunctional(hs.histories(), D.reshape(paths * n, -1))
 
 
 def is_consistent(D: DecoherenceFunctional,

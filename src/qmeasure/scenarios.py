@@ -631,12 +631,12 @@ def _run_two_slit(params: dict, seed: int) -> tuple[list, list, list]:
     if consistent_tagged:
         additivity_err = 0.0
         marginal_err = 0.0
-        probs = history_probabilities(D_tagged, eps)
+        probs = history_probabilities(D_tagged, eps).as_dict()
         merged = coarse_grain(D_tagged, [[(0, c), (1, c)] for c in range(n_cells)])
+        blocks = np.real(np.diagonal(merged.matrix))
         psi_tag_t = H_tagged.evolve(psi_tagged, t2)
-        for c in range(n_cells):
-            summed = probs.probability((0, c)) + probs.probability((1, c))
-            block = np.real(np.diagonal(merged.matrix))[c]
+        for c, block in enumerate(blocks):
+            summed = probs[(0, c)] + probs[(1, c)]
             additivity_err = max(additivity_err, abs(block - summed))
             screen_prob = _block_weight(screen_tagged[c], psi_tag_t.amplitudes)
             marginal_err = max(marginal_err, abs(block - screen_prob))

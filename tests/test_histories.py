@@ -270,6 +270,65 @@ class TestDecoherenceFunctional:
         Y = np.array(branches)
         assert np.max(np.abs(D.matrix - Y @ Y.conj().T)) <= 1e-12
 
+    @pytest.mark.parametrize("final", ["index", "block", "projector"])
+    def test_different_final_entries_give_exact_zero(self, rng, final):
+        # Pi_a Pi_b = 0 for a != b, so D vanishes between histories that end
+        # in different final entries: exactly, not at roundoff
+        dim = 6
+        if final == "index":
+            last = random_index_families(rng, dim, [3])[0]
+        else:
+            last = random_block_families(rng, dim, [3])[0]
+            if final == "projector":
+                last = [LinearOperator(B @ B.conj().T) for B in last]
+        hs = HistorySet(Hamiltonian(random_hermitian(rng, dim)), random_state(rng, dim),
+                        [0.4, 1.3], [random_families(rng, dim, [2])[0], last])
+        D = decoherence_functional(hs).matrix
+        ends = np.array([alpha[-1] for alpha in hs.histories()])
+        differ = ends[:, None] != ends[None, :]
+        assert np.all(D[differ] == 0.0)
+        assert np.all(np.abs(D[~differ]) > 0.0)
+
+    def test_three_families_of_each_kind_match_class_operator_oracle(self, rng):
+        # oracle: class operators built by hand from dense projectors and a
+        # Taylor-series propagator, no eigendecomposition, traced against rho
+        dim = 5
+        h = random_hermitian(rng, dim)
+        blocks = random_block_families(rng, dim, [2])[0]
+        projectors = [LinearOperator(B @ B.conj().T)
+                      for B in random_block_families(rng, dim, [3])[0]]
+        cells = random_index_families(rng, dim, [2])[0]
+        rho = random_density(rng, dim)
+        times = [0.3, 0.8, 1.6]
+        hs = HistorySet(Hamiltonian(h), rho, times, [blocks, projectors, cells])
+        D = decoherence_functional(hs)
+        dense = [[B @ B.conj().T for B in blocks], [P.matrix for P in projectors],
+                 [np.diag(np.isin(np.arange(dim), idx).astype(complex)) for idx in cells]]
+        steps = [taylor_expm(-1j * h.matrix * dt) for dt in np.diff([0.0] + times)]
+        C = []
+        for alpha in hs.histories():
+            c = np.eye(dim, dtype=complex)
+            for U, family, a in zip(steps, dense, alpha):
+                c = family[a] @ U @ c
+            C.append(c)
+        oracle = np.array([[np.trace(Ca @ rho.matrix @ Cb.conj().T) for Cb in C] for Ca in C])
+        assert np.max(np.abs(D.matrix - oracle)) < 1e-10
+
+    @pytest.mark.parametrize("empty", [np.zeros(0, dtype=int), np.zeros((4, 0), dtype=complex)])
+    def test_empty_final_entry_gives_zero_rows_and_columns(self, rng, empty):
+        dim = 4
+        last = [np.array([2, 0]), np.array([3, 1])] if empty.ndim == 1 else \
+            random_block_families(rng, dim, [2])[0]
+        H = Hamiltonian(random_hermitian(rng, dim))
+        psi = random_state(rng, dim)
+        first = random_families(rng, dim, [2])[0]
+        D = decoherence_functional(
+            HistorySet(H, psi, [0.5, 1.0], [first, [last[0], empty, last[1]]])).matrix
+        ends_empty = np.array([alpha[-1] == 1 for alpha in itertools.product(range(2), range(3))])
+        assert np.all(D[ends_empty] == 0.0) and np.all(D[:, ends_empty] == 0.0)
+        without = decoherence_functional(HistorySet(H, psi, [0.5, 1.0], [first, last])).matrix
+        np.testing.assert_array_equal(D[np.ix_(~ends_empty, ~ends_empty)], without)
+
     def test_invariants_random(self, rng):
         dim = 5
         H = Hamiltonian(random_hermitian(rng, dim))
