@@ -184,16 +184,19 @@ class _FourierBasis:
     is checked.
     """
 
-    __slots__ = ("n", "tags", "shape")
+    __slots__ = ("n", "tags", "shape", "signs")
 
     def __init__(self, n: int, tags: int = 1):
         self.n, self.tags, self.shape = n, tags, (n * tags, n * tags)
+        self.signs = _freeze(np.where(np.arange(n)[:, None] % 2 == 0, 1.0, -1.0))   # s_j = (-1)^j
 
     def _along_grid(self, transform, data) -> np.ndarray:
-        # on a centered grid with n even, F = fftshift . fft . ifftshift (orthonormal)
+        # on a centered grid with n even, F = fftshift . fft . ifftshift (orthonormal),
+        # which is (-1)^(n/2) s fft s: two sign passes and no roll copies
         data = np.asarray(data)
-        grid = np.fft.ifftshift(data.reshape((self.n, self.tags) + data.shape[1:]), axes=0)
-        return np.fft.fftshift(transform(grid, axis=0, norm="ortho"), axes=0).reshape(data.shape)
+        out = transform(data.reshape(self.n, -1) * self.signs, axis=0, norm="ortho")
+        out *= -self.signs if self.n % 4 else self.signs
+        return out.reshape(data.shape)
 
     def apply(self, coefficients, cols=slice(None)) -> np.ndarray:
         """V[:, cols] c: momentum amplitudes, zero off ``cols``, to position amplitudes."""

@@ -6,8 +6,9 @@ functional D(alpha, beta) = Tr(C_alpha rho C_beta^dag) collects the
 interference between pairs of histories; its diagonal entries behave as
 probabilities exactly when the off-diagonal entries are negligible, which is
 what the consistency test checks.  Histories that end in different entries
-of the last family never interfere, so D is built one final-entry block at a
-time.  Asking for probabilities from an inconsistent family is an error.
+of the last family never interfere, so D is block-diagonal by final entry,
+and the blocks of all final entries of one width come from one batched
+product.  Asking for probabilities from an inconsistent family is an error.
 """
 
 from __future__ import annotations
@@ -71,13 +72,10 @@ class HistorySet:
                     if block is None:
                         raise ValueError(
                             f"family {m} entry {a} is not a projector: defect {defect:.3e}")
-                elif np.ndim(entry) == 1 and np.asarray(entry).dtype.kind in "iu":
-                    block = np.asarray(entry)
-                    if block.size and not (block.min() >= 0 and block.max() < dim):
-                        raise ValueError(f"family {m} entry {a} has indices outside [0, {dim})")
-                    block = block.astype(np.intp)
                 else:
-                    block = np.asarray(entry, dtype=complex)
+                    block = np.asarray(entry)
+                    if not (block.ndim == 1 and block.dtype.kind in "iu"):
+                        block = block.astype(complex, copy=False)
                 if block.dtype.kind == "c" and (block.ndim != 2 or block.shape[0] != dim):
                     raise ValueError(f"family {m} entry {a} has shape {block.shape}, "
                                      f"expected ({dim}, r)")
@@ -85,7 +83,15 @@ class HistorySet:
             index_sets = [block.ndim == 1 for block in blocks]
             if any(index_sets) and not all(index_sets):
                 raise ValueError(f"family {m} mixes index sets with blocks")
-            V = np.concatenate(blocks, axis=-1) if blocks else np.zeros((dim, 0), dtype=complex)
+            ends = np.cumsum([block.shape[-1] for block in blocks], dtype=np.intp)
+            if blocks and index_sets[0]:    # one range check; unsigned past intp wraps negative
+                V = np.concatenate(blocks, dtype=np.intp, casting="unsafe")
+                if V.size and not (V.min() >= 0 and V.max() < dim):
+                    first = np.argmax((V < 0) | (V >= dim))
+                    a = int(np.searchsorted(ends, first, side="right"))
+                    raise ValueError(f"family {m} entry {a} has indices outside [0, {dim})")
+            else:
+                V = np.concatenate(blocks, axis=1) if blocks else np.zeros((dim, 0), dtype=complex)
             if V.shape[-1] != dim:
                 raise ValueError(f"family {m} spans {V.shape[-1]} of {dim} dimensions "
                                  "and cannot sum to identity")
@@ -95,8 +101,8 @@ class HistorySet:
                 deficit = _identity_defect(V.conj().T @ V)
             if not deficit <= FAMILY_TOL:
                 raise ValueError(f"family {m} sums to identity with defect {deficit:.3e}")
-            ends = np.cumsum([block.shape[-1] for block in blocks]).tolist()
-            slices = tuple(slice(a, b) for a, b in zip([0, *ends], ends))
+            bounds = [0, *ends.tolist()]
+            slices = tuple(slice(a, b) for a, b in zip(bounds, bounds[1:]))
             checked.append((_IndexOrder(V) if V.ndim == 1 else _DenseBasis(V), slices))
         self.hamiltonian = hamiltonian
         self.initial_state = initial_state
@@ -177,7 +183,8 @@ def decoherence_functional(hs: HistorySet) -> DecoherenceFunctional:
     fastest, as in the labels.  Final entries are orthogonal, so D is exactly
     zero between histories ending in different ones, and entry B_a's block
     is the Gram matrix of the coefficients B_a^dag u of the evolved branches,
-    since <B B^dag u|B B^dag v> = <B^dag u|B^dag v>.
+    since <B B^dag u|B B^dag v> = <B^dag u|B^dag v>.  The entries of one width
+    get their blocks from one batched product, n * paths^2 entries in all.
     """
     if isinstance(hs.initial_state, PureState):
         columns = hs.initial_state.amplitudes[:, None]
@@ -187,6 +194,8 @@ def decoherence_functional(hs: HistorySet) -> DecoherenceFunctional:
     *earlier, (basis, slices) = hs.families
     *steps, last = hs._steps()
     paths, n = math.prod(hs.shape[:-1]), len(slices)
+    starts = np.array([sl.start for sl in slices], dtype=np.intp)
+    widths = np.array([sl.stop - sl.start for sl in slices], dtype=np.intp)
     D = np.zeros((paths, n, paths, n), dtype=complex)
     for u in columns.T:     # one column at a time keeps the branches at dim x paths
         branches = u[:, None]
@@ -194,10 +203,11 @@ def decoherence_functional(hs: HistorySet) -> DecoherenceFunctional:
             evolved = hs.hamiltonian.evolve_amplitudes(branches, dt)
             branches = np.stack([family.apply(family.apply_adjoint(evolved, sl), sl)
                                  for sl in cuts], axis=2).reshape(hs.dim, -1)
-        evolved = hs.hamiltonian.evolve_amplitudes(branches, last)
-        for a, sl in enumerate(slices):
-            c = basis.apply_adjoint(evolved, sl)
-            D[:, a, :, a] += c.T @ c.conj()
+        coeffs = basis.apply_adjoint(hs.hamiltonian.evolve_amplitudes(branches, last))
+        for w in sorted(set(widths.tolist()) - {0}):     # np.unique would import numpy.ma
+            ents = np.flatnonzero(widths == w)     # entries of width w: a (k, w, paths) stack
+            cb = coeffs[(starts[ents, None] + np.arange(w)).ravel()].reshape(ents.size, w, -1)
+            D[:, ents, :, ents] += np.matmul(cb.transpose(0, 2, 1), cb.conj())
     return DecoherenceFunctional(hs.histories(), D.reshape(paths * n, -1))
 
 

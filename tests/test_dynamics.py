@@ -396,6 +396,20 @@ class TestFourierBasis:
                 elif sub.shape[1] == dim:   # the Fourier map is only applied whole
                     check(V.apply(coeff), sub @ coeff)
 
+    @pytest.mark.parametrize("n", [8, 10, 64, 66])
+    @pytest.mark.parametrize("tags", [1, 2])
+    def test_map_matches_centered_dft_at_both_residues_mod_4(self, rng, n, tags):
+        # F[m, j] = w^((m - n/2)(j - n/2)) / sqrt(n) with w = exp(-2 pi i / n), written
+        # from the centered DFT's definition; n = 2 (mod 4) is where a global sign
+        # (-1)^(n/2) would show
+        c = np.arange(n) - n // 2
+        F = np.kron(np.exp(-2j * np.pi * np.outer(c, c) / n) / np.sqrt(n), np.eye(tags))
+        V = _FourierBasis(n, tags)
+        block = _normalized_columns(rng, n * tags, 3)
+        for data in (block[:, 0], block, block.real):
+            assert np.max(np.abs(V.apply_adjoint(data) - F @ data)) <= 1e-12
+            assert np.max(np.abs(V.apply(data) - F.conj().T @ data)) <= 1e-12
+
     def test_free_kernel_batches_columns_and_times(self, rng):
         g = GridSpace(64, 20.0)
         H = free_hamiltonian(g, 0.8)

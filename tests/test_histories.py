@@ -6,6 +6,7 @@ import pytest
 
 from qmeasure import (
     DecoherenceFunctional,
+    DensityOperator,
     GridSpace,
     Hamiltonian,
     HistorySet,
@@ -150,11 +151,12 @@ class TestIndexSetFamilies:
             assert np.max(np.abs(C_cells - class_operator(hs_blocks, alpha).matrix)) <= 1e-14
 
     def test_index_sets_stored_as_frozen_copies(self):
-        cells = [np.array([0, 1]), np.array([2, 3])]
+        cells = [np.array([0, 1], dtype=np.uint8), np.array([2, 3], dtype=np.int32)]
         hs = HistorySet(zero_hamiltonian(4), basis_state(4, 0), [1.0], [cells])
         assert cells[0].flags.writeable and cells[1].flags.writeable
+        cells[0][0] = 3
         basis, slices = hs.families[0]
-        assert not basis.order.flags.writeable
+        assert basis.order.dtype == np.intp and not basis.order.flags.writeable
         np.testing.assert_array_equal(basis.order, [0, 1, 2, 3])
         assert slices == (slice(0, 2), slice(2, 4))
 
@@ -163,17 +165,35 @@ class TestIndexSetFamilies:
         (4, [[0, 1], [2]], "family 1 spans 3 of 4 dimensions"),
         (4, [[-1, 1], [2, 3]], "family 1 entry 0 has indices outside [0, 4)"),
         (4, [[0, 1], [2, 4]], "family 1 entry 1 has indices outside [0, 4)"),
+        (4, [np.array([0, 1], dtype=np.int64), np.array([2, 2 ** 64 - 1], dtype=np.uint64)],
+         "family 1 entry 1 has indices outside [0, 4)"),
         (4, [np.array([True, True, False, False]), np.array([False, False, True, True])],
          "family 1 entry 0 has shape (4,), expected (4, r)"),
         (4, [np.array([0.0, 1.0]), [2, 3]], "family 1 entry 0 has shape (2,), expected (4, r)"),
         (4, [[0, 1], np.eye(4)[:, 2:]], "family 1 mixes index sets with blocks"),
         (2, [[0], Z_FAMILY[1]], "family 1 mixes index sets with blocks"),
-    ], ids=["repeated", "missing", "negative", "too_large", "boolean", "float",
-            "mixed_block", "mixed_projector"])
+    ], ids=["repeated", "missing", "negative", "too_large", "unsigned_past_intp", "boolean",
+            "float", "mixed_block", "mixed_projector"])
     def test_rejects_bad_index_family(self, dim, family, message):
         with pytest.raises(ValueError, match=re.escape(message)):
             HistorySet(zero_hamiltonian(dim), basis_state(dim, 0), [1.0, 2.0],
                        [[np.arange(dim)], family])
+
+    @pytest.mark.parametrize("bad", [-1, -7, 12, 13])
+    @pytest.mark.parametrize("a", [0, 2, 3, 4])
+    def test_out_of_range_index_names_its_entry(self, bad, a):
+        # five entries, one of them empty, checked in one pass over their
+        # concatenation: the message still names the entry holding the index
+        dim = 12
+        family = [np.arange(0, 3), np.arange(3, 3), np.arange(3, 7), np.arange(7, 9),
+                  np.arange(9, 12)]
+        family[a] = family[a].copy()
+        family[a][0] = bad
+        with pytest.raises(ValueError,
+                           match=re.escape(f"family 1 entry {a} has indices outside [0, 12)")):
+            HistorySet(zero_hamiltonian(dim), basis_state(dim, 0), [1.0, 2.0],
+                       [[np.arange(dim)], family])
+
 
 
 class TestClassOperator:
@@ -340,6 +360,55 @@ class TestDecoherenceFunctional:
         assert np.max(np.abs(diag.imag)) < 1e-10
         assert diag.real.min() > -1e-10
         assert abs(D.matrix.sum() - 1.0) < 1e-9
+
+    @pytest.mark.parametrize("kind", ["block", "index"])
+    def test_unequal_final_widths_with_empty_entry_match_trace_oracle(self, rng, kind):
+        # final entries of widths 1, 2, 0, 2 and 2: three width groups and an
+        # empty entry; oracle: class operators from dense projectors and a
+        # Taylor-series propagator, traced against rho
+        dim = 7
+        h = random_hermitian(rng, dim)
+        first = random_families(rng, dim, [3])[0]
+        widths = [1, 2, 0, 2, 2]
+        bounds = np.cumsum([0] + widths)
+        if kind == "index":
+            order = rng.permutation(dim)
+            last = [order[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+            dense_last = [np.diag(np.isin(np.arange(dim), idx).astype(complex)) for idx in last]
+        else:
+            q = random_block_families(rng, dim, [1])[0][0]
+            last = [q[:, lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+            dense_last = [B @ B.conj().T for B in last]
+        rho = random_density(rng, dim)
+        times = [0.4, 1.3]
+        hs = HistorySet(Hamiltonian(h), rho, times, [first, last])
+        D = decoherence_functional(hs)
+        steps = [taylor_expm(-1j * h.matrix * dt) for dt in np.diff([0.0] + times)]
+        C = [dense_last[b] @ steps[1] @ first[a].matrix @ steps[0]
+             for a in range(3) for b in range(len(widths))]
+        oracle = np.array([[np.trace(Ca @ rho.matrix @ Cb.conj().T) for Cb in C] for Ca in C])
+        assert np.max(np.abs(D.matrix - oracle)) <= 1e-10
+
+    def test_mixed_three_time_set_holds_no_dim_by_paths_squared_intermediate(self, rng):
+        # P = 16 * 16 = 256 paths into n = 2 final entries at dim 128: D is
+        # H x H with H = n P, so D and the copies its checks make stay within
+        # 10 n P^2 complex entries (20 MiB); one dim x P x P intermediate
+        # alone would take 128 MiB
+        import tracemalloc
+        dim, n, P = 128, 2, 256
+        cols = rng.standard_normal((dim, 4)) + 1j * rng.standard_normal((dim, 4))
+        rho = DensityOperator(cols @ cols.conj().T / np.vdot(cols, cols).real)
+        hs = HistorySet(Hamiltonian(random_hermitian(rng, dim)), rho, [0.3, 0.7, 1.2],
+                        random_index_families(rng, dim, [16, 16]) + [[np.arange(48),
+                                                                       np.arange(48, dim)]])
+        tracemalloc.start()
+        try:
+            D = decoherence_functional(hs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert D.matrix.shape == (n * P, n * P)
+        assert peak <= 10 * n * P * P * 16, f"peak {peak / 2 ** 20:.1f} MiB"
 
 
 class TestConsistency:

@@ -1,8 +1,10 @@
 import dataclasses
 import json
 import re
+import runpy
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,6 +34,8 @@ from qmeasure import (
 )
 from qmeasure.cli import main as cli_main
 from qmeasure.scenarios import TRIAL_BLOCK
+
+ROOT = Path(__file__).resolve().parents[1]
 
 # inputs that once ended in a bare ValueError: a horizon shorter than the first
 # projection interval tau/4, packets centred far outside the periodic box, and
@@ -352,6 +356,77 @@ class TestValidateConfig:
     def test_type_check(self):
         with pytest.raises(RangeError):
             validate_config("scenario: zeno_rabi\nparams:\n  n_max: 3.5")
+
+
+# YAML 1.1 corners a C and a pure-Python parser could read differently
+YAML_CORNERS = [
+    "scenario: zeno_rabi\nseed: 0x1A\nparams:\n  n_max: 0x10\n",
+    "scenario: zeno_decay\nparams:\n  tau: .inf\n",
+    "scenario: zeno_decay\nparams:\n  tau: -.Inf\n",
+    "\ufeffscenario: zeno_rabi\nparams:\n  n_max: 12\n",
+    "scenario: zeno_rabi\nseed: yes\nparams:\n  theta: 1e3\n",
+    "scenario: zeno_rabi\nparams:\n  n_max: 0o17\n  theta: 1_000.5\n",
+]
+
+
+def _loader_cases():
+    """(id, YAML text): the shipped configs, every workload config at seeds 0 and 7, the corners."""
+    workloads = runpy.run_path(str(ROOT / "bench" / "workloads.py"))
+    return ([pytest.param(path.read_text(), id=path.name)
+             for path in sorted((ROOT / "configs").glob("*.yaml"))]
+            + [pytest.param(text, id=f"{name}-{scenario}-seed{seed}") for seed in (0, 7)
+               for name in workloads["WORKLOADS"]
+               for scenario, text in workloads["config_texts"](name, seed)]
+            + [pytest.param(text, id=f"corner{i}") for i, text in enumerate(YAML_CORNERS)])
+
+
+def _parse_or_error(raw):
+    try:
+        return repr(validate_config(raw))
+    except (ParseError, RangeError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+class TestYamlLoaders:
+    """validate_config reads with libyaml's CSafeLoader when PyYAML has it, else SafeLoader."""
+
+    @pytest.fixture(params=["c", "python"])
+    def loader(self, request, monkeypatch):
+        if request.param == "c":
+            if not yaml.__with_libyaml__:
+                pytest.skip("PyYAML built without libyaml")
+        else:
+            monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+        return request.param
+
+    @pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML built without libyaml")
+    @pytest.mark.parametrize("raw", _loader_cases())
+    def test_loaders_agree(self, raw, monkeypatch):
+        data = yaml.load(raw, Loader=yaml.CSafeLoader)
+        assert repr(data) == repr(yaml.load(raw, Loader=yaml.SafeLoader))
+        fast = _parse_or_error(raw)
+        monkeypatch.delattr(yaml, "CSafeLoader")
+        assert fast == _parse_or_error(raw)
+
+    def test_corner_values(self, loader):
+        assert validate_config(YAML_CORNERS[0]).seed == 26
+        assert validate_config(YAML_CORNERS[0]).params["n_max"] == 16
+        assert validate_config(YAML_CORNERS[3]).params["n_max"] == 12
+        with pytest.raises(RangeError, match="expected a finite number, got inf"):
+            validate_config(YAML_CORNERS[1])
+        with pytest.raises(RangeError, match="seed: expected a nonnegative integer, got True"):
+            validate_config(YAML_CORNERS[4])
+
+    @pytest.mark.parametrize("raw", [
+        "scenario: [unterminated",
+        "scenario: zeno_rabi\n  params: {",
+        "scenario: !!python/object:os.system {}\n",
+        "scenario: !!python/object/apply:os.system ['true']\n",
+        "scenario: zeno_rabi\nparams: !!python/name:os.system\n",
+    ], ids=["unterminated", "bad_indent", "object", "apply", "name"])
+    def test_malformed_and_unsafe_raise_parse_error(self, loader, raw):
+        with pytest.raises(ParseError, match="invalid YAML"):
+            validate_config(raw)
 
 
 class TestRunScenario:
