@@ -57,6 +57,10 @@ class InvalidIndex(SimulationError):
     """A history label does not address a valid projector sequence."""
 
 
+class InvalidHistorySet(SimulationError, ValueError):
+    """A history set or decoherence functional is malformed: times, families or entries."""
+
+
 class InconsistentFamily(SimulationError):
     """A history family fails the consistency test, so its diagonal
     weights are not licensed as probabilities."""

@@ -8,7 +8,10 @@ probabilities exactly when the off-diagonal entries are negligible, which is
 what the consistency test checks.  Histories that end in different entries
 of the last family never interfere, so D is block-diagonal by final entry,
 and the blocks of all final entries of one width come from one batched
-product.  Asking for probabilities from an inconsistent family is an error.
+product.  D is stored as those blocks and is dense only when read: the
+consistency test compares pairs inside each block and coarse-graining sums
+the block entries by group.  Asking for probabilities from an inconsistent
+family is an error.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InconsistentFamily, InvalidIndex
+from .errors import InconsistentFamily, InvalidHistorySet, InvalidIndex
 from .dynamics import Hamiltonian
 from .hilbert import DensityOperator, LinearOperator, PureState, _DenseBasis, _IndexOrder, \
     _hermitian_within_tol, _identity_defect, _projector_range
@@ -55,14 +58,14 @@ class HistorySet:
                  families: Sequence[Sequence[LinearOperator | np.ndarray]]):
         times = [float(t) for t in times]
         if len(times) != len(families):
-            raise ValueError("one projector family per time required")
+            raise InvalidHistorySet("one projector family per time required")
         if not times:
-            raise ValueError("at least one time required")
+            raise InvalidHistorySet("at least one time required")
         if times[0] < 0.0 or any(b <= a for a, b in zip(times, times[1:])):
-            raise ValueError(f"times {times} must be strictly increasing from 0")
+            raise InvalidHistorySet(f"times {times} must be strictly increasing from 0")
         dim = hamiltonian.dim
         if initial_state.dim != dim:
-            raise ValueError("initial state does not match the Hamiltonian")
+            raise InvalidHistorySet("initial state does not match the Hamiltonian")
         checked = []
         for m, family in enumerate(families):
             blocks = []
@@ -70,37 +73,37 @@ class HistorySet:
                 if isinstance(entry, LinearOperator):
                     block, defect = _projector_range(entry.matrix)
                     if block is None:
-                        raise ValueError(
+                        raise InvalidHistorySet(
                             f"family {m} entry {a} is not a projector: defect {defect:.3e}")
                 else:
                     block = np.asarray(entry)
                     if not (block.ndim == 1 and block.dtype.kind in "iu"):
                         block = block.astype(complex, copy=False)
                 if block.dtype.kind == "c" and (block.ndim != 2 or block.shape[0] != dim):
-                    raise ValueError(f"family {m} entry {a} has shape {block.shape}, "
-                                     f"expected ({dim}, r)")
+                    raise InvalidHistorySet(f"family {m} entry {a} has shape {block.shape}, "
+                                            f"expected ({dim}, r)")
                 blocks.append(block)
             index_sets = [block.ndim == 1 for block in blocks]
             if any(index_sets) and not all(index_sets):
-                raise ValueError(f"family {m} mixes index sets with blocks")
+                raise InvalidHistorySet(f"family {m} mixes index sets with blocks")
             ends = np.cumsum([block.shape[-1] for block in blocks], dtype=np.intp)
             if blocks and index_sets[0]:    # one range check; unsigned past intp wraps negative
                 V = np.concatenate(blocks, dtype=np.intp, casting="unsafe")
                 if V.size and not (V.min() >= 0 and V.max() < dim):
                     first = np.argmax((V < 0) | (V >= dim))
                     a = int(np.searchsorted(ends, first, side="right"))
-                    raise ValueError(f"family {m} entry {a} has indices outside [0, {dim})")
+                    raise InvalidHistorySet(f"family {m} entry {a} has indices outside [0, {dim})")
             else:
                 V = np.concatenate(blocks, axis=1) if blocks else np.zeros((dim, 0), dtype=complex)
             if V.shape[-1] != dim:
-                raise ValueError(f"family {m} spans {V.shape[-1]} of {dim} dimensions "
-                                 "and cannot sum to identity")
+                raise InvalidHistorySet(f"family {m} spans {V.shape[-1]} of {dim} dimensions "
+                                        "and cannot sum to identity")
             if V.ndim == 1:     # (V^dag V)_ij = [idx_i == idx_j]: each count off 1 is a defect
                 deficit = float(np.max(np.abs(np.bincount(V, minlength=dim) - 1)))
             else:
                 deficit = _identity_defect(V.conj().T @ V)
             if not deficit <= FAMILY_TOL:
-                raise ValueError(f"family {m} sums to identity with defect {deficit:.3e}")
+                raise InvalidHistorySet(f"family {m} sums to identity with defect {deficit:.3e}")
             bounds = [0, *ends.tolist()]
             slices = tuple(slice(a, b) for a, b in zip(bounds, bounds[1:]))
             checked.append((_IndexOrder(V) if V.ndim == 1 else _DenseBasis(V), slices))
@@ -146,29 +149,57 @@ def class_operator(hs: HistorySet, alpha: Sequence[int]) -> LinearOperator:
 
 
 class DecoherenceFunctional:
-    """The Hermitian pair matrix D(alpha, beta) over a history set's labels."""
+    """The Hermitian pair matrix D(alpha, beta) over a history set's labels, stored as blocks.
 
-    __slots__ = ("histories", "matrix")
+    ``blocks[b]`` holds D between the histories ``members[b]``, a row of
+    ascending indices into ``histories``; the rows partition the labels, and
+    D is exactly zero between histories in different blocks.  A dense matrix
+    given to the constructor is one block.  ``matrix`` scatters the blocks
+    into a dense, read-only array each time it is read.
+    """
+
+    __slots__ = ("histories", "blocks", "members")
 
     def __init__(self, histories: Sequence[tuple[int, ...]], matrix):
-        mat = np.asarray(matrix, dtype=complex)
+        mat = np.array(matrix, dtype=complex)
         n = len(histories)
         if mat.shape != (n, n):
-            raise ValueError("one matrix entry per history pair required")
-        if not _hermitian_within_tol(mat):
-            raise ValueError("decoherence functional must be Hermitian")
-        diag = np.diagonal(mat)
-        if float(np.max(np.abs(diag.imag))) > 1e-10 or float(diag.real.min()) < -1e-10:
-            raise ValueError("diagonal must be real and nonnegative")
-        total = complex(mat.sum())
+            raise InvalidHistorySet("one matrix entry per history pair required")
+        self._check_and_store(histories, mat[None], np.arange(n)[None])
+
+    @classmethod
+    def _from_blocks(cls, histories, blocks: np.ndarray, members: np.ndarray):
+        D = cls.__new__(cls)
+        D._check_and_store(histories, blocks, members)
+        return D
+
+    def _check_and_store(self, histories, blocks, members):
+        if not np.all(_hermitian_within_tol(blocks)):
+            raise InvalidHistorySet("decoherence functional must be Hermitian")
+        diag = np.diagonal(blocks, axis1=1, axis2=2)
+        if float(np.max(np.abs(diag.imag), initial=0.0)) > 1e-10 \
+                or float(diag.real.min(initial=0.0)) < -1e-10:
+            raise InvalidHistorySet("diagonal must be real and nonnegative")
+        total = complex(blocks.sum())
         if abs(total - 1.0) > 1e-9:
-            raise ValueError(f"entries sum to {total}, not 1")
+            raise InvalidHistorySet(f"entries sum to {total}, not 1")
         self.histories = tuple(tuple(h) for h in histories)
-        self.matrix = mat
-        self.matrix.setflags(write=False)
+        self.blocks = blocks
+        self.members = members
+        blocks.setflags(write=False)
+        members.setflags(write=False)
+
+    @property
+    def matrix(self) -> np.ndarray:
+        mat = np.zeros((len(self.histories),) * 2, dtype=complex)
+        mat[self.members[:, :, None], self.members[:, None, :]] = self.blocks
+        mat.setflags(write=False)
+        return mat
 
     def diagonal(self) -> np.ndarray:
-        return np.real(np.diagonal(self.matrix)).copy()
+        diag = np.zeros(len(self.histories))
+        diag[self.members] = np.real(np.diagonal(self.blocks, axis1=1, axis2=2))
+        return diag
 
     def __repr__(self):
         return f"DecoherenceFunctional(n_histories={len(self.histories)})"
@@ -184,7 +215,8 @@ def decoherence_functional(hs: HistorySet) -> DecoherenceFunctional:
     zero between histories ending in different ones, and entry B_a's block
     is the Gram matrix of the coefficients B_a^dag u of the evolved branches,
     since <B B^dag u|B B^dag v> = <B^dag u|B^dag v>.  The entries of one width
-    get their blocks from one batched product, n * paths^2 entries in all.
+    get their blocks from one batched product into an (n, paths, paths)
+    stack, n * paths^2 entries in all.
     """
     if isinstance(hs.initial_state, PureState):
         columns = hs.initial_state.amplitudes[:, None]
@@ -196,7 +228,7 @@ def decoherence_functional(hs: HistorySet) -> DecoherenceFunctional:
     paths, n = math.prod(hs.shape[:-1]), len(slices)
     starts = np.array([sl.start for sl in slices], dtype=np.intp)
     widths = np.array([sl.stop - sl.start for sl in slices], dtype=np.intp)
-    D = np.zeros((paths, n, paths, n), dtype=complex)
+    D = np.zeros((n, paths, paths), dtype=complex)
     for u in columns.T:     # one column at a time keeps the branches at dim x paths
         branches = u[:, None]
         for (family, cuts), dt in zip(earlier, steps):
@@ -207,22 +239,26 @@ def decoherence_functional(hs: HistorySet) -> DecoherenceFunctional:
         for w in sorted(set(widths.tolist()) - {0}):     # np.unique would import numpy.ma
             ents = np.flatnonzero(widths == w)     # entries of width w: a (k, w, paths) stack
             cb = coeffs[(starts[ents, None] + np.arange(w)).ravel()].reshape(ents.size, w, -1)
-            D[:, ents, :, ents] += np.matmul(cb.transpose(0, 2, 1), cb.conj())
-    return DecoherenceFunctional(hs.histories(), D.reshape(paths * n, -1))
+            D[ents] += np.matmul(cb.transpose(0, 2, 1), cb.conj())
+    # history (path p, final entry a) is label p * n + a
+    members = np.arange(0, paths * n, n) + np.arange(n)[:, None]
+    return DecoherenceFunctional._from_blocks(hs.histories(), D, members)
 
 
 def is_consistent(D: DecoherenceFunctional,
                   eps: float = DEFAULT_CONSISTENCY_EPS) -> tuple[bool, float]:
     """Test |D(a,b)| <= eps * sqrt(D(a,a) D(b,b)) for all pairs a != b.
 
-    Returns (verdict, worst ratio).  Pairs with a zero diagonal weight pass
-    vacuously: an impossible history cannot interfere with anything.
+    Returns (verdict, worst ratio).  Only pairs inside one block are
+    compared; every other pair is an exact zero.  Pairs with a zero diagonal
+    weight pass vacuously: an impossible history cannot interfere with
+    anything.
     """
-    diag = np.clip(D.diagonal(), 0.0, None)
-    scale = np.sqrt(np.outer(diag, diag))
+    diag = np.clip(np.real(np.diagonal(D.blocks, axis1=1, axis2=2)), 0.0, None)
+    scale = np.sqrt(diag[:, :, None] * diag[:, None, :])
     pairs = np.triu(scale > 0.0, k=1)
     # hypot rounds as scalar abs() does; np.abs on complex arrays may differ in the last bit
-    ratios = np.hypot(D.matrix.real[pairs], D.matrix.imag[pairs]) / scale[pairs]
+    ratios = np.hypot(D.blocks.real[pairs], D.blocks.imag[pairs]) / scale[pairs]
     worst = float(ratios.max(initial=0.0))
     return worst <= eps, worst
 
@@ -270,9 +306,14 @@ def coarse_grain(D: DecoherenceFunctional,
         group_indices.append(idx)
     if len(seen) != len(D.histories):
         raise InvalidIndex("groups must cover every history")
-    indicator = np.zeros((len(group_indices), len(D.histories)))
+    k = len(group_indices)
+    group_of = np.empty(len(D.histories), dtype=np.intp)
     for a, ia in enumerate(group_indices):
-        indicator[a, ia] = 1.0
-    mat = indicator @ D.matrix @ indicator.T
+        group_of[ia] = a
+    g = group_of[D.members]
+    cell = (g[:, :, None] * k + g[:, None, :]).ravel()    # entry (a, b) of the coarse matrix
+    mat = np.empty((k, k), dtype=complex)
+    mat.real = np.bincount(cell, D.blocks.real.ravel(), k * k).reshape(k, k)
+    mat.imag = np.bincount(cell, D.blocks.imag.ravel(), k * k).reshape(k, k)
     labels = [tuple(tuple(D.histories[i]) for i in ia) for ia in group_indices]
     return DecoherenceFunctional(labels, mat)

@@ -599,7 +599,7 @@ def _run_two_slit(params: dict, seed: int) -> tuple[list, list, list]:
     D = decoherence_functional(hs)
     _, ratio = is_consistent(D, eps)
 
-    diag = {h: p for h, p in zip(D.histories, np.real(np.diagonal(D.matrix)))}
+    diag = {h: p for h, p in zip(D.histories, D.diagonal())}
     psi_t = H.evolve(psi0, t2)
     p_joint = _cell_weights(screen_family, psi_t.amplitudes)
     rows = []
@@ -619,8 +619,10 @@ def _run_two_slit(params: dict, seed: int) -> tuple[list, list, list]:
     psi_tagged = PureState(tagged.ravel())
     # the tag does not move: H (x) I2, each level doubled
     H_tagged = free_hamiltonian(g, params["mass"], tags=2)
-    slit_tagged = [(2 * cell[:, None] + np.arange(2)).ravel() for cell in slit_family]
-    screen_tagged = [(2 * cell[:, None] + np.arange(2)).ravel() for cell in screen_family]
+    # x-points [a, b) with either tag are the amplitudes [2a, 2b)
+    tag_index = np.arange(2 * g.n_points)
+    slit_tagged = tag_index.reshape(len(slit_family), -1)
+    screen_tagged = tag_index.reshape(n_cells, -1)
     hs_tagged = HistorySet(H_tagged, psi_tagged, times=[0.0, t2],
                            families=[slit_tagged, screen_tagged])
     D_tagged = decoherence_functional(hs_tagged)
@@ -634,7 +636,7 @@ def _run_two_slit(params: dict, seed: int) -> tuple[list, list, list]:
         marginal_err = 0.0
         probs = history_probabilities(D_tagged, eps).as_dict()
         merged = coarse_grain(D_tagged, [[(0, c), (1, c)] for c in range(n_cells)])
-        blocks = np.real(np.diagonal(merged.matrix))
+        blocks = merged.diagonal()
         screen_probs = _cell_weights(screen_tagged, H_tagged.evolve(psi_tagged, t2).amplitudes)
         for c, block in enumerate(blocks):
             summed = probs[(0, c)] + probs[(1, c)]

@@ -11,6 +11,7 @@ from qmeasure import (
     Hamiltonian,
     HistorySet,
     InconsistentFamily,
+    InvalidHistorySet,
     InvalidIndex,
     LinearOperator,
     PureState,
@@ -29,6 +30,7 @@ from qmeasure import (
     propagate,
     region_projector,
     repeated_measurement_joint,
+    SimulationError,
     spectral_decompose,
 )
 from conftest import random_density, random_hermitian, random_state
@@ -125,6 +127,34 @@ class TestHistorySet:
             blocks[1] = blocks[1][:-1]
         with pytest.raises(ValueError, match=message):
             HistorySet(zero_hamiltonian(4), random_state(rng, 4), [1.0], [blocks])
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda H, s: HistorySet(H, s, [1.0], [Z_FAMILY, Z_FAMILY]), "one projector family"),
+        (lambda H, s: HistorySet(H, s, [], []), "at least one time"),
+        (lambda H, s: HistorySet(H, s, [2.0, 1.0], [Z_FAMILY, Z_FAMILY]), "increasing"),
+        (lambda H, s: HistorySet(H, basis_state(3, 0), [1.0], [Z_FAMILY]), "does not match"),
+        (lambda H, s: HistorySet(H, s, [1.0], [[LinearOperator(np.eye(2) / 2)] * 2]),
+         "not a projector"),
+        (lambda H, s: HistorySet(H, s, [1.0], [[np.eye(3)[:, :1], np.eye(3)[:, 1:]]]),
+         "has shape"),
+        (lambda H, s: HistorySet(H, s, [1.0], [[[0], Z_FAMILY[1]]]), "mixes"),
+        (lambda H, s: HistorySet(H, s, [1.0], [[[0], [2]]]), "outside"),
+        (lambda H, s: HistorySet(H, s, [1.0], [[[0]]]), "spans 1 of 2"),
+        (lambda H, s: HistorySet(H, s, [1.0], [[[0], [0]]]), "sums to identity"),
+        # the dense constructor keeps its four refusals
+        (lambda H, s: DecoherenceFunctional([(0,)], np.eye(2) / 2),
+         "one matrix entry per history pair required"),
+        (lambda H, s: DecoherenceFunctional([(0,), (1,)], [[0.5, 0.1], [0.0, 0.5]]),
+         "decoherence functional must be Hermitian"),
+        (lambda H, s: DecoherenceFunctional([(0,), (1,)], [[1.5, 0.0], [0.0, -0.5]]),
+         "diagonal must be real and nonnegative"),
+        (lambda H, s: DecoherenceFunctional([(0,), (1,)], [[0.5, 0.0], [0.0, 0.25]]),
+         "entries sum to (0.75+0j), not 1"),
+    ])
+    def test_refusals_are_simulation_and_value_errors(self, build, message):
+        with pytest.raises(InvalidHistorySet, match=re.escape(message)) as err:
+            build(zero_hamiltonian(2), basis_state(2, 0))
+        assert isinstance(err.value, SimulationError) and isinstance(err.value, ValueError)
 
     def test_histories_enumeration(self):
         H = zero_hamiltonian(2)
@@ -411,6 +441,17 @@ class TestDecoherenceFunctional:
         assert peak <= 10 * n * P * P * 16, f"peak {peak / 2 ** 20:.1f} MiB"
 
 
+def dense_worst_ratio(M):
+    """max |M[a,b]| / sqrt(M[a,a] M[b,b]) over all pairs a < b with nonzero weights."""
+    d = np.clip(np.real(np.diagonal(M)), 0.0, None)
+    worst = 0.0
+    for a, b in itertools.combinations(range(len(d)), 2):
+        scale = np.sqrt(d[a] * d[b])
+        if scale != 0.0:
+            worst = max(worst, abs(M[a, b]) / scale)
+    return worst
+
+
 class TestConsistency:
     def test_diagonal_functional_consistent(self, rng):
         s = random_state(rng, 2)
@@ -447,14 +488,7 @@ class TestConsistency:
         hs = HistorySet(Hamiltonian(random_hermitian(rng, 6)), random_state(rng, 6),
                         [0.3, 0.9], random_families(rng, 6, [3, 4]))
         D = decoherence_functional(hs)
-        diag = D.diagonal()
-        loop = 0.0
-        for a in range(len(diag)):
-            for b in range(a + 1, len(diag)):
-                scale = np.sqrt(max(diag[a], 0.0) * max(diag[b], 0.0))
-                if scale != 0.0:
-                    loop = max(loop, abs(D.matrix[a, b]) / scale)
-        assert is_consistent(D)[1] == loop
+        assert is_consistent(D) == (False, dense_worst_ratio(D.matrix))
 
 
 class TestHistoryProbabilities:
@@ -520,6 +554,62 @@ class TestHistoryProbabilities:
             coarse_grain(D, [[(0,)]])
         with pytest.raises(InvalidIndex):
             coarse_grain(D, [[(0,), (1,)], [(1,)]])
+
+
+class TestBlockForm:
+    """D is stored as its final-entry blocks; each oracle reads the dense D.matrix."""
+
+    @pytest.fixture
+    def functional(self, rng):
+        hs = HistorySet(Hamiltonian(random_hermitian(rng, 6)), random_density(rng, 6),
+                        [0.3, 0.9], random_families(rng, 6, [3, 4]))
+        return decoherence_functional(hs)
+
+    def test_coarse_graining_across_final_entries_matches_indicator_product(self, functional):
+        D = functional
+        # (0, c) with (1, c + 1): every merged pair ends in two different final entries
+        spans = [[(0, c), (1, (c + 1) % 4)] for c in range(4)]
+        spans += [[(2, 0), (2, 3)], [(2, 1)], [(2, 2)]]
+        for groups in (spans, [list(D.histories)]):
+            G = np.array([[h in group for h in D.histories] for group in groups], dtype=float)
+            merged = coarse_grain(D, groups)
+            assert np.max(np.abs(merged.matrix - G @ D.matrix @ G.T)) <= 1e-14
+        assert merged.matrix.shape == (1, 1)
+
+    def test_worst_ratio_matches_dense_pairs_on_consistent_family(self, rng):
+        # a two-level tag records the first entry, so histories that differ
+        # there stop interfering; the dense evolution of H (x) I2 leaks
+        # between the tags only at roundoff
+        dim = 5
+        H = Hamiltonian(LinearOperator(np.kron(random_hermitian(rng, dim).matrix, np.eye(2))))
+        first = random_index_families(rng, dim, [2])[0]
+        psi = random_state(rng, dim).amplitudes
+        tagged = np.zeros((dim, 2), dtype=complex)
+        for s, idx in enumerate(first):
+            tagged[idx, s] = psi[idx]
+        cells = random_index_families(rng, dim, [3])[0]
+        families = [[np.concatenate([2 * idx, 2 * idx + 1]) for idx in family]
+                    for family in (first, cells)]
+        hs = HistorySet(H, PureState(tagged.ravel()), [0.0, 0.8], families)
+        D = decoherence_functional(hs)
+        ok, worst = is_consistent(D)
+        assert ok and 0.0 < worst
+        assert worst == dense_worst_ratio(D.matrix)
+
+    def test_diagonal_reads_the_dense_diagonal(self, functional):
+        np.testing.assert_array_equal(functional.diagonal(),
+                                      np.real(np.diagonal(functional.matrix)))
+
+    def test_matrix_is_read_only(self, functional):
+        for D in (functional, coarse_grain(functional, [[h] for h in functional.histories])):
+            with pytest.raises(ValueError):
+                D.matrix[0, 0] = 1.0
+
+    def test_dense_constructor_copies_its_matrix(self):
+        m = np.array([[0.75, 0.1j], [-0.1j, 0.25]])
+        D = DecoherenceFunctional([(0,), (1,)], m)
+        m[0, 0] = 9.0
+        assert m.flags.writeable and D.matrix[0, 0] == 0.75
 
 
 class TestConditionalization:
