@@ -9,6 +9,7 @@ here for projective outcomes.
 
 from __future__ import annotations
 
+from collections import abc
 from itertools import product
 from typing import Hashable, Sequence
 
@@ -43,7 +44,7 @@ class OutcomeDistribution:
         probs = np.asarray(probabilities, dtype=float)
         if len(outcomes) != probs.shape[0]:
             raise ValueError("one probability per outcome required")
-        self.outcomes = tuple(outcomes)
+        self.outcomes = outcomes if isinstance(outcomes, _CellLabels) else tuple(outcomes)
         self.probabilities = _freeze(_normalized(probs[None], sum_tol)[0])
 
     def probability(self, outcome) -> float:
@@ -140,6 +141,8 @@ class Povm:
     non-Hermitian ones and eigenvalues below -1e-9; positive eigenvalues
     become terms, so a zero effect owns none.  Completeness
     (||sum M - 1||_max <= 1e-8) is evaluated once, at construction.
+    ``labels`` is an immutable sequence: a tuple, except for the phase-space
+    family, whose a-major cell labels are each computed when read.
     """
 
     __slots__ = ("labels", "dim", "_left", "_right", "_weights", "_owner", "_deficit")
@@ -184,7 +187,8 @@ class Povm:
         deficit = _identity_defect(total)
         if deficit > completeness_tol:
             raise InvalidPovm(f"effects sum to identity with defect {deficit:.3e}")
-        self.labels, self.dim, self._deficit = tuple(labels), right.shape[1], deficit
+        self.labels = labels if isinstance(labels, _CellLabels) else tuple(labels)
+        self.dim, self._deficit = right.shape[1], deficit
         self._left, self._right, self._weights, self._owner = left, right, weights, owner
 
     def __len__(self):
@@ -274,6 +278,46 @@ def build_fuzzy_povm(obs: Observable, smearing) -> Povm:
     return povm
 
 
+class _CellLabels(abc.Sequence):
+    """The labels (p_idx[a], q_idx[b]) of a cell grid, a-major, each computed when read.
+
+    Compares equal to the tuple of the same labels; slicing returns a tuple.
+    """
+
+    __slots__ = ("_p", "_q")
+
+    def __init__(self, p_idx: Sequence[int], q_idx: Sequence[int]):
+        self._p, self._q = tuple(p_idx), tuple(q_idx)
+
+    def __len__(self):
+        return len(self._p) * len(self._q)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(self[j] for j in range(*i.indices(len(self))))
+        a, b = divmod(range(len(self))[i], len(self._q))
+        return self._p[a], self._q[b]
+
+    def __iter__(self):
+        return product(self._p, self._q)
+
+    def index(self, label) -> int:
+        """The position of the cell label (a, b); ValueError when the grid has no such cell."""
+        try:
+            a, b = label
+            return self._p.index(a) * len(self._q) + self._q.index(b)
+        except (TypeError, ValueError):
+            raise ValueError(f"{label!r} is not a cell label") from None
+
+    def __eq__(self, other):
+        if isinstance(other, (tuple, _CellLabels)):
+            return tuple(self) == tuple(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(tuple(self))
+
+
 def build_phase_space_povm(g: GridSpace, packet_width: float,
                            p_indices: Sequence[int] | None = None,
                            q_indices: Sequence[int] | None = None) -> Povm:
@@ -285,7 +329,9 @@ def build_phase_space_povm(g: GridSpace, packet_width: float,
     Each cell contributes a weighted rank-one effect w |phi(p_a, q_b)><...|
     with w = dim / n_cells, the discrete stand-in for the continuum 1/2pi
     measure; over the full n x n tiling the family resolves the identity
-    exactly up to roundoff.  Labels are the cell index pairs (a, b), a-major.
+    exactly up to roundoff.  Labels are the cell index pairs (a, b): an
+    immutable a-major sequence that computes each pair when it is read, so
+    the n^2 pairs are never stored.
     The cells form a Gabor system: the boosts e^{i k_a x} are the POVM's left
     table and the shifted packets F^dag e^{-i k x_b} F phi its right table,
     with F applied by FFT, so the tables cost O(n^2 log n) time and O(n^2)
@@ -303,12 +349,13 @@ def build_phase_space_povm(g: GridSpace, packet_width: float,
     k = g.wavenumbers
     fourier = _FourierBasis(n)  # V = F^dag
     phi_k = fourier.apply_adjoint(gaussian_packet(g, 0.0, 0.0, packet_width).amplitudes)
-    boosts = np.exp(1j * np.outer(k[p_idx], x))
-    shifted = fourier.apply(np.exp(-1j * np.outer(k, x[q_idx])) * phi_k[:, None]).T
+    phases = np.exp(1j * np.outer(k, x))  # e^{i k_a x_b}: the boosts' rows, the shifts' conjugate
+    boosts = phases[p_idx]
+    shifted = fourier.apply(phases[:, q_idx].conj() * phi_k[:, None]).T
     n_cells = len(p_idx) * len(q_idx)
     povm = object.__new__(Povm)
     try:
-        povm._set_terms(product(p_idx, q_idx), boosts, shifted,
+        povm._set_terms(_CellLabels(p_idx, q_idx), boosts, shifted,
                         np.full(len(q_idx), n / n_cells), np.arange(n_cells), TILING_TOL)
     except InvalidPovm as exc:
         raise IncompleteTiling(str(exc)) from exc

@@ -217,6 +217,13 @@ def _finite_box(params: dict) -> tuple[str, bool, str]:
     return "box_length", np.isfinite(box * box), "overflows box_length^2"
 
 
+def _resolvable(params: dict, name: str, g: GridSpace) -> tuple[str, bool, str]:
+    """The limit that a packet width lies in the band gaussian_packet resolves on the grid."""
+    width, low, high = params[name], 3 * g.dx, g.box_length / 10
+    return (name, low < width < high,
+            f"must exceed 3*dx = {low:.4g} and be below box_length/10 = {high:.4g}")
+
+
 def _run_stern_gerlach(params: dict, seed: int) -> tuple[list, list, list]:
     n_thetas = params["theta_steps"]
     thetas = np.linspace(0.0, np.pi, n_thetas)
@@ -667,7 +674,8 @@ def _run_phase_space_povm(params: dict, seed: int) -> tuple[list, list, list]:
               f"lies outside the box [-{half_box}, {half_box}]"),
              _finite_box(params),
              ("state_k0", np.isfinite(params["state_k0"] * half_box),
-              "overflows the phase state_k0 * box_length/2"))
+              "overflows the phase state_k0 * box_length/2"),
+             _resolvable(params, "packet_width", g), _resolvable(params, "state_width", g))
     povm = build_phase_space_povm(g, params["packet_width"])
     deficit = povm.completeness_deficit()
 
@@ -691,7 +699,7 @@ def _run_phase_space_povm(params: dict, seed: int) -> tuple[list, list, list]:
     var_marg = float(np.sum(marginal_q * x ** 2) - np.sum(marginal_q * x) ** 2)
 
     a0, b0 = params["probe_p_index"], params["probe_q_index"]
-    probe = povm.effect(list(povm.labels).index((a0, b0))).matrix
+    probe = povm.effect(povm.labels.index((a0, b0))).matrix
     # rank one, w |phi><phi|: column j is w phi conj(phi_j), largest where the diagonal peaks
     probe_state = PureState(probe[:, int(np.argmax(np.real(np.diagonal(probe))))])
     probe_dist = povm_distribution(probe_state, povm)

@@ -484,6 +484,43 @@ class TestPhaseSpacePovm:
             tracemalloc.stop()
         assert peak <= 32 * 2 ** 20
 
+    def test_built_family_holds_two_tables_not_n_squared_labels(self):
+        # the n^2 label pairs are computed when read: stored as 65,536 tuples
+        # at n = 256 they held 6.4 MiB beside the 2 MiB of the two tables
+        tracemalloc.start()
+        try:
+            povm = build_phase_space_povm(GridSpace(256, 16.0), 0.5)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(povm) == 256 * 256
+        assert held <= 4 * 2 ** 20, f"held {held / 2 ** 20:.1f} MiB"
+
+    def test_cell_labels_follow_permuted_indices_a_major(self, rng):
+        g = GridSpace(32, 16.0)
+        p_idx, q_idx = rng.permutation(32).tolist(), rng.permutation(32).tolist()
+        povm = build_phase_space_povm(g, 1.55, p_indices=p_idx, q_indices=q_idx)
+        labels = povm.labels
+        cells = [(a, b) for a in p_idx for b in q_idx]
+        assert list(labels) == cells and len(labels) == 32 * 32
+        assert all(labels.index(cell) == cells.index(cell) for cell in cells)
+        for missing in ((32, 0), (0, -1), (1,), "ab", None):
+            with pytest.raises(ValueError):
+                labels.index(missing)
+            assert missing not in labels
+        assert labels[-1] == cells[-1] and labels[5] == cells[5]
+        assert labels[3:70:7] == tuple(cells[3:70:7]) and labels[::-1] == tuple(cells[::-1])
+        with pytest.raises(IndexError):
+            labels[32 * 32]
+        assert labels == tuple(cells) and tuple(cells) == labels and labels != cells
+        assert hash(labels) == hash(tuple(cells))
+        with pytest.raises(TypeError):
+            labels[0] = (0, 0)
+        dist = povm_distribution(gaussian_packet(g, 1.1, -0.3, 1.55), povm)
+        assert dist.outcomes is labels
+        for cell in (cells[0], cells[40], cells[-1]):
+            assert dist.probability(cell) == float(dist.probabilities[cells.index(cell)])
+
     def test_displaced_packet_peaks_at_own_cell(self):
         g = GridSpace(48, 16.0)
         povm = build_phase_space_povm(g, 1.2)

@@ -75,7 +75,9 @@ PACKET_OVERFLOW_HOLES = [
 # in an OutsideValidityWindow naming no field), a hegerfeldt_scan projector of
 # rank >= dim, which has no kernel (the run failed kernel_scan_identically_zero),
 # a t_max whose phase E t leaves the double range (NaN series), and a
-# phase_space_povm probe cell off the grid (the refusal named neither index)
+# phase_space_povm probe cell off the grid (the refusal named neither index),
+# and a phase_space_povm packet or state width outside the band a grid resolves
+# (an UnresolvableWidth that named no field)
 CROSS_FIELD_HOLES = [
     ("zeno_decay", {"n_modes": 200, "bandwidth": 80.0, "horizon_over_tau": 10.0}, "bandwidth"),
     ("hegerfeldt_scan", {"dim": 4, "rank": 5}, "rank"),
@@ -84,7 +86,9 @@ CROSS_FIELD_HOLES = [
     ("phase_space_povm", {"n_points": 64, "probe_p_index": 10, "probe_q_index": 64},
      "probe_q_index"),
     ("phase_space_povm", {"n_points": 64, "probe_p_index": 64, "probe_q_index": 10},
-     "probe_p_index")]
+     "probe_p_index"),
+    ("phase_space_povm", {"n_points": 96}, "packet_width"),
+    ("phase_space_povm", {"state_width": 2.0}, "state_width")]
 
 DOUBLE_MAX = float(np.finfo(float).max)
 SQUARE_EDGE = st.floats(1e153, 1e156)  # box lengths whose square leaves the double range
