@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -84,7 +85,9 @@ def _cmd_validate(args) -> int:
     return 0
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and kept, unchanged, for the process."""
     parser = argparse.ArgumentParser(
         prog="qmeasure",
         description="Run quantum measurement-theory scenarios from config files.")
@@ -105,8 +108,11 @@ def main(argv=None) -> int:
     p_val = sub.add_parser("validate", help="check a config without running it")
     p_val.add_argument("config", help="path to a YAML scenario config")
     p_val.set_defaults(func=_cmd_validate)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     return args.func(args)
 
 

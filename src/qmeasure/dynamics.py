@@ -8,8 +8,9 @@ another and [X, P] = i holds on well-resolved interior states up to grid
 error.  The free Hamiltonian evolves through that map applied by FFT, in
 O(n log n) per state; :func:`fourier_map` writes the same map out densely.
 A barrier Hamiltonian adds a real potential that is diagonal in position;
-it evolves by a Chebyshev expansion whose every term is one FFT pair, so no
-grid Hamiltonian is ever written out or diagonalized to be evolved.
+it is a real matrix, and it evolves by a Chebyshev expansion whose every
+term is one real FFT pair per nonzero part (real or imaginary) of a state,
+so no grid Hamiltonian is ever written out or diagonalized to be evolved.
 """
 
 from __future__ import annotations
@@ -141,7 +142,9 @@ class Hamiltonian:
 
         Both vectors, one value per grid point of the untagged map, must be
         real and finite (else ValueError), so H is Hermitian by construction
-        and nothing is diagonalized.
+        and nothing is diagonalized.  The kinetic energies must also be even
+        under k -> -k, as k^2 / 2m is, so H is real: the Chebyshev evolution
+        relies on it.
         """
         kinetic, potential = np.asarray(kinetic, dtype=float), np.asarray(potential, dtype=float)
         if not (np.all(np.isfinite(kinetic)) and np.all(np.isfinite(potential))):
@@ -210,30 +213,51 @@ class Hamiltonian:
 
         [c - R, c + R] is Weyl's bound on the spectrum of kinetic plus
         potential, so the scaled H~ = (H - c)/R has its spectrum in [-1, 1]
-        (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967 (1984)).  Each term of
-        the recurrence T_{k+1} = 2 H~ T_k - T_{k-1} costs one FFT pair; the
-        terms do not depend on t, so all times share one recurrence.  The
-        recurrence runs in FFT order, V D V^dag = fftshift . ifft . D' . fft .
-        ifftshift with D' = ifftshift(D), so no term pays for the shifts.
+        (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967 (1984)).  The
+        recurrence T_{k+1} = 2 H~ T_k - T_{k-1} runs in FFT order,
+        V D V^dag = fftshift . ifft . D' . fft . ifftshift with
+        D' = ifftshift(D), so no term pays for the shifts.  D' is even under
+        k -> -k and the potential is real, so H~ is a real matrix: the
+        recurrence runs on the real and imaginary parts of each column, as
+        real rows, and skips a part that is identically zero: one real FFT
+        pair per nonzero part per term.  The terms do not depend on t, so
+        all times share one recurrence; the sums over Re c_k and Im c_k are
+        recombined once at the end.
         """
         kinetic, potential = self._energies, self._potential
         lo = kinetic.min() + potential.min()
         hi = kinetic.max() + potential.max()
         center, radius = (hi + lo) / 2, (hi - lo) / 2 or 1.0  # H = cI: any radius serves
-        shifted = np.fft.ifftshift((kinetic - center) / radius)
+        n = kinetic.size
+        shifted = np.fft.ifftshift((kinetic - center) / radius)[:n // 2 + 1]
         scaled = np.fft.ifftshift(potential / radius)
-
-        def step(x):  # H~ x on FFT-ordered amplitudes
-            return np.fft.ifft((shifted * np.fft.fft(x, axis=0).T).T, axis=0) + (scaled * x.T).T
-
         coefficients = _chebyshev_coefficients(radius * times) * np.exp(-1j * center * times)
-        current = np.fft.ifftshift(amplitudes, axes=0)
-        evolved = np.multiply.outer(current, coefficients[0])  # a column per time, if any
-        previous = None
+        columns = np.fft.ifftshift(amplitudes, axes=0).reshape(n, -1).T
+        parts = np.concatenate([columns.real, columns.imag], dtype=float)  # real, then imaginary
+        nonzero = np.flatnonzero(parts.any(axis=1))
+        weights = np.stack([coefficients.real, coefficients.imag], axis=1)  # (K, 2) + times
+        current = parts[nonzero]  # real FFT-ordered rows, the grid axis last
+        sums = np.multiply.outer(weights[0], current)  # sum Re c_k T_k, sum Im c_k T_k
+        # buffers every term reuses: large temporaries allocated per term fault in fresh pages
+        spectrum = np.empty((len(current), n // 2 + 1), dtype=complex)
+        following, product = np.empty_like(current), np.empty_like(current)
+        term = np.empty_like(sums)
+        previous = np.zeros_like(current)  # so the first term is H~ T_0
         for k in range(1, len(coefficients)):
-            previous, current = current, step(current) if k == 1 else 2 * step(current) - previous
-            evolved += np.multiply.outer(current, coefficients[k])
-        return np.fft.fftshift(evolved, axes=0)
+            np.fft.rfft(current, out=spectrum)
+            spectrum *= shifted
+            np.fft.irfft(spectrum, n=n, out=following)
+            following += np.multiply(scaled, current, out=product)  # H~ T_k
+            if k > 1:
+                following *= 2
+            following -= previous
+            previous, current, following = current, following, previous
+            sums += np.multiply.outer(weights[k], current, out=term)
+        rows = np.zeros(times.shape + parts.shape, dtype=complex)
+        rows[..., nonzero, :] = sums[0] + 1j * sums[1]  # sum_k c_k T_k of each part
+        m = columns.shape[0]
+        evolved = np.moveaxis(rows[..., :m, :] + 1j * rows[..., m:, :], (-1, -2), (0, 1))
+        return np.fft.fftshift(evolved[:, 0] if amplitudes.ndim == 1 else evolved, axes=0)
 
     def evolve(self, state: PureState, t: float) -> PureState:
         """exp(-iHt)|psi> without materializing the propagator matrix."""
@@ -403,8 +427,9 @@ def barrier_hamiltonian(g: GridSpace, mass: float, height: float,
 
     H holds the kinetic energies k^2/2m over the Fourier map and the real
     potential vector, equal to ``height`` on the half-open index ``window``
-    and 0 elsewhere; it is Hermitian by construction.  Evolution is a
-    Chebyshev expansion of e^{-iHt} whose every term costs one FFT pair,
+    and 0 elsewhere; it is real and symmetric by construction.  Evolution
+    is a Chebyshev expansion of e^{-iHt} whose every term costs one real
+    FFT pair per nonzero part (real or imaginary) of each column,
     O(||H|| t n log n) time and O(n) memory; the dense operator and its
     eigensystem are formed only when read.  ValueError unless
     0 <= lo < hi <= n, the height is finite and the mass positive.  Finite

@@ -98,9 +98,12 @@ def delocalization_demo(g: GridSpace, H: Hamiltonian, psi0: PureState,
     """Probability outside the support window after an arbitrarily short time.
 
     ``psi0`` must vanish identically outside ``window``.  Returns
-    1 - <Lambda_window> at time ``epsilon``: zero at epsilon = 0, and
-    strictly positive (far above the numerical floor) for any epsilon > 0,
-    however small relative to the packet's natural timescale.
+    1 - <Lambda_window> at time ``epsilon``: zero at epsilon = 0, and for
+    small epsilon > 0 it follows the short-time law
+    epsilon^2 ||(1 - Pi_W) H psi0||^2, with Pi_W the window's projector,
+    however small epsilon is relative to the packet's natural timescale.
+    Being quadratic, it falls below an absolute floor such as 1e-12 for
+    small enough epsilon.
     """
     lo, hi = int(window[0]), int(window[1])
     outside_mask = np.ones(g.n_points, dtype=bool)

@@ -23,7 +23,6 @@ from .dynamics import (
     GridSpace,
     Hamiltonian,
     _FourierBasis,
-    _check_width,
     barrier_hamiltonian,
     free_hamiltonian,
     gaussian_packet,
@@ -434,7 +433,7 @@ def _run_wavepacket_spread(params: dict, seed: int) -> tuple[list, list, list]:
     g = _grid(params)
     width = params["width"]
     mass = params["mass"]
-    _check_width(g, width)  # before the horizon is scaled by it
+    _require(params, _resolvable(params, "width", g))  # before the horizon is scaled by it
     horizon = float(np.sqrt((g.box_length / 4 / width) ** 2 - 1.0))  # until width box_length/4
     natural = mass * (width * width)  # inf, not OverflowError
     _require(params, ("mass", np.isfinite(horizon * natural),
@@ -507,7 +506,7 @@ def _run_delocalization(params: dict, seed: int) -> tuple[list, list, list]:
     g = _grid(params)
     width = params["width"]
     mass = params["mass"]
-    _check_width(g, width)  # before the window and the times are scaled by it
+    _require(params, _resolvable(params, "width", g))  # before the window and times are scaled by it
     half = int(round(params["support_halfwidth"] * width / g.dx))
     center = g.n_points // 2
     window = (center - half, center + half + 1)
@@ -560,6 +559,7 @@ BARRIER_PHASE_CAP = 1e4  # rad; the barrier's Chebyshev order grows with it
 
 def _two_slit_grid(params: dict):
     g = _grid(params)
+    _require(params, _resolvable(params, "packet_width", g))
     a = params["separation"]
     v = params["boost"]
     w = params["packet_width"]

@@ -519,6 +519,60 @@ class TestChebyshevBarrier:
                                  - _eigh_evolution(dense, columns[:, 1], times[j]))) <= 1e-12
         np.testing.assert_array_equal(per_time[:, 0], columns[:, 1])
 
+    def test_real_imaginary_and_mixed_parts_match_dense_eigh(self, rng):
+        g = GridSpace(256, 60.0)
+        H = barrier_hamiltonian(g, 0.9, 30.0, (140, 150))
+        v = np.zeros(256)
+        v[140:150] = 30.0
+        dense = _dense_free_matrix(g, 0.9) + np.diag(v)
+        real = truncated_gaussian_packet(g, 0.0, 0.0, 1.5, (110, 139)).amplitudes
+        imaginary = 1j * _normalized_columns(rng, 256, 1)[:, 0].real
+        block = np.stack([real, _normalized_columns(rng, 256, 1)[:, 0], imaginary], axis=1)
+        for t in (0.3, -1.2):
+            evolved = H.evolve_amplitudes(imaginary, t)
+            assert np.max(np.abs(evolved - _eigh_evolution(dense, imaginary, t))) <= 1e-12
+            evolved = H.evolve_amplitudes(block, t)
+            for j in range(3):
+                oracle = _eigh_evolution(dense, block[:, j], t)
+                assert np.max(np.abs(evolved[:, j] - oracle)) <= 1e-12
+        times = np.array([0.0, 0.05, 0.7, -2.0])
+        per_time = H.evolve_amplitudes(real, times)
+        assert per_time.shape == (256, 4)
+        for j in range(1, 4):
+            oracle = _eigh_evolution(dense, real, times[j])
+            assert np.max(np.abs(per_time[:, j] - oracle)) <= 1e-12
+        np.testing.assert_array_equal(per_time[:, 0], real)
+
+    def test_real_input_costs_one_real_fft_pair_per_term(self, monkeypatch):
+        import qmeasure.dynamics as dynamics
+        # 200 points: not a power of two, so no coefficient FFT has the grid's length
+        g = GridSpace(200, 50.0)
+        H = barrier_hamiltonian(g, 1.0, 40.0, (120, 130))
+        real = truncated_gaussian_packet(g, 0.0, 0.0, 1.5, (85, 116)).amplitudes
+        calls, terms = {"rfft": [], "irfft": [], "fft": [], "ifft": []}, []
+
+        def spy(name, fn):
+            def counted(a, *args, **kwargs):
+                calls[name].append(np.shape(a))
+                return fn(a, *args, **kwargs)
+            monkeypatch.setattr(np.fft, name, counted)
+
+        for name in calls:
+            spy(name, getattr(np.fft, name))
+        coefficients = dynamics._chebyshev_coefficients
+
+        def counted_terms(z):
+            result = coefficients(z)
+            terms.append(len(result))
+            return result
+
+        monkeypatch.setattr(dynamics, "_chebyshev_coefficients", counted_terms)
+        H.evolve_amplitudes(real, 0.4)
+        assert len(terms) == 1 and terms[0] > 2
+        assert calls["rfft"] == [(1, 200)] * (terms[0] - 1)
+        assert len(calls["irfft"]) == terms[0] - 1
+        assert not any(200 in shape for shape in calls["fft"] + calls["ifft"])
+
     def test_zero_height_matches_free_fft_evolution(self):
         g = GridSpace(256, 60.0)
         H, H0 = barrier_hamiltonian(g, 1.3, 0.0, (10, 20)), free_hamiltonian(g, 1.3)

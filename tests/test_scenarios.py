@@ -76,8 +76,9 @@ PACKET_OVERFLOW_HOLES = [
 # rank >= dim, which has no kernel (the run failed kernel_scan_identically_zero),
 # a t_max whose phase E t leaves the double range (NaN series), and a
 # phase_space_povm probe cell off the grid (the refusal named neither index),
-# and a phase_space_povm packet or state width outside the band a grid resolves
-# (an UnresolvableWidth that named no field)
+# and a packet width outside the band a grid resolves, in phase_space_povm,
+# two_slit, delocalization and wavepacket_spread (an UnresolvableWidth that
+# named no field, or the field ``width`` that two_slit does not have)
 CROSS_FIELD_HOLES = [
     ("zeno_decay", {"n_modes": 200, "bandwidth": 80.0, "horizon_over_tau": 10.0}, "bandwidth"),
     ("hegerfeldt_scan", {"dim": 4, "rank": 5}, "rank"),
@@ -88,7 +89,10 @@ CROSS_FIELD_HOLES = [
     ("phase_space_povm", {"n_points": 64, "probe_p_index": 64, "probe_q_index": 10},
      "probe_p_index"),
     ("phase_space_povm", {"n_points": 96}, "packet_width"),
-    ("phase_space_povm", {"state_width": 2.0}, "state_width")]
+    ("phase_space_povm", {"state_width": 2.0}, "state_width"),
+    ("two_slit", {"packet_width": 0.1}, "packet_width"),
+    ("delocalization", {"width": 0.5}, "width"),
+    ("wavepacket_spread", {"width": 20.0}, "width")]
 
 DOUBLE_MAX = float(np.finfo(float).max)
 SQUARE_EDGE = st.floats(1e153, 1e156)  # box lengths whose square leaves the double range
@@ -751,9 +755,9 @@ class TestRunScenario:
         assert table.all_passed
 
     def test_module_errors_carry_scenario_context(self):
-        from qmeasure import UnresolvableWidth
-        raw = "scenario: wavepacket_spread\nparams:\n  width: 0.1\n"
-        with pytest.raises(UnresolvableWidth, match="wavepacket_spread"):
+        from qmeasure import InvalidRegime
+        raw = "scenario: zeno_decay\nparams:\n  tau: 20.0\n  bandwidth: 0.25\n"
+        with pytest.raises(InvalidRegime, match="zeno_decay"):
             run_scenario(validate_config(raw))
 
 
@@ -978,6 +982,36 @@ class TestCli:
                          "--seed", "2"]) == 0
         meta = json.loads((tmp_path / "a" / "fuzzy_povm.meta.json").read_text())
         assert meta["seed"] == 2
+
+    def test_parser_is_built_once_and_each_call_parses_afresh(self, tmp_path, capsys,
+                                                             monkeypatch):
+        import argparse
+        cfg = tmp_path / "run.yaml"
+        cfg.write_text("scenario: fuzzy_povm\nseed: 1\n")
+        assert cli_main(["run", str(cfg), "--out-dir", str(tmp_path / "a"),
+                         "--seed", "2", "--format", "json"]) == 0
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+        capsys.readouterr()
+        assert cli_main(["run", str(cfg), "--out-dir", str(tmp_path / "b")]) == 0
+        assert "seed=1," in capsys.readouterr().out
+        meta = json.loads((tmp_path / "b" / "fuzzy_povm.meta.json").read_text())
+        assert meta["seed"] == 1
+        assert (tmp_path / "b" / "fuzzy_povm.csv").exists()
+        assert not (tmp_path / "b" / "fuzzy_povm.json").exists()
+        with pytest.raises(SystemExit) as exited:
+            cli_main(["run"])
+        assert exited.value.code == 2
+        assert cli_main(["validate", str(cfg)]) == 0
+        assert cli_main(["list"]) == 0
+        assert "OK scenario=fuzzy_povm seed=1" in capsys.readouterr().out
+        assert built == []
 
     def test_run_reports_failure_exit_code(self, tmp_path, capsys):
         # the decay-law assertion compares with the infinite-band law
