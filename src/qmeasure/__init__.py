@@ -15,6 +15,7 @@ from .errors import (
     IncompleteTiling,
     InconsistentFamily,
     InvalidConfig,
+    InvalidDistribution,
     InvalidHistorySet,
     InvalidIndex,
     InvalidPovm,

@@ -29,6 +29,10 @@ class InvalidSmearing(SimulationError):
     """Smearing weights are negative or do not sum to one per eigenvalue."""
 
 
+class InvalidDistribution(SimulationError, ValueError):
+    """Outcome weights are not one per outcome, fall below the clamp limit or do not sum to 1."""
+
+
 class IncompleteTiling(SimulationError):
     """Phase-space cells do not resolve the identity within tolerance."""
 

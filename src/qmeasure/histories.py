@@ -316,4 +316,4 @@ def coarse_grain(D: DecoherenceFunctional,
     mat.real = np.bincount(cell, D.blocks.real.ravel(), k * k).reshape(k, k)
     mat.imag = np.bincount(cell, D.blocks.imag.ravel(), k * k).reshape(k, k)
     labels = [tuple(tuple(D.histories[i]) for i in ia) for ia in group_indices]
-    return DecoherenceFunctional(labels, mat)
+    return DecoherenceFunctional._from_blocks(labels, mat[None], np.arange(k)[None])

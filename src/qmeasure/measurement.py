@@ -14,10 +14,11 @@ from itertools import product
 from typing import Hashable, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .dynamics import GridSpace, gaussian_packet
 from .errors import DimensionMismatch, ImpossibleOutcome, IncompleteTiling, \
-    InvalidPovm, InvalidSmearing
+    InvalidDistribution, InvalidPovm, InvalidSmearing
 from .hilbert import LinearOperator, Observable, PureState, State, _FourierBasis, _adjoint, \
     _first, _freeze, _hermitian_within_tol, _identity_defect, hermiticity_defect
 
@@ -43,7 +44,7 @@ class OutcomeDistribution:
                  sum_tol: float = 1e-10):
         probs = np.asarray(probabilities, dtype=float)
         if len(outcomes) != probs.shape[0]:
-            raise ValueError("one probability per outcome required")
+            raise InvalidDistribution("one probability per outcome required")
         self.outcomes = outcomes if isinstance(outcomes, _CellLabels) else tuple(outcomes)
         self.probabilities = _freeze(_normalized(probs[None], sum_tol)[0])
 
@@ -66,12 +67,12 @@ def _normalized(probs: np.ndarray, sum_tol: float = 1e-10) -> np.ndarray:
     worst = np.min(probs, axis=-1, initial=np.inf)
     i = _first(worst < -NEGATIVE_CLAMP_LIMIT)
     if i is not None:
-        raise ValueError(f"probability {worst[i]:.3e} below clamp limit")
+        raise InvalidDistribution(f"probability {worst[i]:.3e} below clamp limit")
     probs = np.clip(probs, 0.0, None)
     total = probs.sum(axis=-1)
     i = _first(np.abs(total - 1.0) > sum_tol)
     if i is not None:
-        raise ValueError(f"probabilities sum to {float(total[i])!r}, not 1")
+        raise InvalidDistribution(f"probabilities sum to {float(total[i])!r}, not 1")
     return probs / total[:, None]
 
 
@@ -136,7 +137,10 @@ class Povm:
     Every family is one factored table of weighted rank-one terms: term
     (i, j) is w_j |l_i o r_j><l_i o r_j|, with l_i a row of the p x dim left
     table L and r_j one of the q x dim right table R, tagged with the index
-    of the effect it belongs to; a flat family has the one row L = ones.
+    of the effect it belongs to.  A flat family has the one left row l = 1
+    (``_left`` is None).  The phase-space family's left rows are the boosts
+    l_a = sqrt(dim) V[:, cols[a]] of a Fourier basis V (``_left`` is
+    ``(V, cols)``), which are never written out, and its right table is real.
     The constructor factors dense effects with ``eigh``, rejecting
     non-Hermitian ones and eigenvalues below -1e-9; positive eigenvalues
     become terms, so a zero effect owns none.  Completeness
@@ -166,8 +170,7 @@ class Povm:
             keep = evals > 0.0
             terms.append((evals[keep], evecs[:, keep].T, np.full(np.count_nonzero(keep), i)))
         weights, vectors, owner = (np.concatenate(parts) for parts in zip(*terms))
-        self._set_terms(labels, np.ones((1, dim), complex), vectors, weights, owner,
-                        COMPLETENESS_TOL)
+        self._set_terms(labels, None, vectors, weights, owner, COMPLETENESS_TOL)
 
     @classmethod
     def from_rank_one(cls, labels: Sequence[Hashable], weights, vectors) -> "Povm":
@@ -177,13 +180,26 @@ class Povm:
         if weights.min() < -PSD_TOL:
             raise InvalidPovm(f"negative weight {weights.min():.3e}")
         povm = object.__new__(cls)
-        povm._set_terms(labels, np.ones((1, vectors.shape[1]), complex), vectors, weights,
-                        np.arange(len(weights)), COMPLETENESS_TOL)
+        povm._set_terms(labels, None, vectors, weights, np.arange(len(weights)),
+                        COMPLETENESS_TOL)
         return povm
 
     def _set_terms(self, labels, left, right, weights, owner, completeness_tol):
-        # sum_ij w_j (l_i o r_j)(l_i o r_j)^dag = (L^T conj L) o (R^T diag(w) conj R)
-        total = (left.T @ left.conj()) * ((right.T * weights) @ right.conj())
+        """Store the table and check completeness, the exact sum over every term.
+
+        sum_ij w_j (l_i o r_j)(l_i o r_j)^dag = (L^T conj L) o (R^T diag(w) conj R).
+        For boosts, G = L^T conj L = n V[:, cols] V[:, cols]^dag is a circulant
+        in x - y.  Every boost is 1 at x = 0, grid index n/2, so its column
+        there is one application, G[:, n/2] = sqrt(n) V[:, cols] 1.
+        """
+        total = (right.T * weights) @ right.conj()
+        if left is not None:
+            basis, cols = left
+            n = right.shape[1]
+            h = basis.apply(np.full(len(cols), np.sqrt(n)), cols)
+            # G[x, y] = h[(x - y + n/2) mod n]: the windows of h's periodic extension, reversed
+            windows = sliding_window_view(np.concatenate((h[n // 2 + 1:], h, h[:n // 2])), n)
+            total = windows[:, ::-1] * total
         deficit = _identity_defect(total)
         if deficit > completeness_tol:
             raise InvalidPovm(f"effects sum to identity with defect {deficit:.3e}")
@@ -196,7 +212,10 @@ class Povm:
 
     def effect(self, i: int) -> LinearOperator:
         rows, cols = np.divmod(np.flatnonzero(self._owner == i), len(self._right))
-        v = self._left[rows] * self._right[cols]
+        v = self._right[cols]
+        if self._left is not None:
+            basis, boosts = self._left
+            v = v * (np.sqrt(self.dim) * basis.columns(boosts[rows])).T
         return LinearOperator._wrap((v.T * self._weights[cols]) @ v.conj())
 
     @property
@@ -216,13 +235,19 @@ def povm_distribution(state: State, povm: Povm) -> OutcomeDistribution:
     if state.dim != povm.dim:
         raise DimensionMismatch(f"state dim {state.dim} vs POVM dim {povm.dim}")
     if isinstance(state, PureState):
-        probs = _effect_weights(povm, _pure_terms(povm, state.amplitudes[None]))[0]
+        terms = _pure_terms(povm, state.amplitudes[None])
+    elif povm._left is None:
+        # <r_j|rho|r_j> is row j's sum of (conj R rho) o R
+        r = povm._right
+        terms = np.sum((r.conj() @ state.matrix) * r, axis=1).real[None, None]
     else:
-        # <l o r_j|rho|l o r_j> is row j's sum of (conj R (conj l rho l)) o R
-        r, r_bar = povm._right, povm._right.conj()
-        terms = np.array([np.sum((r_bar @ (l.conj()[:, None] * state.matrix * l)) * r, axis=1).real
-                          for l in povm._left])
-        probs = _effect_weights(povm, terms[None])[0]
+        # <l_a o r_b|rho|l_a o r_b> = n (V^dag (conj r_b rho r_b) V)[a, a]: one transform per shift
+        basis, boosts = povm._left
+        columns = basis.columns(boosts).T
+        terms = povm.dim * np.array([
+            np.sum(basis.apply_adjoint(r.conj()[:, None] * state.matrix * r, boosts) * columns,
+                   axis=1).real for r in povm._right]).T[None]
+    probs = _effect_weights(povm, terms)[0]
     return OutcomeDistribution(povm.labels, probs, sum_tol=POVM_SUM_TOL)
 
 
@@ -235,10 +260,17 @@ def _povm_weights(povm: Povm, psi: np.ndarray) -> np.ndarray:
 
 
 def _pure_terms(povm: Povm, psi: np.ndarray) -> np.ndarray:
-    """|<l_i o r_j|psi>|^2 for a stack of states (m, dim): (m, p, q)."""
-    # conj <l_i o r_j|psi> for every (i, j) is one p x q product (L o conj psi) R^T
-    left = (povm._left * psi.conj()[:, None, :]).reshape(-1, povm.dim)
-    return np.abs(np.dot(left, povm._right.T)).reshape(len(psi), len(povm._left), -1) ** 2
+    """|<l_i o r_j|psi>|^2 for a stack of states (m, dim): (m, p, q).
+
+    A flat family takes one m x q product conj(psi) R^T.  For boosts,
+    <l_a o r_b|psi> = sqrt(n) (V[:, cols]^dag (conj r_b o psi))[a]: one FFT
+    along the grid axis of the (n, m, q) products, grid axis first.
+    """
+    if povm._left is None:
+        return np.abs(np.dot(psi.conj(), povm._right.T))[:, None] ** 2
+    basis, boosts = povm._left
+    products = psi.T[:, :, None] * povm._right.conj().T[:, None, :]
+    return povm.dim * np.abs(basis.apply_adjoint(products, boosts).transpose(1, 0, 2)) ** 2
 
 
 def _effect_weights(povm: Povm, terms: np.ndarray) -> np.ndarray:
@@ -273,8 +305,8 @@ def build_fuzzy_povm(obs: Observable, smearing) -> Povm:
     owner, column = np.nonzero(weights > 0.0)
     rows = np.vstack([obs.eigenbasis(i).T for i in range(obs.n_outcomes)])
     povm = object.__new__(Povm)
-    povm._set_terms(list(range(f.shape[0])), np.ones((1, obs.dim), complex), rows[column],
-                    weights[owner, column], owner, COMPLETENESS_TOL)
+    povm._set_terms(list(range(f.shape[0])), None, rows[column], weights[owner, column], owner,
+                    COMPLETENESS_TOL)
     return povm
 
 
@@ -332,10 +364,13 @@ def build_phase_space_povm(g: GridSpace, packet_width: float,
     exactly up to roundoff.  Labels are the cell index pairs (a, b): an
     immutable a-major sequence that computes each pair when it is read, so
     the n^2 pairs are never stored.
-    The cells form a Gabor system: the boosts e^{i k_a x} are the POVM's left
-    table and the shifted packets F^dag e^{-i k x_b} F phi its right table,
-    with F applied by FFT, so the tables cost O(n^2 log n) time and O(n^2)
-    memory; the completeness check is two n x n matrix products.
+    The cells form a Gabor system.  Its left table is the boosts
+    e^{i k_a x} = sqrt(n) V[:, a], the columns ``p_indices`` of the grid's
+    Fourier basis V, applied by FFT and never written out.  Its right table
+    is the real packet shifted by x_b, which on the periodic grid is exactly
+    a roll by b - n/2 steps.  So the family holds O(n^2) memory, and the
+    completeness check is one real n x n product times the boosts'
+    circulant Gram matrix.
 
     Restricting ``p_indices``/``q_indices`` to a partial tiling raises
     IncompleteTiling once the completeness deficit exceeds 1e-6.
@@ -345,17 +380,12 @@ def build_phase_space_povm(g: GridSpace, packet_width: float,
     q_idx = list(range(n)) if q_indices is None else [int(b) for b in q_indices]
     if len(set(p_idx)) != len(p_idx) or len(set(q_idx)) != len(q_idx):
         raise IncompleteTiling("cells must cover each lattice point at most once")
-    x = g.positions
-    k = g.wavenumbers
-    fourier = _FourierBasis(n)  # V = F^dag
-    phi_k = fourier.apply_adjoint(gaussian_packet(g, 0.0, 0.0, packet_width).amplitudes)
-    phases = np.exp(1j * np.outer(k, x))  # e^{i k_a x_b}: the boosts' rows, the shifts' conjugate
-    boosts = phases[p_idx]
-    shifted = fourier.apply(phases[:, q_idx].conj() * phi_k[:, None]).T
+    phi = gaussian_packet(g, 0.0, 0.0, packet_width).amplitudes.real
+    shifted = phi[(np.arange(n) - np.array(q_idx)[:, None] + n // 2) % n]
     n_cells = len(p_idx) * len(q_idx)
     povm = object.__new__(Povm)
     try:
-        povm._set_terms(_CellLabels(p_idx, q_idx), boosts, shifted,
+        povm._set_terms(_CellLabels(p_idx, q_idx), (_FourierBasis(n), np.array(p_idx)), shifted,
                         np.full(len(q_idx), n / n_cells), np.arange(n_cells), TILING_TOL)
     except InvalidPovm as exc:
         raise IncompleteTiling(str(exc)) from exc

@@ -9,6 +9,7 @@ from qmeasure import (
     GridSpace,
     ImpossibleOutcome,
     IncompleteTiling,
+    InvalidDistribution,
     InvalidPovm,
     InvalidSmearing,
     LinearOperator,
@@ -17,6 +18,7 @@ from qmeasure import (
     Povm,
     PureState,
     SIGMA_Z,
+    SimulationError,
     basis_state,
     born_distribution,
     build_fuzzy_povm,
@@ -51,6 +53,15 @@ class TestOutcomeDistribution:
     def test_rejects_bad_total(self):
         with pytest.raises(ValueError, match="sum"):
             OutcomeDistribution(["a", "b"], [0.7, 0.2])
+
+    @pytest.mark.parametrize("outcomes, probs, message", [
+        ("ab", [1.0], "one probability per outcome"),
+        ("ab", [1.0, -1e-6], "below clamp limit"),
+        ("ab", [0.7, 0.2], "sum to 0.8999999999999999, not 1")])
+    def test_refusals_are_simulation_and_value_errors(self, outcomes, probs, message):
+        with pytest.raises(InvalidDistribution, match=message) as err:
+            OutcomeDistribution(outcomes, probs)
+        assert isinstance(err.value, SimulationError) and isinstance(err.value, ValueError)
 
 
     def test_stacked_normalization_matches_per_row(self, rng):
@@ -426,6 +437,31 @@ class TestFuzzyPovm:
             _povm_weights(povm, np.array([s.amplitudes for s in states])),
             [povm_distribution(s, povm).probabilities for s in states], rtol=0, atol=1e-15)
 
+    def test_povm_weights_keep_their_bits(self):
+        # a flat family's terms are one product conj(psi) R^T and np.abs(...) ** 2;
+        # these are their bits for fuzzy_povm's three families on a seeded stack
+        from qmeasure.hilbert import _unit_rows
+        from qmeasure.measurement import _povm_weights
+        draws = np.random.default_rng(11).standard_normal((5, 2, 2))
+        psi = _unit_rows(draws[:, 0] + 1j * draws[:, 1])
+        expected = {
+            "sharp": [("0x1.2b2038d36db6ap-1", "0x1.a9bf8e592492dp-2"),
+                      ("0x1.9ea304324af4dp-2", "0x1.30ae7de6da85ap-1"),
+                      ("0x1.1050471e17905p-1", "0x1.df5f71c3d0df8p-2"),
+                      ("0x1.1c451f82796bfp-2", "0x1.71dd703ec34a0p-1"),
+                      ("0x1.af105839c6935p-2", "0x1.2877d3e31cb66p-1")],
+            "fuzzy": [("0x1.22802d75f15eep-1", "0x1.baffa5141d424p-2"),
+                      ("0x1.b21c035b6f2a4p-2", "0x1.26f1fe52486afp-1"),
+                      ("0x1.0d0d05b1ac737p-1", "0x1.e5e5f49ca7194p-2"),
+                      ("0x1.49d0e601fabccp-2", "0x1.5b178cff02a19p-1"),
+                      ("0x1.bf4046949edc4p-2", "0x1.205fdcb5b091fp-1")],
+            "uniform": [("0x1.0000000000000p-1",) * 2] * 5}
+        smearings = {"sharp": np.eye(2), "fuzzy": [[0.9, 0.1], [0.1, 0.9]],
+                     "uniform": np.full((2, 2), 0.5)}
+        for name, f in smearings.items():
+            weights = _povm_weights(build_fuzzy_povm(OBS_Z, f), psi)
+            assert [tuple(map(float.hex, row)) for row in weights.tolist()] == expected[name]
+
 
 class TestPhaseSpacePovm:
     def test_completeness_on_64_grid(self):
@@ -439,23 +475,30 @@ class TestPhaseSpacePovm:
         with pytest.raises(IncompleteTiling):
             build_phase_space_povm(g, 0.8, p_indices=range(32))
 
-    @pytest.mark.parametrize("p_indices", [None, range(32)])
+    @pytest.mark.parametrize("p_indices", [None, range(32), range(0, 64, 3)])
     def test_incomplete_position_tiling_rejected(self, p_indices):
+        # the reported defect is the exact sum over every term: the oracle sums
+        # the rolled, boosted packets of the partial tiling
         g = GridSpace(64, 16.0)
-        with pytest.raises(IncompleteTiling):
-            build_phase_space_povm(g, 0.8, p_indices=p_indices, q_indices=range(32))
+        q_indices = range(32)
+        with pytest.raises(IncompleteTiling) as err:
+            build_phase_space_povm(g, 0.8, p_indices=p_indices, q_indices=q_indices)
+        vectors = _rolled_boosted_packets(g, 0.8, range(64) if p_indices is None else p_indices,
+                                          q_indices)
+        total = vectors.T @ vectors.conj() * 64 / len(vectors)
+        assert f"defect {np.max(np.abs(total - np.eye(64))):.3e}" in str(err.value)
 
-    @pytest.mark.parametrize("n, width", [(32, 1.55), (48, 1.2)])
-    def test_terms_match_rolled_boosted_packets(self, rng, n, width):
+    @pytest.mark.parametrize("n, width, permuted", [
+        pytest.param(32, 1.55, False, id="32-1.55"), pytest.param(48, 1.2, False, id="48-1.2"),
+        pytest.param(32, 1.55, True, id="32-1.55-permuted")])
+    def test_terms_match_rolled_boosted_packets(self, rng, n, width, permuted):
         # oracle: each cell's vector is the fiducial packet shifted circularly by
         # b - n/2 grid steps and multiplied by the boost e^{i k_a x}; weight 1/n
         g = GridSpace(n, 16.0)
-        povm = build_phase_space_povm(g, width)
-        phi = gaussian_packet(g, 0.0, 0.0, width).amplitudes
-        x, k = g.positions, g.wavenumbers
-        vectors = np.array([np.exp(1j * k[a] * x) * np.roll(phi, b - n // 2)
-                            for a in range(n) for b in range(n)])
-        assert list(povm.labels) == [(a, b) for a in range(n) for b in range(n)]
+        p_idx, q_idx = (rng.permutation(n), rng.permutation(n)) if permuted else (range(n),) * 2
+        povm = build_phase_space_povm(g, width, p_indices=p_idx, q_indices=q_idx)
+        vectors = _rolled_boosted_packets(g, width, p_idx, q_idx)
+        assert list(povm.labels) == [(a, b) for a in p_idx for b in q_idx]
         for cell in (0, n + 3, n * n // 2 + 5, n * n - 1):
             v = vectors[cell]
             np.testing.assert_allclose(povm.effect(cell).matrix, np.outer(v, v.conj()) / n,
@@ -471,8 +514,9 @@ class TestPhaseSpacePovm:
                                        oracle / oracle.sum(), rtol=0, atol=1e-12)
 
     def test_range_top_memory(self):
-        # the stored table is two n x n factors: at n = 256 a term table of all
-        # n^2 cells would take 268 MB
+        # the stored table is one real n x n factor: at n = 256 a term table of
+        # all n^2 cells would take 268 MB, and the dense boost and phase tables
+        # peaked at 7.5 MiB
         g = GridSpace(256, 16.0)
         state = gaussian_packet(g, 1.7, 0.9, 1.5)
         tracemalloc.start()
@@ -482,11 +526,12 @@ class TestPhaseSpacePovm:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 32 * 2 ** 20
+        assert peak <= 6 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MiB"
 
     def test_built_family_holds_two_tables_not_n_squared_labels(self):
         # the n^2 label pairs are computed when read: stored as 65,536 tuples
-        # at n = 256 they held 6.4 MiB beside the 2 MiB of the two tables
+        # at n = 256 they held 6.4 MiB; the boosts are Fourier basis columns,
+        # never stored: as a dense table beside the right one they held 2.5 MiB
         tracemalloc.start()
         try:
             povm = build_phase_space_povm(GridSpace(256, 16.0), 0.5)
@@ -494,7 +539,7 @@ class TestPhaseSpacePovm:
         finally:
             tracemalloc.stop()
         assert len(povm) == 256 * 256
-        assert held <= 4 * 2 ** 20, f"held {held / 2 ** 20:.1f} MiB"
+        assert held <= 1.5 * 2 ** 20, f"held {held / 2 ** 20:.2f} MiB"
 
     def test_cell_labels_follow_permuted_indices_a_major(self, rng):
         g = GridSpace(32, 16.0)
@@ -566,3 +611,11 @@ class TestPhaseSpacePovm:
             var_m = np.sum(marg * x ** 2) - np.sum(marg * x) ** 2
             var_s = np.sum(sharp * x ** 2) - np.sum(sharp * x) ** 2
             assert var_m >= var_s - 1e-9
+
+
+def _rolled_boosted_packets(g: GridSpace, width: float, p_indices, q_indices) -> np.ndarray:
+    """Cell (a, b)'s vector e^{i k_a x} phi(x - x_b), a-major: phi rolled by b - n/2 steps."""
+    phi = gaussian_packet(g, 0.0, 0.0, width).amplitudes
+    x, k, n = g.positions, g.wavenumbers, g.n_points
+    return np.array([np.exp(1j * k[a] * x) * np.roll(phi, b - n // 2)
+                     for a in p_indices for b in q_indices])
