@@ -50,7 +50,7 @@ def _cmd_run(args) -> int:
         status = "PASS" if a.passed else "FAIL"
         print(f"{status} {cfg.scenario}.{a.name}: value={a.value:.6g} "
               f"tolerance={a.tolerance:.6g}")
-    print(f"wrote {base}.{args.format} ({len(table.rows)} rows, "
+    print(f"wrote {base}.{args.format} ({len(table.values)} rows, "
           f"seed={cfg.seed}, hash={cfg.config_hash()})")
     return 0 if table.all_passed else 1
 

@@ -73,8 +73,8 @@ from .modeling import (
     collapse_rule_joint,
     repeated_measurement_joint,
 )
-from .zeno import _rabi_survivals, build_decay_model, iterated_projection_survival, \
-    survival_probability
+from .zeno import MIN_BAND_DECAY_PRODUCT, _rabi_survivals, build_decay_model, \
+    iterated_projection_survival, survival_probability
 
 
 @dataclass(frozen=True)
@@ -135,10 +135,11 @@ class Assertion:
 
 @dataclass
 class ResultTable:
-    """Columns of reals plus run metadata and the scenario's assertions."""
+    """A read-only float64 table, one column per (name, unit), plus run metadata
+    and the scenario's assertions."""
 
     columns: list[tuple[str, str]]          # (name, unit)
-    rows: list[tuple[float, ...]]
+    values: np.ndarray                      # (n_rows, len(columns))
     metadata: dict
     assertions: list[Assertion] = field(default_factory=list)
 
@@ -149,10 +150,8 @@ class ResultTable:
     def to_csv(self) -> str:
         header = ",".join(f"{name} [{unit}]" if unit else name
                           for name, unit in self.columns)
-        lines = [header]
-        for row in self.rows:
-            lines.append(",".join(repr(float(v)) for v in row))
-        return "\n".join(lines) + "\n"
+        cells = [map(float.__repr__, col.tolist()) for col in self.values.T]
+        return "\n".join([header, *map(",".join, zip(*cells))]) + "\n"
 
     def sidecar(self) -> dict:
         return {
@@ -174,7 +173,7 @@ class ResultTable:
     def to_json(self) -> str:
         payload = self.sidecar()
         payload["columns"] = [{"name": n, "unit": u} for n, u in self.columns]
-        payload["rows"] = [[float(v) for v in row] for row in self.rows]
+        payload["rows"] = self.values.tolist()
         return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
@@ -223,7 +222,7 @@ def _resolvable(params: dict, name: str, g: GridSpace) -> tuple[str, bool, str]:
             f"must exceed 3*dx = {low:.4g} and be below box_length/10 = {high:.4g}")
 
 
-def _run_stern_gerlach(params: dict, seed: int) -> tuple[list, list, list]:
+def _run_stern_gerlach(params: dict, seed: int) -> tuple[list, np.ndarray, list]:
     n_thetas = params["theta_steps"]
     thetas = np.linspace(0.0, np.pi, n_thetas)
     plus_z = basis_state(2, 0)
@@ -253,8 +252,7 @@ def _run_stern_gerlach(params: dict, seed: int) -> tuple[list, list, list]:
     split_model = build_measurement_unitary(obs_z)
     plus, minus = obs_z.outcome_index(1.0), obs_z.outcome_index(-1.0)
 
-    rows = []
-    worst = 0.0
+    values = np.empty((n_thetas, 5))
     for block in _blocks(n_thetas):
         theta = thetas[block.start:block.stop]
         c, s = np.cos(theta / 2), np.sin(theta / 2)
@@ -263,24 +261,22 @@ def _run_stern_gerlach(params: dict, seed: int) -> tuple[list, list, list]:
         rotated = _unit_rows(rotation @ spin_state.amplitudes)
         probs = _modeled_weights(split_model.isometry, rotated)
         expected = np.cos(theta / 2) ** 2
-        err = np.abs(probs[:, plus] - expected)
-        worst = max(worst, float(np.max(err)))
-        rows += zip(theta.tolist(), probs[:, plus].tolist(), probs[:, minus].tolist(),
-                    expected.tolist(), err.tolist())
+        values[block.start:block.stop] = np.column_stack(
+            (theta, probs[:, plus], probs[:, minus], expected, np.abs(probs[:, plus] - expected)))
 
     columns = [("theta", "rad"), ("pr_plus", ""), ("pr_minus", ""),
                ("expected_plus", ""), ("abs_error", "")]
     assertions = [
         _near("beam_split_preserves_spin_marginal", marginal_err, 1e-12),
         _near("conditioned_state_is_pure", purity_err, 1e-12),
-        _near("final_probabilities_match_squared_amplitudes", worst, 1e-9),
+        _near("final_probabilities_match_squared_amplitudes", float(np.max(values[:, 4])), 1e-9),
         _flag("conditioned_spin_is_plus_z",
               abs(spin_state.overlap(plus_z) - 1.0) < 1e-12),
     ]
-    return columns, rows, assertions
+    return columns, values, assertions
 
 
-def _run_repeated_measurement(params: dict, seed: int) -> tuple[list, list, list]:
+def _run_repeated_measurement(params: dict, seed: int) -> tuple[list, np.ndarray, list]:
     rng = np.random.default_rng(seed)
     obs_z = spectral_decompose(SIGMA_Z)
     plus_x = PureState([1.0, 1.0])
@@ -323,10 +319,9 @@ def _run_repeated_measurement(params: dict, seed: int) -> tuple[list, list, list
                 worst_equiv = max(worst_equiv, _modeled_born_worst_tv(
                     h[kept], evals[kept], evecs[kept], draws[kept]))
 
-    rows = []
-    for code, joint in ((0.0, joint_nd), (1.0, joint_abs), (2.0, joint_dist)):
-        for (i, j), p in joint.as_dict().items():
-            rows.append((code, float(i), float(j), float(p)))
+    values = np.vstack([np.column_stack((np.full(len(joint), code), joint.outcomes,
+                                         joint.probabilities))
+                        for code, joint in enumerate((joint_nd, joint_abs, joint_dist))])
 
     columns = [("model", "0=plain 1=absorbing 2=disturbing"),
                ("first_outcome", ""), ("second_outcome", ""), ("probability", "")]
@@ -336,7 +331,7 @@ def _run_repeated_measurement(params: dict, seed: int) -> tuple[list, list, list
         _near("disturbing_tv_from_collapse_rule", tv - 0.5, 1e-9),
         _near("modeled_equals_born_worst_tv", worst_equiv, 1e-10),
     ]
-    return columns, rows, assertions
+    return columns, values, assertions
 
 
 def _modeled_born_worst_tv(h, evals, evecs, draws) -> float:
@@ -359,7 +354,7 @@ def _modeled_born_worst_tv(h, evals, evecs, draws) -> float:
     return float(np.max(0.5 * np.sum(np.abs(modeled - born), axis=1)))
 
 
-def _run_zeno_decay(params: dict, seed: int) -> tuple[list, list, list]:
+def _run_zeno_decay(params: dict, seed: int) -> tuple[list, np.ndarray, list]:
     tau = params["tau"]
     horizon = params["horizon_over_tau"] * tau
     # DecayModel's t0 and recurrence window T_valid, checked against the law's last
@@ -367,24 +362,23 @@ def _run_zeno_decay(params: dict, seed: int) -> tuple[list, list, list]:
     bandwidth, n_modes = params["bandwidth"], params["n_modes"]
     t0, t_valid = 2 * np.pi / bandwidth, 2 * np.pi / (bandwidth / n_modes)
     deltas = [tau / 4, tau / 16, tau / 64, t0 / 10, t0 / 50]
-    longest = max([3 * tau] + [np.floor(horizon / d + 1e-12) * d for d in deltas])
-    _require(params,  # the last survival time and the horizon, then the window
+    n_cycles = np.floor([horizon / d + 1e-12 for d in deltas])  # inf past the double range
+    longest = max(3 * tau, float(np.max(n_cycles * deltas)))
+    _require(params,  # the last survival time and the horizon, the regime, then the window
              ("tau", np.isfinite(max(3 * tau, horizon)),
               "overflows the longest time max(3, horizon_over_tau) * tau"),
+             ("bandwidth", bandwidth * tau >= MIN_BAND_DECAY_PRODUCT,
+              f"times tau = {bandwidth * tau:.4g} is below {MIN_BAND_DECAY_PRODUCT:g}, "
+              "outside the weak-coupling (golden-rule) regime"),
              ("bandwidth", longest <= t_valid / 3,
               f"puts time {longest:.4g} past the recurrence-safe window "
               f"2 pi n_modes / (3 bandwidth) = {t_valid / 3:.4g}"))
     model = build_decay_model(tau, n_modes, bandwidth)
 
-    rows = []
-    survivals = []
-    for delta in deltas:
-        n_cycles = int(np.floor(horizon / delta + 1e-12))
-        s = iterated_projection_survival(model, delta, horizon)
-        survivals.append(s)
-        rows.append((float(delta), float(n_cycles), float(s)))
-
-    monotone = all(b >= a - 1e-12 for a, b in zip(survivals, survivals[1:]))
+    survivals = np.array([iterated_projection_survival(model, delta, horizon)
+                          for delta in deltas])
+    values = np.column_stack((deltas, n_cycles, survivals))
+    monotone = bool(np.all(survivals[1:] >= survivals[:-1] - 1e-12))
 
     ts = np.linspace(0.2 * tau, 3 * tau, 141)
     survival = [survival_probability(model, t) for t in ts]
@@ -398,10 +392,10 @@ def _run_zeno_decay(params: dict, seed: int) -> tuple[list, list, list]:
         _near("exponential_law_max_rel_error", max(rel_errs), 0.03),
         _near("log_survival_slope_rel_error", slope * tau + 1.0, 0.03),
     ]
-    return columns, rows, assertions
+    return columns, values, assertions
 
 
-def _run_zeno_rabi(params: dict, seed: int) -> tuple[list, list, list]:
+def _run_zeno_rabi(params: dict, seed: int) -> tuple[list, np.ndarray, list]:
     theta = params["theta"]
     ns = np.arange(1, params["n_max"] + 1)
     # rabi_zeno's kernel on every count at once: bench/layers.py counts a rabi_zeno
@@ -410,7 +404,7 @@ def _run_zeno_rabi(params: dict, seed: int) -> tuple[list, list, list]:
     # libm's pow per count, as rabi_zeno: numpy's array power can differ in the last bit
     closed = np.array([c ** (2 * n) for c, n in zip(np.cos(theta / (2 * ns)).tolist(), ns.tolist())])
     errs = np.abs(simulated - closed)
-    rows = list(zip(ns.astype(float).tolist(), simulated.tolist(), closed.tolist(), errs.tolist()))
+    values = np.column_stack((ns, simulated, closed, errs))
     monotone = bool(np.all(simulated[2:] >= simulated[1:-1] - 1e-12))  # from N = 2 on
     columns = [("n_projections", ""), ("survival", ""), ("closed_form", ""),
                ("abs_error", "")]
@@ -420,7 +414,7 @@ def _run_zeno_rabi(params: dict, seed: int) -> tuple[list, list, list]:
     ]
     if abs(theta - np.pi) < 1e-12:
         assertions.append(_near("single_projection_full_flip", float(simulated[0]), 1e-30))
-    return columns, rows, assertions
+    return columns, values, assertions
 
 
 def _grid(params: dict) -> GridSpace:
@@ -429,7 +423,7 @@ def _grid(params: dict) -> GridSpace:
     return GridSpace(params["n_points"], params["box_length"])
 
 
-def _run_wavepacket_spread(params: dict, seed: int) -> tuple[list, list, list]:
+def _run_wavepacket_spread(params: dict, seed: int) -> tuple[list, np.ndarray, list]:
     g = _grid(params)
     width = params["width"]
     mass = params["mass"]
@@ -448,8 +442,8 @@ def _run_wavepacket_spread(params: dict, seed: int) -> tuple[list, list, list]:
     momentum = fourier.apply_adjoint(psi0.amplitudes)
     fourier_unitarity = _transform_defect(fourier, psi0.amplitudes, momentum)
 
-    rows = []
-    worst = 0.0
+    values = np.empty((times.size, 4))
+    values[:, 0] = times
     worst_norm = 0.0
     block = max(1, EVOLVE_BLOCK // g.n_points)  # times per stacked evolution
     for lo in range(0, times.size, block):
@@ -458,14 +452,13 @@ def _run_wavepacket_spread(params: dict, seed: int) -> tuple[list, list, list]:
         evolved = H.evolve_amplitudes(psi0.amplitudes, block_times)
         fourier_unitarity = max(fourier_unitarity, _transform_defect(
             fourier, evolved, fourier.apply_adjoint(evolved)))
-        for t, amplitudes in zip(block_times, evolved.T):
+        # one time at a time: packet_width's sums and the scalar square of t / natural
+        # round differently when stacked
+        for i, (t, amplitudes) in enumerate(zip(block_times, evolved.T), start=lo):
             worst_norm = max(worst_norm, abs(float(np.linalg.norm(amplitudes)) - 1.0))
-            psi_t = PureState(amplitudes)
-            w_num = packet_width(g, psi_t)
-            w_ref = width * np.sqrt(1.0 + (t / natural) ** 2)
-            rel = abs(w_num - w_ref) / w_ref
-            worst = max(worst, rel)
-            rows.append((float(t), float(w_num), float(w_ref), float(rel)))
+            values[i, 1] = packet_width(g, PureState(amplitudes))
+            values[i, 2] = width * np.sqrt(1.0 + (t / natural) ** 2)
+    values[:, 3] = np.abs(values[:, 1] - values[:, 2]) / values[:, 2]
 
     x = g.positions
     k = g.wavenumbers
@@ -478,13 +471,13 @@ def _run_wavepacket_spread(params: dict, seed: int) -> tuple[list, list, list]:
     columns = [("t", "s"), ("width_numeric", "length"), ("width_predicted", "length"),
                ("rel_error", "")]
     assertions = [
-        _near("spreading_law_max_rel_error", worst, 0.02),
+        _near("spreading_law_max_rel_error", float(np.max(values[:, 3])), 0.02),
         _near("norm_preservation", worst_norm, 1e-10),
         _near("uncertainty_product_minus_half", sx * sk - 0.5, 0.01),
         _near("fourier_map_unitarity", fourier_unitarity, 1e-10),
         _near("mean_momentum_at_rest", mean_p, 1e-10),
     ]
-    return columns, rows, assertions
+    return columns, values, assertions
 
 
 EVOLVE_BLOCK = 8192  # entries, 128 KiB of complex: the same memory at any n_times
@@ -502,7 +495,7 @@ def _transform_defect(fourier: _FourierBasis, amplitudes, momentum) -> float:
     return float(max(round_trip, parseval))
 
 
-def _run_delocalization(params: dict, seed: int) -> tuple[list, list, list]:
+def _run_delocalization(params: dict, seed: int) -> tuple[list, np.ndarray, list]:
     g = _grid(params)
     width = params["width"]
     mass = params["mass"]
@@ -527,13 +520,8 @@ def _run_delocalization(params: dict, seed: int) -> tuple[list, list, list]:
     H = free_hamiltonian(g, mass)
 
     zero_leak = delocalization_demo(g, H, psi0, window, 0.0)
-    rows = []
-    min_outside = np.inf
-    for exponent in range(-1, params["min_exponent"] - 1, -1):
-        eps = (10.0 ** exponent) * natural
-        outside = delocalization_demo(g, H, psi0, window, eps)
-        min_outside = min(min_outside, outside)
-        rows.append((float(eps), float(outside)))
+    eps = [(10.0 ** exponent) * natural for exponent in range(-1, params["min_exponent"] - 1, -1)]
+    values = np.column_stack((eps, [delocalization_demo(g, H, psi0, window, e) for e in eps]))
 
     report = ee_link_status(psi0, region_projector(g, (center - 2, center + 3)))
     momentum_amps = np.abs(_FourierBasis(g.n_points).apply_adjoint(psi0.amplitudes))
@@ -546,12 +534,12 @@ def _run_delocalization(params: dict, seed: int) -> tuple[list, list, list]:
     columns = [("epsilon", "s"), ("outside_probability", "")]
     assertions = [
         _near("no_leak_at_zero_time", zero_leak, 0.0),
-        _above("instant_leak_exceeds_floor", min_outside, 1e-12),
+        _above("instant_leak_exceeds_floor", float(np.min(values[:, 1])), 1e-12),
         _above("momentum_support_everywhere_positive", min_momentum, 1e-300),
         _flag("narrow_region_value_indefinite", not report.is_definite),
         _above("finite_barrier_leaks", beyond, 0.0),
     ]
-    return columns, rows, assertions
+    return columns, values, assertions
 
 
 BARRIER_PHASE_CAP = 1e4  # rad; the barrier's Chebyshev order grows with it
@@ -582,7 +570,7 @@ def _cell_weights(family: list, amplitudes: np.ndarray) -> np.ndarray:
     return np.add.reduceat(coeffs.real ** 2 + coeffs.imag ** 2, starts)
 
 
-def _run_two_slit(params: dict, seed: int) -> tuple[list, list, list]:
+def _run_two_slit(params: dict, seed: int) -> tuple[list, np.ndarray, list]:
     half_box = params["box_length"] / 2
     top_energy = (np.pi * params["n_points"] / params["box_length"]) ** 2 / (2 * params["mass"])
     _require(params,
@@ -606,17 +594,9 @@ def _run_two_slit(params: dict, seed: int) -> tuple[list, list, list]:
     D = decoherence_functional(hs)
     _, ratio = is_consistent(D, eps)
 
-    diag = {h: p for h, p in zip(D.histories, D.diagonal())}
-    psi_t = H.evolve(psi0, t2)
-    p_joint = _cell_weights(screen_family, psi_t.amplitudes)
-    rows = []
-    max_interf = 0.0
-    for c in range(n_cells):
-        p1 = diag[(0, c)]
-        p2 = diag[(1, c)]
-        interf = p_joint[c] - p1 - p2
-        max_interf = max(max_interf, abs(interf))
-        rows.append((float(c), float(p1), float(p2), float(p_joint[c]), float(interf)))
+    p1, p2 = D.diagonal().reshape(2, n_cells)  # histories (slit, cell) in lexicographic order
+    p_joint = _cell_weights(screen_family, H.evolve(psi0, t2).amplitudes)
+    values = np.column_stack((np.arange(n_cells), p1, p2, p_joint, p_joint - p1 - p2))
 
     # which-way variant: a two-level tag records the slit at preparation
     # amplitude of (x, slit s) at index 2x + s
@@ -653,16 +633,16 @@ def _run_two_slit(params: dict, seed: int) -> tuple[list, list, list]:
     columns = [("cell", ""), ("p_slit1", ""), ("p_slit2", ""), ("p_joint", ""),
                ("interference", "")]
     assertions = [
-        _above("interference_term_visible", max_interf, 0.05),
+        _above("interference_term_visible", float(np.max(np.abs(values[:, 4]))), 0.05),
         _above("bare_family_inconsistent", ratio, 0.1),
         _near("tagged_family_offdiagonal_ratio", ratio_tagged, eps),
         _near("tagged_coarse_graining_additive", additivity_err, 2 * eps),
         _near("tagged_marginal_matches_screen", marginal_err, 2 * eps),
     ]
-    return columns, rows, assertions
+    return columns, values, assertions
 
 
-def _run_phase_space_povm(params: dict, seed: int) -> tuple[list, list, list]:
+def _run_phase_space_povm(params: dict, seed: int) -> tuple[list, np.ndarray, list]:
     g = _grid(params)
     half_box = g.box_length / 2
     _require(params,
@@ -705,8 +685,7 @@ def _run_phase_space_povm(params: dict, seed: int) -> tuple[list, list, list]:
     probe_dist = povm_distribution(probe_state, povm)
     peak = probe_dist.outcomes[int(np.argmax(probe_dist.probabilities))]
 
-    rows = [(float(b), float(marginal_q[b]), float(convolved[b]),
-             float(abs(marginal_q[b] - convolved[b]))) for b in range(n)]
+    values = np.column_stack((np.arange(n), marginal_q, convolved, np.abs(marginal_q - convolved)))
     columns = [("q_index", ""), ("position_marginal", ""),
                ("smeared_sharp_marginal", ""), ("abs_diff", "")]
     assertions = [
@@ -716,10 +695,10 @@ def _run_phase_space_povm(params: dict, seed: int) -> tuple[list, list, list]:
         _above("smearing_never_narrows", var_marg - var_sharp, -1e-9),
         _flag("displaced_packet_peaks_at_own_cell", peak == (a0, b0)),
     ]
-    return columns, rows, assertions
+    return columns, values, assertions
 
 
-def _run_fuzzy_povm(params: dict, seed: int) -> tuple[list, list, list]:
+def _run_fuzzy_povm(params: dict, seed: int) -> tuple[list, np.ndarray, list]:
     rng = np.random.default_rng(seed)
     eps = params["confusion"]
     obs = spectral_decompose(SIGMA_Z)
@@ -731,7 +710,7 @@ def _run_fuzzy_povm(params: dict, seed: int) -> tuple[list, list, list]:
     worst_sharp = 0.0
     worst_conv = 0.0
     worst_uniform = 0.0
-    rows = []
+    values = np.empty((params["n_random"], 4))
     for block in _blocks(params["n_random"]):
         # each state's real then imaginary draws, in the seed's order
         draws = rng.standard_normal((len(block), 2, 2))
@@ -745,8 +724,8 @@ def _run_fuzzy_povm(params: dict, seed: int) -> tuple[list, list, list]:
                              eps * p_minus + (1 - eps) * p_plus], axis=1)
         worst_conv = max(worst_conv, float(np.max(np.abs(fuzzy_p - expected))))
         worst_uniform = max(worst_uniform, float(np.max(np.abs(uniform_p - 0.5))))
-        rows += zip(map(float, block), p_plus.tolist(), fuzzy_p[:, 1].tolist(),
-                    expected[:, 1].tolist())
+        values[block.start:block.stop] = np.column_stack((block, p_plus, fuzzy_p[:, 1],
+                                                          expected[:, 1]))
 
     columns = [("state_index", ""), ("sharp_plus", ""), ("fuzzy_plus", ""),
                ("convolved_plus", "")]
@@ -755,10 +734,10 @@ def _run_fuzzy_povm(params: dict, seed: int) -> tuple[list, list, list]:
         _near("confusion_matrix_convolution", worst_conv, 1e-12),
         _near("uniform_smearing_is_flat", worst_uniform, 1e-12),
     ]
-    return columns, rows, assertions
+    return columns, values, assertions
 
 
-def _run_hegerfeldt_scan(params: dict, seed: int) -> tuple[list, list, list]:
+def _run_hegerfeldt_scan(params: dict, seed: int) -> tuple[list, np.ndarray, list]:
     rng = np.random.default_rng(seed)
     dim = params["dim"]
     rank = params["rank"]
@@ -808,7 +787,7 @@ def _run_hegerfeldt_scan(params: dict, seed: int) -> tuple[list, list, list]:
     positive_fraction = min((float(np.mean(scan.series > scan.threshold)) for scan in open_scans),
                             default=1.0)
 
-    rows = list(zip(times.tolist(), generic.series.tolist()))
+    values = np.column_stack((times, generic.series))
     columns = [("t", "s"), ("projector_expectation", "")]
     assertions = [
         _flag("generic_scan_never_zero", generic.classification == "never-zero"),
@@ -821,7 +800,7 @@ def _run_hegerfeldt_scan(params: dict, seed: int) -> tuple[list, list, list]:
         _flag("noncommuting_eigenspaces_not_invariant", not any(invariant_x)),
         _above("no_invariant_eigenspace_positive_fraction", positive_fraction, 0.99),
     ]
-    return columns, rows, assertions
+    return columns, values, assertions
 
 
 # ---------------------------------------------------------------------------
@@ -1019,12 +998,16 @@ def run_scenario(cfg: ScenarioConfig) -> ResultTable:
         raise ParseError(f"unknown scenario {cfg.scenario!r}")
     spec = SCENARIOS[cfg.scenario]
     try:
-        columns, rows, assertions = spec.runner(cfg.params, cfg.seed)
+        columns, values, assertions = spec.runner(cfg.params, cfg.seed)
     except RangeError:
         raise
     except SimulationError as exc:
         exc.args = (f"scenario {cfg.scenario!r}: {exc}",)
         raise
+    if values.ndim != 2 or values.dtype != np.float64 or values.shape[1] != len(columns):
+        raise TypeError(f"scenario {cfg.scenario!r}: a {values.dtype} table of shape "
+                        f"{values.shape} for {len(columns)} columns")
+    values.setflags(write=False)
     metadata = {
         "scenario": cfg.scenario,
         "version": __version__,
@@ -1032,5 +1015,5 @@ def run_scenario(cfg: ScenarioConfig) -> ResultTable:
         "config_hash": cfg.config_hash(),
         "params": dict(sorted(cfg.params.items())),
     }
-    return ResultTable(columns=columns, rows=rows, metadata=metadata,
+    return ResultTable(columns=columns, values=values, metadata=metadata,
                        assertions=list(assertions))

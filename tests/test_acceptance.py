@@ -327,8 +327,8 @@ def test_criterion_10_conditionalization_equivalence():
 def test_criterion_11_beam_split_pipeline():
     with _Timer() as timer:
         table = run_scenario(validate_config("scenario: stern_gerlach"))
-        thetas = [row[0] for row in table.rows]
-        worst = max(row[4] for row in table.rows)
+        thetas = table.values[:, 0].tolist()
+        worst = max(table.values[:, 4])
         all_passed = table.all_passed
     expected_thetas = [i * math.pi / 6 for i in range(7)]
     grid_ok = np.allclose(thetas, expected_thetas, atol=1e-12)

@@ -350,7 +350,7 @@ class TestKnownEigenbasis:
         assert abs(np.linalg.norm(psi.amplitudes) - 1.0) < 1e-12
         cfg = validate_config("scenario: two_slit\nparams:\n  n_points: 32\n"
                               "  n_cells: 4\n  box_length: 10.5\n  separation: 2.0\n")
-        assert len(run_scenario(cfg).rows) == 4
+        assert len(run_scenario(cfg).values) == 4
 
 
 def _normalized_columns(rng, rows, cols):
@@ -481,7 +481,7 @@ class TestFourierBasis:
                      "scenario: phase_space_povm\nparams:\n  n_points: 64\n  box_length: 8.0\n"
                      "  state_width: 0.6\n  probe_p_index: 10\n  probe_q_index: 20\n"):
             result = run_scenario(validate_config(text))
-            assert result.rows
+            assert len(result.values)
 
 
 def _benchmark_barrier():

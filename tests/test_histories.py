@@ -711,7 +711,7 @@ def test_two_slit_builds_no_dense_projector(monkeypatch):
     monkeypatch.setattr(hilbert, "_projector_defect", no_projector_check)
     cfg = validate_config("scenario: two_slit\nparams:\n  n_points: 32\n"
                           "  n_cells: 4\n  box_length: 10.5\n  separation: 2.0\n")
-    assert len(run_scenario(cfg).rows) == 4
+    assert len(run_scenario(cfg).values) == 4
 
 
 def test_two_slit_history_claims_at_narrow_cells():

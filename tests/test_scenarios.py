@@ -15,7 +15,6 @@ from qmeasure import (
     SIGMA_Z,
     GridSpace,
     LinearOperator,
-    OutsideValidityWindow,
     ParseError,
     PureState,
     RangeError,
@@ -76,9 +75,11 @@ PACKET_OVERFLOW_HOLES = [
 # rank >= dim, which has no kernel (the run failed kernel_scan_identically_zero),
 # a t_max whose phase E t leaves the double range (NaN series), and a
 # phase_space_povm probe cell off the grid (the refusal named neither index),
-# and a packet width outside the band a grid resolves, in phase_space_povm,
+# a packet width outside the band a grid resolves, in phase_space_povm,
 # two_slit, delocalization and wavepacket_spread (an UnresolvableWidth that
-# named no field, or the field ``width`` that two_slit does not have)
+# named no field, or the field ``width`` that two_slit does not have), and a
+# zeno_decay bandwidth * tau below the weak-coupling floor of 20 (an
+# InvalidRegime naming no field)
 CROSS_FIELD_HOLES = [
     ("zeno_decay", {"n_modes": 200, "bandwidth": 80.0, "horizon_over_tau": 10.0}, "bandwidth"),
     ("hegerfeldt_scan", {"dim": 4, "rank": 5}, "rank"),
@@ -92,7 +93,8 @@ CROSS_FIELD_HOLES = [
     ("phase_space_povm", {"state_width": 2.0}, "state_width"),
     ("two_slit", {"packet_width": 0.1}, "packet_width"),
     ("delocalization", {"width": 0.5}, "width"),
-    ("wavepacket_spread", {"width": 20.0}, "width")]
+    ("wavepacket_spread", {"width": 20.0}, "width"),
+    ("zeno_decay", {"tau": 20.0, "bandwidth": 0.25}, "bandwidth")]
 
 DOUBLE_MAX = float(np.finfo(float).max)
 SQUARE_EDGE = st.floats(1e153, 1e156)  # box lengths whose square leaves the double range
@@ -308,7 +310,7 @@ def _check_trial_scenario(config: dict):
     result = _run_validated(config)
     if isinstance(result, SimulationError):
         return
-    assert result.rows
+    assert len(result.values)
     assert all(np.isfinite(a.value) for a in result.assertions), result.assertions
     assert result.all_passed, result.assertions
 
@@ -455,7 +457,7 @@ class TestRunScenario:
         elapsed = time.perf_counter() - start
         failed = [a.name for a in table.assertions if not a.passed]
         assert not failed, f"{name} failed {failed}"
-        assert table.rows
+        assert len(table.values)
         assert elapsed < 60.0
 
     def test_zeno_decay_scenario(self):
@@ -540,7 +542,7 @@ class TestRunScenario:
     def test_csv_shape(self):
         table = run_scenario(validate_config("scenario: zeno_rabi"))
         lines = table.to_csv().strip().split("\n")
-        assert len(lines) == len(table.rows) + 1
+        assert len(lines) == len(table.values) + 1
         assert lines[0].split(",")[0] == "n_projections"
 
     @pytest.mark.parametrize("scenario,name,value", INPUT_HOLES)
@@ -573,7 +575,7 @@ class TestRunScenario:
         result = _run_validated({"scenario": "delocalization", "params": params})
         if isinstance(result, SimulationError):
             return
-        assert result.rows
+        assert len(result.values)
 
     @settings(max_examples=60, deadline=None, database=None, derandomize=True)
     @given(_two_slit_params())
@@ -581,7 +583,7 @@ class TestRunScenario:
         result = _run_validated({"scenario": "two_slit", "params": params})
         if isinstance(result, SimulationError):
             return
-        assert result.rows
+        assert len(result.values)
 
     @settings(max_examples=60, deadline=None, database=None, derandomize=True)
     @given(_wavepacket_params())
@@ -589,7 +591,7 @@ class TestRunScenario:
         result = _run_validated({"scenario": "wavepacket_spread", "params": params})
         if isinstance(result, SimulationError):
             return
-        assert result.rows
+        assert len(result.values)
         # the packet holes reported NaN or infinite values instead of raising
         assert all(np.isfinite(a.value) for a in result.assertions), result.assertions
 
@@ -599,7 +601,7 @@ class TestRunScenario:
         result = _run_validated({"scenario": "phase_space_povm", "params": params})
         if isinstance(result, SimulationError):
             return
-        assert result.rows
+        assert len(result.values)
         # the packet holes reported NaN or infinite values instead of raising
         assert all(np.isfinite(a.value) for a in result.assertions), result.assertions
 
@@ -615,11 +617,12 @@ class TestRunScenario:
     @given(_zeno_decay_params())
     def test_validated_zeno_decay_runs_or_raises_simulation_error(self, params):
         result = _run_validated({"scenario": "zeno_decay", "params": params})
-        # the recurrence window is known before the solve, so a RangeError names the field
-        assert not isinstance(result, OutsideValidityWindow), result
+        # the regime and the recurrence window are known before the solve, so a
+        # config runs to a verdict or is refused by a RangeError naming one field
         if isinstance(result, SimulationError):
+            assert isinstance(result, RangeError), result
             return
-        assert result.rows and np.all(np.isfinite(result.rows))
+        assert len(result.values) and np.all(np.isfinite(result.values))
         # the defaults fail the golden-rule law by design, so only finiteness is asserted
         assert all(np.isfinite(a.value) for a in result.assertions), result.assertions
 
@@ -744,7 +747,7 @@ class TestRunScenario:
         assert table.all_passed
 
     def test_fuzzy_povm_range_top_memory(self):
-        # almost all of it is the 100,000-row table itself
+        # almost all of it is the 100,000-row table itself, 3.1 MiB of float64
         cfg = validate_config("scenario: fuzzy_povm\nparams:\n  n_random: 100000\n")
         tracemalloc.start()
         try:
@@ -752,14 +755,35 @@ class TestRunScenario:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 20 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MiB"
+        assert peak <= 6 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MiB"
         assert table.all_passed
 
-    def test_module_errors_carry_scenario_context(self):
-        from qmeasure import InvalidRegime
-        raw = "scenario: zeno_decay\nparams:\n  tau: 20.0\n  bandwidth: 0.25\n"
+    def test_module_errors_carry_scenario_context(self, monkeypatch):
+        from qmeasure import InvalidRegime, scenarios
+
+        def refuse(*args):
+            raise InvalidRegime("the weak-coupling regime does not apply")
+
+        monkeypatch.setattr(scenarios, "build_decay_model", refuse)
         with pytest.raises(InvalidRegime, match="zeno_decay"):
-            run_scenario(validate_config(raw))
+            run_scenario(validate_config("scenario: zeno_decay"))
+
+    @pytest.mark.parametrize("name", sorted(SCENARIOS))
+    def test_table_is_one_read_only_float_array(self, name):
+        table = run_scenario(validate_config(f"scenario: {name}"))
+        values = table.values
+        assert values.dtype == np.float64 and not values.flags.writeable
+        assert values.ndim == 2 and values.shape[1] == len(table.columns) and len(values)
+        assert json.loads(table.to_json())["rows"] == values.tolist()
+
+    @pytest.mark.parametrize("values", [np.zeros((3, 2), dtype=int), np.zeros(6),
+                                        np.zeros((3, 3))])
+    def test_table_of_another_dtype_or_shape_is_refused(self, monkeypatch, values):
+        spec = SCENARIOS["zeno_rabi"]
+        runner = lambda params, seed: ([("a", ""), ("b", "")], values, [])  # noqa: E731
+        monkeypatch.setitem(SCENARIOS, "zeno_rabi", dataclasses.replace(spec, runner=runner))
+        with pytest.raises(TypeError, match="zeno_rabi"):
+            run_scenario(validate_config("scenario: zeno_rabi"))
 
 
 def _assertion(table, name):
@@ -914,8 +938,8 @@ class TestTrialOracles:
         model = build_measurement_unitary(spectral_decompose(SIGMA_Z))
         ready = np.eye(model.pointer_dim)[model.ready_index]
         thetas = np.linspace(0.0, np.pi, 600)
-        assert [row[0] for row in table.rows] == thetas.tolist()
-        for theta, pr_plus, pr_minus, expected, err in table.rows:
+        assert table.values[:, 0].tolist() == thetas.tolist()
+        for theta, pr_plus, pr_minus, expected, err in table.values.tolist():
             rotated = np.array([np.cos(theta / 2), np.sin(theta / 2)])  # R(theta)|+z>
             grid = (model.unitary.matrix @ np.kron(rotated, ready)).reshape(2, -1)
             minus, plus = np.sum(np.abs(grid[:, list(model.record_indices)]) ** 2, axis=0)
@@ -937,7 +961,7 @@ class TestTrialOracles:
             w_num = packet_width(g, PureState(H.evolve_amplitudes(psi0.amplitudes, float(t))))
             w_ref = np.sqrt(1.0 + t ** 2)
             rows.append((float(t), w_num, float(w_ref), float(abs(w_num - w_ref) / w_ref)))
-        assert table.to_csv() == dataclasses.replace(table, rows=rows).to_csv()
+        assert table.to_csv() == dataclasses.replace(table, values=np.array(rows)).to_csv()
 
     def test_fuzzy_povm_rows(self):
         eps, n_random, seed = 0.2, 600, 5
@@ -947,8 +971,8 @@ class TestTrialOracles:
         obs = spectral_decompose(SIGMA_Z)
         fuzzy = build_fuzzy_povm(obs, [[1 - eps, eps], [eps, 1 - eps]])
         rng = np.random.default_rng(seed)
-        assert len(table.rows) == n_random
-        for idx, row in enumerate(table.rows):
+        assert len(table.values) == n_random
+        for idx, row in enumerate(table.values.tolist()):
             state = PureState(rng.standard_normal(2) + 1j * rng.standard_normal(2))
             p_minus, p_plus = born_distribution(state, obs).probabilities
             oracle = (idx, p_plus, povm_distribution(state, fuzzy).probabilities[1],
