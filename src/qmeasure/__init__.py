@@ -40,7 +40,6 @@ from .hilbert import (
     SIGMA_Z,
     basis_state,
     expectation,
-    identity,
     partial_trace,
     spectral_decompose,
     tensor_product,
@@ -66,7 +65,6 @@ from .measurement import (
     build_phase_space_povm,
     collapse,
     povm_distribution,
-    sample_outcome,
     total_variation,
 )
 from .modeling import (

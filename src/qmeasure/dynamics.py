@@ -263,9 +263,6 @@ class Hamiltonian:
         """exp(-iHt)|psi> without materializing the propagator matrix."""
         return PureState(self.evolve_amplitudes(state.amplitudes, t))
 
-    def __repr__(self):
-        return f"Hamiltonian(dim={self.dim})"
-
 
 class Propagator:
     """The unitary exp(-iHt) at a fixed time."""
@@ -285,9 +282,6 @@ class Propagator:
 
     def apply(self, state: PureState) -> PureState:
         return PureState(self.matrix @ state.amplitudes)
-
-    def __repr__(self):
-        return f"Propagator(t={self.t}, dim={self.dim})"
 
 
 def propagate(H: Hamiltonian | LinearOperator, t: float) -> Propagator:

@@ -80,8 +80,9 @@ def _require_hermitian(matrices: np.ndarray):
 
 
 def _projector_defect(matrix: np.ndarray) -> float:
-    """max(||P^2 - P||_max, ||P - P^dag||_max)."""
-    return max(float(np.max(np.abs(matrix @ matrix - matrix))), hermiticity_defect(matrix))
+    """max(||P^2 - P||_max, ||P - P^dag||_max); inf where either is NaN."""
+    defect = float(np.max([np.max(np.abs(matrix @ matrix - matrix)), hermiticity_defect(matrix)]))
+    return np.inf if np.isnan(defect) else defect
 
 
 def _projector_range(matrix: np.ndarray) -> tuple[np.ndarray | None, float]:
@@ -96,9 +97,15 @@ def _projector_range(matrix: np.ndarray) -> tuple[np.ndarray | None, float]:
 def _identity_defect(matrix: np.ndarray) -> float:
     """max|m - 1|: the unitarity defect of V^dag V, or the deficit of a resolution of 1.
 
-    Per matrix for a stack (..., n, n).
+    Per matrix for a stack (..., n, n); inf where it is NaN, so a non-finite
+    entry fails every ``defect > tol`` check.  Only the diagonal is shifted
+    by 1: |m| with |m_ii - 1| written over its diagonal.
     """
-    return np.max(np.abs(matrix - np.eye(matrix.shape[-1])), axis=(-2, -1))
+    diagonal = np.arange(matrix.shape[-1])
+    magnitudes = np.abs(matrix)
+    magnitudes[..., diagonal, diagonal] = np.abs(matrix[..., diagonal, diagonal] - 1.0)
+    defect = np.max(magnitudes, axis=(-2, -1))
+    return np.where(np.isnan(defect), np.inf, defect)[()]
 
 
 def _unit_rows(vectors: np.ndarray) -> np.ndarray:
@@ -198,15 +205,22 @@ class _FourierBasis:
         out *= -self.signs if self.n % 4 else self.signs
         return out.reshape(data.shape)
 
+    def _every(self, cols) -> bool:
+        """Whether ``cols`` is every column in order, which needs no scatter or gather."""
+        if isinstance(cols, slice):
+            return cols == slice(None)
+        return np.array_equal(cols, np.arange(self.shape[1]))
+
     def apply(self, coefficients, cols=slice(None)) -> np.ndarray:
         """V[:, cols] c: momentum amplitudes, zero off ``cols``, to position amplitudes."""
-        if not (isinstance(cols, slice) and cols == slice(None)):
+        if not self._every(cols):
             coefficients = _IndexOrder(np.arange(self.shape[0])).apply(coefficients, cols)
         return self._along_grid(np.fft.ifft, coefficients)
 
     def apply_adjoint(self, amplitudes, cols=slice(None)) -> np.ndarray:
         """V[:, cols]^dag a: position amplitudes to momentum amplitudes, F along the grid."""
-        return self._along_grid(np.fft.fft, amplitudes)[cols]
+        momentum = self._along_grid(np.fft.fft, amplitudes)
+        return momentum if self._every(cols) else momentum[cols]
 
     def columns(self, cols=slice(None)) -> np.ndarray:
         return self.apply(np.eye(np.arange(self.shape[1])[cols].size, dtype=complex), cols)
@@ -241,9 +255,6 @@ class PureState:
     def to_density(self) -> "DensityOperator":
         return DensityOperator(np.outer(self.amplitudes, self.amplitudes.conj()))
 
-    def __repr__(self):
-        return f"PureState(dim={self.dim})"
-
 
 class LinearOperator:
     """A general (possibly non-Hermitian) operator on a finite space."""
@@ -262,33 +273,6 @@ class LinearOperator:
         op.matrix = _freeze(np.asarray(matrix, dtype=complex))
         op.dim = matrix.shape[0]
         return op
-
-    def apply(self, vector: np.ndarray) -> np.ndarray:
-        return self.matrix @ vector
-
-    def _check_dim(self, other):
-        if self.dim != other.dim:
-            raise DimensionMismatch(f"dims {self.dim} vs {other.dim}")
-
-    def __matmul__(self, other: "LinearOperator") -> "LinearOperator":
-        self._check_dim(other)
-        return LinearOperator._wrap(self.matrix @ other.matrix)
-
-    def __add__(self, other: "LinearOperator") -> "LinearOperator":
-        self._check_dim(other)
-        return LinearOperator._wrap(self.matrix + other.matrix)
-
-    def __sub__(self, other: "LinearOperator") -> "LinearOperator":
-        self._check_dim(other)
-        return LinearOperator._wrap(self.matrix - other.matrix)
-
-    def __mul__(self, scalar) -> "LinearOperator":
-        return LinearOperator._wrap(self.matrix * complex(scalar))
-
-    __rmul__ = __mul__
-
-    def __repr__(self):
-        return f"LinearOperator(dim={self.dim})"
 
 
 class DensityOperator:
@@ -319,9 +303,6 @@ class DensityOperator:
 
     def purity(self) -> float:
         return float(np.real(np.trace(self.matrix @ self.matrix)))
-
-    def __repr__(self):
-        return f"DensityOperator(dim={self.dim})"
 
 
 State = Union[PureState, DensityOperator]
@@ -360,31 +341,6 @@ class Observable:
     def _set(self, vals, basis, slices):
         self.eigenvalues, self._basis = _freeze(vals), basis
         self._slices, self._operator = slices, None
-
-    @classmethod
-    def from_projectors(cls, pairs: Iterable[tuple[float, LinearOperator]]) -> "Observable":
-        """Build from explicit (eigenvalue, projector) pairs.
-
-        The pairs may come in any order; they are sorted by eigenvalue.  Each
-        entry must be a Hermitian idempotent of nonzero rank, and together
-        they must be an orthogonal resolution of the identity.
-        """
-        pairs = sorted(pairs, key=lambda p: p[0])
-        if not pairs:
-            raise ValueError("at least one spectral entry required")
-        blocks, slices, start = [], [], 0
-        for value, proj in pairs:
-            mat = proj.matrix if isinstance(proj, LinearOperator) else np.asarray(proj, complex)
-            block, defect = _projector_range(mat)
-            if block is None:
-                raise ValueError(f"entry for eigenvalue {value} is not a projector: "
-                                 f"defect {defect:.3e}")
-            if block.shape[1] == 0:
-                raise ValueError(f"projector for eigenvalue {value} has rank 0")
-            blocks.append(block)
-            slices.append(slice(start, start + block.shape[1]))
-            start += block.shape[1]
-        return cls([float(v) for v, _ in pairs], np.hstack(blocks), slices)
 
     @property
     def n_outcomes(self) -> int:
@@ -436,9 +392,6 @@ class Observable:
         if abs(vals[i] - outcome) > OUTCOME_TOL * max(1.0, float(np.max(np.abs(vals)))):
             raise ValueError(f"{outcome} is not an eigenvalue of this observable")
         return i
-
-    def __repr__(self):
-        return f"Observable(dim={self.dim}, outcomes={self.n_outcomes})"
 
 
 def _check_eigenbases(vals: np.ndarray, bases: np.ndarray, slices: Sequence[slice]):
@@ -582,10 +535,6 @@ def expectation(state: State, op: LinearOperator) -> complex:
     if isinstance(state, PureState):
         return complex(np.vdot(state.amplitudes, op.matrix @ state.amplitudes))
     return complex(np.trace(state.matrix @ op.matrix))
-
-
-def identity(dim: int) -> LinearOperator:
-    return LinearOperator._wrap(np.eye(dim, dtype=complex))
 
 
 def basis_state(dim: int, index: int) -> PureState:

@@ -128,9 +128,6 @@ class HistorySet:
         prev = [0.0] + list(self.times[:-1])
         return [t - p for t, p in zip(self.times, prev)]
 
-    def __repr__(self):
-        return f"HistorySet(dim={self.dim}, times={self.times}, shape={self.shape})"
-
 
 def class_operator(hs: HistorySet, alpha: Sequence[int]) -> LinearOperator:
     """C_alpha = Pi^n U(t_n - t_{n-1}) ... Pi^1 U(t_1 - t_0), Pi the entry's projector."""
@@ -153,27 +150,18 @@ class DecoherenceFunctional:
 
     ``blocks[b]`` holds D between the histories ``members[b]``, a row of
     ascending indices into ``histories``; the rows partition the labels, and
-    D is exactly zero between histories in different blocks.  A dense matrix
-    given to the constructor is one block.  ``matrix`` scatters the blocks
-    into a dense, read-only array each time it is read.
+    D is exactly zero between histories in different blocks.  The
+    constructor checks that the blocks are Hermitian with a real,
+    nonnegative diagonal and entries summing to 1, and makes both arrays
+    read-only in place; :meth:`from_matrix` takes a dense matrix as one
+    block.  ``matrix`` scatters the blocks into a dense, read-only array
+    each time it is read.
     """
 
     __slots__ = ("histories", "blocks", "members")
 
-    def __init__(self, histories: Sequence[tuple[int, ...]], matrix):
-        mat = np.array(matrix, dtype=complex)
-        n = len(histories)
-        if mat.shape != (n, n):
-            raise InvalidHistorySet("one matrix entry per history pair required")
-        self._check_and_store(histories, mat[None], np.arange(n)[None])
-
-    @classmethod
-    def _from_blocks(cls, histories, blocks: np.ndarray, members: np.ndarray):
-        D = cls.__new__(cls)
-        D._check_and_store(histories, blocks, members)
-        return D
-
-    def _check_and_store(self, histories, blocks, members):
+    def __init__(self, histories: Sequence[tuple[int, ...]], blocks: np.ndarray,
+                 members: np.ndarray):
         if not np.all(_hermitian_within_tol(blocks)):
             raise InvalidHistorySet("decoherence functional must be Hermitian")
         diag = np.diagonal(blocks, axis1=1, axis2=2)
@@ -189,6 +177,15 @@ class DecoherenceFunctional:
         blocks.setflags(write=False)
         members.setflags(write=False)
 
+    @classmethod
+    def from_matrix(cls, histories: Sequence[tuple[int, ...]], matrix) -> "DecoherenceFunctional":
+        """D from a dense matrix over ``histories``, copied and held as one block."""
+        mat = np.array(matrix, dtype=complex)
+        n = len(histories)
+        if mat.shape != (n, n):
+            raise InvalidHistorySet("one matrix entry per history pair required")
+        return cls(histories, mat[None], np.arange(n)[None])
+
     @property
     def matrix(self) -> np.ndarray:
         mat = np.zeros((len(self.histories),) * 2, dtype=complex)
@@ -200,9 +197,6 @@ class DecoherenceFunctional:
         diag = np.zeros(len(self.histories))
         diag[self.members] = np.real(np.diagonal(self.blocks, axis1=1, axis2=2))
         return diag
-
-    def __repr__(self):
-        return f"DecoherenceFunctional(n_histories={len(self.histories)})"
 
 
 def decoherence_functional(hs: HistorySet) -> DecoherenceFunctional:
@@ -242,7 +236,7 @@ def decoherence_functional(hs: HistorySet) -> DecoherenceFunctional:
             D[ents] += np.matmul(cb.transpose(0, 2, 1), cb.conj())
     # history (path p, final entry a) is label p * n + a
     members = np.arange(0, paths * n, n) + np.arange(n)[:, None]
-    return DecoherenceFunctional._from_blocks(hs.histories(), D, members)
+    return DecoherenceFunctional(hs.histories(), D, members)
 
 
 def is_consistent(D: DecoherenceFunctional,
@@ -316,4 +310,4 @@ def coarse_grain(D: DecoherenceFunctional,
     mat.real = np.bincount(cell, D.blocks.real.ravel(), k * k).reshape(k, k)
     mat.imag = np.bincount(cell, D.blocks.imag.ravel(), k * k).reshape(k, k)
     labels = [tuple(tuple(D.histories[i]) for i in ia) for ia in group_indices]
-    return DecoherenceFunctional._from_blocks(labels, mat[None], np.arange(k)[None])
+    return DecoherenceFunctional(labels, mat[None], np.arange(k)[None])

@@ -133,10 +133,6 @@ class IndefinitenessScan:
     kernel_invariant: bool
     threshold: float
 
-    @property
-    def minimum(self) -> float:
-        return float(self.series.min())
-
 
 def _projector_matrix(projector) -> np.ndarray:
     mat = projector.matrix if isinstance(projector, LinearOperator) else np.asarray(projector, complex)

@@ -57,10 +57,6 @@ class OutcomeDistribution:
     def __len__(self):
         return len(self.outcomes)
 
-    def __repr__(self):
-        pairs = ", ".join(f"{o}: {p:.6g}" for o, p in self.as_dict().items())
-        return f"OutcomeDistribution({pairs})"
-
 
 def _normalized(probs: np.ndarray, sum_tol: float = 1e-10) -> np.ndarray:
     """OutcomeDistribution's weights for each row of a stack (m, k): clamped, checked, renormalized."""
@@ -116,42 +112,73 @@ def collapse(state: PureState, obs: Observable, outcome: float) -> PureState:
     return PureState(obs._basis.apply(coeff, cols))
 
 
-def sample_outcome(dist: OutcomeDistribution, seed: int):
-    """Draw one outcome by inverse-CDF sampling in the distribution's order.
-
-    Deterministic in (dist, seed); no global random state is touched.
-    """
-    rng = np.random.default_rng(seed)
-    u = rng.random()
-    acc = 0.0
-    for outcome, p in zip(dist.outcomes, dist.probabilities):
-        acc += p
-        if u < acc:
-            return outcome
-    return dist.outcomes[-1]
-
-
 class Povm:
     """A finite family of positive effects summing to the identity.
 
     Every family is one factored table of weighted rank-one terms: term
     (i, j) is w_j |l_i o r_j><l_i o r_j|, with l_i a row of the p x dim left
-    table L and r_j one of the q x dim right table R, tagged with the index
-    of the effect it belongs to.  A flat family has the one left row l = 1
-    (``_left`` is None).  The phase-space family's left rows are the boosts
-    l_a = sqrt(dim) V[:, cols[a]] of a Fourier basis V (``_left`` is
-    ``(V, cols)``), which are never written out, and its right table is real.
-    The constructor factors dense effects with ``eigh``, rejecting
-    non-Hermitian ones and eigenvalues below -1e-9; positive eigenvalues
-    become terms, so a zero effect owns none.  Completeness
-    (||sum M - 1||_max <= 1e-8) is evaluated once, at construction.
+    table L and r_j one of the q x dim right table R, and ``owner`` (one
+    entry per term, i-major; one effect per term by default) tags each with
+    the index of the effect it belongs to.  A flat family has the one left
+    row l = 1 (``_left`` is None).  Given ``boosts``, the left rows are
+    l_a = sqrt(dim) V[:, boosts[a]] of the grid's Fourier basis V (``_left``
+    is ``(V, boosts)``), which are never written out, as in the phase-space
+    family.  Mismatched shapes, effect indices outside the labels and
+    weights below -1e-9 raise InvalidPovm.  Completeness
+    (||sum M - 1||_max <= 1e-8, or 1e-6 for a boosted family, a discretized
+    phase-space tiling) is evaluated once, at construction.
     ``labels`` is an immutable sequence: a tuple, except for the phase-space
     family, whose a-major cell labels are each computed when read.
+
+    The sum over every term is exact:
+    sum_ij w_j (l_i o r_j)(l_i o r_j)^dag = (L^T conj L) o (R^T diag(w) conj R).
+    For boosts, G = L^T conj L = n V[:, boosts] V[:, boosts]^dag is a
+    circulant in x - y.  Every boost is 1 at x = 0, grid index n/2, so its
+    column there is one application, G[:, n/2] = sqrt(n) V[:, boosts] 1.
     """
 
     __slots__ = ("labels", "dim", "_left", "_right", "_weights", "_owner", "_deficit")
 
-    def __init__(self, elements: Sequence[tuple[Hashable, LinearOperator]]):
+    def __init__(self, labels: Sequence[Hashable], right, weights, owner=None, boosts=None):
+        right, weights = np.asarray(right), np.asarray(weights, dtype=float)
+        if right.ndim != 2 or weights.shape != right.shape[:1]:
+            raise InvalidPovm(f"need one weight per row of a 2-d right table, got shapes "
+                              f"{weights.shape} and {right.shape}")
+        worst = np.min(weights, initial=np.inf)
+        if worst < -PSD_TOL:
+            raise InvalidPovm(f"negative weight {worst:.3e}")
+        n, left = right.shape[1], None
+        total = (right.T * weights) @ right.conj()
+        if boosts is not None:
+            left = basis, boosts = _FourierBasis(n), np.asarray(boosts)
+            h = basis.apply(np.full(len(boosts), np.sqrt(n)), boosts)
+            # G[x, y] = h[(x - y + n/2) mod n]: the windows of h's periodic extension, reversed
+            windows = sliding_window_view(np.concatenate((h[n // 2 + 1:], h, h[:n // 2])), n)
+            total = windows[:, ::-1] * total
+        deficit = _identity_defect(total)
+        if deficit > (COMPLETENESS_TOL if left is None else TILING_TOL):
+            raise InvalidPovm(f"effects sum to identity with defect {deficit:.3e}")
+        n_terms = len(weights) * (1 if left is None else len(boosts))
+        owner = np.arange(n_terms) if owner is None else np.asarray(owner)
+        if owner.shape != (n_terms,) or not np.all((owner >= 0) & (owner < len(labels))):
+            raise InvalidPovm(f"need one effect index in [0, {len(labels)}) per term, "
+                              f"{n_terms} terms")
+        self.labels = labels if isinstance(labels, _CellLabels) else tuple(labels)
+        self.dim, self._deficit = n, deficit
+        self._left, self._right, self._weights, self._owner = left, right, weights, owner
+
+    @classmethod
+    def from_rank_one(cls, labels: Sequence[Hashable], weights, vectors) -> "Povm":
+        """Build sum_k w_k |v_k><v_k| without materializing dense effects."""
+        return cls(labels, np.asarray(vectors, dtype=complex), weights)
+
+    @classmethod
+    def from_effects(cls, elements: Sequence[tuple[Hashable, LinearOperator]]) -> "Povm":
+        """Factor dense (label, effect) pairs into the term table with ``eigh``.
+
+        Rejects non-Hermitian effects and eigenvalues below -1e-9; positive
+        eigenvalues become terms, so a zero effect owns none.
+        """
         if not elements:
             raise InvalidPovm("a POVM needs at least one effect")
         labels = [lab for lab, _ in elements]
@@ -170,42 +197,7 @@ class Povm:
             keep = evals > 0.0
             terms.append((evals[keep], evecs[:, keep].T, np.full(np.count_nonzero(keep), i)))
         weights, vectors, owner = (np.concatenate(parts) for parts in zip(*terms))
-        self._set_terms(labels, None, vectors, weights, owner, COMPLETENESS_TOL)
-
-    @classmethod
-    def from_rank_one(cls, labels: Sequence[Hashable], weights, vectors) -> "Povm":
-        """Build sum_k w_k |v_k><v_k| without materializing dense effects."""
-        weights = np.asarray(weights, dtype=float)
-        vectors = np.asarray(vectors, dtype=complex)
-        if weights.min() < -PSD_TOL:
-            raise InvalidPovm(f"negative weight {weights.min():.3e}")
-        povm = object.__new__(cls)
-        povm._set_terms(labels, None, vectors, weights, np.arange(len(weights)),
-                        COMPLETENESS_TOL)
-        return povm
-
-    def _set_terms(self, labels, left, right, weights, owner, completeness_tol):
-        """Store the table and check completeness, the exact sum over every term.
-
-        sum_ij w_j (l_i o r_j)(l_i o r_j)^dag = (L^T conj L) o (R^T diag(w) conj R).
-        For boosts, G = L^T conj L = n V[:, cols] V[:, cols]^dag is a circulant
-        in x - y.  Every boost is 1 at x = 0, grid index n/2, so its column
-        there is one application, G[:, n/2] = sqrt(n) V[:, cols] 1.
-        """
-        total = (right.T * weights) @ right.conj()
-        if left is not None:
-            basis, cols = left
-            n = right.shape[1]
-            h = basis.apply(np.full(len(cols), np.sqrt(n)), cols)
-            # G[x, y] = h[(x - y + n/2) mod n]: the windows of h's periodic extension, reversed
-            windows = sliding_window_view(np.concatenate((h[n // 2 + 1:], h, h[:n // 2])), n)
-            total = windows[:, ::-1] * total
-        deficit = _identity_defect(total)
-        if deficit > completeness_tol:
-            raise InvalidPovm(f"effects sum to identity with defect {deficit:.3e}")
-        self.labels = labels if isinstance(labels, _CellLabels) else tuple(labels)
-        self.dim, self._deficit = right.shape[1], deficit
-        self._left, self._right, self._weights, self._owner = left, right, weights, owner
+        return cls(labels, vectors, weights, owner)
 
     def __len__(self):
         return len(self.labels)
@@ -225,9 +217,6 @@ class Povm:
     def completeness_deficit(self) -> float:
         """||sum_k M_k - 1||_max, a diagnostic for discretized families."""
         return self._deficit
-
-    def __repr__(self):
-        return f"Povm(dim={self.dim}, n_effects={len(self.labels)})"
 
 
 def povm_distribution(state: State, povm: Povm) -> OutcomeDistribution:
@@ -304,10 +293,7 @@ def build_fuzzy_povm(obs: Observable, smearing) -> Povm:
     weights = np.repeat(f, [obs.multiplicity(i) for i in range(obs.n_outcomes)], axis=1)
     owner, column = np.nonzero(weights > 0.0)
     rows = np.vstack([obs.eigenbasis(i).T for i in range(obs.n_outcomes)])
-    povm = object.__new__(Povm)
-    povm._set_terms(list(range(f.shape[0])), None, rows[column], weights[owner, column], owner,
-                    COMPLETENESS_TOL)
-    return povm
+    return Povm(list(range(f.shape[0])), rows[column], weights[owner, column], owner)
 
 
 class _CellLabels(abc.Sequence):
@@ -382,11 +368,8 @@ def build_phase_space_povm(g: GridSpace, packet_width: float,
         raise IncompleteTiling("cells must cover each lattice point at most once")
     phi = gaussian_packet(g, 0.0, 0.0, packet_width).amplitudes.real
     shifted = phi[(np.arange(n) - np.array(q_idx)[:, None] + n // 2) % n]
-    n_cells = len(p_idx) * len(q_idx)
-    povm = object.__new__(Povm)
     try:
-        povm._set_terms(_CellLabels(p_idx, q_idx), (_FourierBasis(n), np.array(p_idx)), shifted,
-                        np.full(len(q_idx), n / n_cells), np.arange(n_cells), TILING_TOL)
+        return Povm(_CellLabels(p_idx, q_idx), shifted,
+                    np.full(len(q_idx), n / (len(p_idx) * len(q_idx))), boosts=p_idx)
     except InvalidPovm as exc:
         raise IncompleteTiling(str(exc)) from exc
-    return povm

@@ -21,8 +21,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DimensionMismatch, NonExtendable
-from .hilbert import LinearOperator, Observable, PureState, _IndexOrder, _adjoint, _first, \
-    _freeze, _identity_defect
+from .hilbert import LinearOperator, Observable, PureState, _adjoint, _first, _freeze, \
+    _identity_defect
 from .measurement import OutcomeDistribution, _normalized
 
 MODEL_TOL = 1e-9
@@ -94,16 +94,6 @@ class MeasurementModel:
                 raise NonExtendable(f"completion failed: unitarity defect {unitarity:.3e}")
             self._unitary = LinearOperator._wrap(U)
         return self._unitary
-
-    def pointer_observable(self) -> Observable:
-        """The record variable on the pointer space: diagonal, one level per index."""
-        dp = self.pointer_dim
-        return Observable._wrap(np.arange(dp), _IndexOrder(np.arange(dp)),
-                                [slice(m, m + 1) for m in range(dp)])
-
-    def __repr__(self):
-        return (f"MeasurementModel(system={self.system_dim}, "
-                f"pointer={self.pointer_dim})")
 
 
 def _checked_isometries(sources: np.ndarray, post: np.ndarray) -> np.ndarray:

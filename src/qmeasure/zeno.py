@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from .errors import InvalidRegime, OutsideValidityWindow, UnresolvedSpectrum
-from .hilbert import LinearOperator, PureState, _freeze, basis_state
+from .hilbert import LinearOperator, _freeze, basis_state
 from .dynamics import Hamiltonian, _phase_step
 
 MIN_BAND_DECAY_PRODUCT = 20.0
@@ -185,13 +185,6 @@ class DecayModel:
                                      f"({self.n_modes} modes)")
         self.energies, self.weights = _freeze(energies), _freeze(weights)
 
-    @property
-    def dim(self) -> int:
-        return self.n_modes + 1
-
-    def undecayed_state(self) -> PureState:
-        return basis_state(self.dim, 0)
-
     def _check_window(self, t: float):
         if t < 0:
             raise OutsideValidityWindow(f"negative time {t}")
@@ -210,10 +203,6 @@ class DecayModel:
         if not math.isfinite(t):
             raise ValueError(f"time must be finite, got {t}")
         return complex(np.sum(_phase_step(self.energies, self.weights, t)))
-
-    def __repr__(self):
-        return (f"DecayModel(tau={self.tau}, n_modes={self.n_modes}, "
-                f"bandwidth={self.bandwidth})")
 
 
 def build_decay_model(tau: float, n_modes: int, bandwidth: float) -> DecayModel:

@@ -191,7 +191,8 @@ class TestGridOperators:
     def test_commutator_on_central_states(self):
         g = GridSpace(256, 60.0)
         X, P, _ = build_grid_operators(g)
-        comm = X.operator @ P.operator - P.operator @ X.operator
+        x, p = X.operator.matrix, P.operator.matrix
+        comm = LinearOperator(x @ p - p @ x)
         psi = gaussian_packet(g, 1.0, 0.4, 2.0)
         assert expectation(psi, comm) == pytest.approx(1j, abs=1e-6)
 

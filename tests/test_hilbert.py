@@ -12,14 +12,15 @@ from qmeasure import (
     SIGMA_Z,
     basis_state,
     expectation,
-    identity,
     partial_trace,
     spectral_decompose,
     tensor_product,
 )
+from qmeasure import InvalidPovm, MeasurementModel, NonExtendable, Povm, Propagator
 from qmeasure.dynamics import Hamiltonian
-from qmeasure.hilbert import _check_spectra, _hermitian_within_tol, _require_hermitian, _unit_rows, \
-    hermiticity_defect
+from qmeasure.hilbert import _check_spectra, _hermitian_within_tol, _identity_defect, \
+    _projector_defect, _require_hermitian, _unit_rows, hermiticity_defect
+from qmeasure.indefiniteness import _projector_matrix
 from conftest import random_density, random_hermitian, random_projector, random_state
 
 
@@ -73,7 +74,7 @@ class TestSpectralDecompose:
                                    atol=1e-12)
 
     def test_identity_fully_degenerate(self):
-        obs = spectral_decompose(identity(3))
+        obs = spectral_decompose(LinearOperator(np.eye(3)))
         assert obs.n_outcomes == 1
         assert obs.eigenvalues[0] == pytest.approx(1.0)
         np.testing.assert_allclose(obs.projector(0).matrix, np.eye(3), atol=1e-12)
@@ -158,7 +159,7 @@ class TestTensorProduct:
 
     def test_rejects_mixed_kinds(self):
         with pytest.raises(TypeError):
-            tensor_product(basis_state(2, 0), identity(2))
+            tensor_product(basis_state(2, 0), LinearOperator(np.eye(2)))
 
 
 class TestPartialTrace:
@@ -244,31 +245,6 @@ class TestExpectation:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             expectation(basis_state(3, 0), SIGMA_X)
-
-
-class TestObservableFromProjectors:
-    def test_round_trip(self, rng):
-        obs = spectral_decompose(random_hermitian(rng, 4))
-        rebuilt = Observable.from_projectors(obs.spectrum)
-        np.testing.assert_allclose(rebuilt.eigenvalues, obs.eigenvalues, atol=1e-12)
-        np.testing.assert_allclose(rebuilt.operator.matrix, obs.operator.matrix,
-                                   atol=1e-9)
-
-    def test_rejects_non_projector(self):
-        with pytest.raises(ValueError):
-            Observable.from_projectors([(0.0, LinearOperator(0.5 * np.eye(2)))])
-
-    @pytest.mark.parametrize("entry", [2 * np.eye(2), np.diag([0.0, 2.0])])
-    def test_rejects_integer_eigenvalues_other_than_one(self, entry):
-        # 2I and diag(0, 2) have integer eigenvalues but are not idempotent
-        with pytest.raises(ValueError, match="not a projector"):
-            Observable.from_projectors([(1.0, LinearOperator(entry))])
-
-    def test_builds_no_dense_operator_until_read(self):
-        obs = Observable.from_projectors([(-1.0, np.diag([0.0, 1.0])),
-                                          (1.0, np.diag([1.0, 0.0]))])
-        assert obs._operator is None
-        np.testing.assert_allclose(obs.operator.matrix, SIGMA_Z.matrix, atol=1e-15)
 
 
 class TestObservableConstructor:
@@ -368,3 +344,42 @@ class TestStackedChecks:
     def test_zero_dimensional_hamiltonian_is_accepted(self):
         H = Hamiltonian(LinearOperator(np.zeros((0, 0))))
         assert H.dim == 0
+
+    def test_identity_defect_matches_the_dense_difference_bit_for_bit(self, rng):
+        # only the diagonal is shifted by 1; every other entry is read as |m_ij|
+        for shape in [(1, 1), (5, 5), (4, 7, 7), (2, 3, 16, 16)]:
+            for scale in (1e-12, 1.0, 1e3):
+                m = scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+                for stack in (m, m + np.eye(shape[-1]), m.real.copy()):
+                    oracle = np.max(np.abs(stack - np.eye(shape[-1])), axis=(-2, -1))
+                    np.testing.assert_array_equal(_identity_defect(stack), oracle)
+        assert _identity_defect(np.eye(3)) == 0.0
+
+    def test_non_finite_defects_read_inf(self):
+        stack = np.array([np.eye(2), [[np.nan, 0.0], [0.0, 1.0]], [[1.0, np.inf], [0.0, 1.0]]])
+        np.testing.assert_array_equal(_identity_defect(stack), [0.0, np.inf, np.inf])
+        assert _projector_defect(np.full((2, 2), np.nan)) == np.inf
+
+
+def _nan_isometry_model():
+    posts = [basis_state(2, 0), basis_state(2, 1)]
+    return MeasurementModel(spectral_decompose(SIGMA_Z), posts, np.full((6, 2), np.nan))
+
+
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: Povm.from_rank_one(["a", "b"], [1, 1], [[np.nan, 0], [0, 1]]),
+     InvalidPovm, "effects sum to identity with defect inf"),
+    (lambda: Povm.from_rank_one(["a", "b"], [np.inf, 1], [[1, 0], [0, 1]]),
+     InvalidPovm, "effects sum to identity with defect inf"),
+    (_nan_isometry_model, NonExtendable, "interaction is not an isometry: Gram defect inf"),
+    (lambda: Propagator(1.0, np.full((2, 2), np.nan)),
+     ValueError, "propagator unitarity defect inf"),
+    (lambda: Hamiltonian.from_eigenbasis([0, 1], np.full((2, 2), np.nan)),
+     ValueError, "eigenbasis unitarity defect inf"),
+    (lambda: _projector_matrix(np.full((2, 2), np.nan)), ValueError, "not a projector: defect inf"),
+], ids=["povm-nan-vector", "povm-inf-weight", "measurement-model", "propagator",
+        "hamiltonian-eigenbasis", "scan-projector"])
+def test_nan_fails_the_defect_checks_where_it_enters(build, error, message):
+    # NaN > tol is False: a NaN defect once passed every check it reached
+    with np.errstate(invalid="ignore"), pytest.raises(error, match=message):
+        build()

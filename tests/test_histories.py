@@ -142,13 +142,13 @@ class TestHistorySet:
         (lambda H, s: HistorySet(H, s, [1.0], [[[0]]]), "spans 1 of 2"),
         (lambda H, s: HistorySet(H, s, [1.0], [[[0], [0]]]), "sums to identity"),
         # the dense constructor keeps its four refusals
-        (lambda H, s: DecoherenceFunctional([(0,)], np.eye(2) / 2),
+        (lambda H, s: DecoherenceFunctional.from_matrix([(0,)], np.eye(2) / 2),
          "one matrix entry per history pair required"),
-        (lambda H, s: DecoherenceFunctional([(0,), (1,)], [[0.5, 0.1], [0.0, 0.5]]),
+        (lambda H, s: DecoherenceFunctional.from_matrix([(0,), (1,)], [[0.5, 0.1], [0.0, 0.5]]),
          "decoherence functional must be Hermitian"),
-        (lambda H, s: DecoherenceFunctional([(0,), (1,)], [[1.5, 0.0], [0.0, -0.5]]),
+        (lambda H, s: DecoherenceFunctional.from_matrix([(0,), (1,)], [[1.5, 0.0], [0.0, -0.5]]),
          "diagonal must be real and nonnegative"),
-        (lambda H, s: DecoherenceFunctional([(0,), (1,)], [[0.5, 0.0], [0.0, 0.25]]),
+        (lambda H, s: DecoherenceFunctional.from_matrix([(0,), (1,)], [[0.5, 0.0], [0.0, 0.25]]),
          "entries sum to (0.75+0j), not 1"),
     ])
     def test_refusals_are_simulation_and_value_errors(self, build, message):
@@ -478,8 +478,8 @@ class TestConsistency:
     def test_zero_weight_history_passes_vacuously(self):
         # history 2 has zero diagonal weight; its off-diagonal entry with
         # history 0 is not a ratio and must not count
-        D = DecoherenceFunctional([(0,), (1,), (2,)],
-                                  [[0.5, 0.05, 0.1], [0.05, 0.2, 0.0], [0.1, 0.0, 0.0]])
+        D = DecoherenceFunctional.from_matrix([(0,), (1,), (2,)],
+                                              [[0.5, 0.05, 0.1], [0.05, 0.2, 0.0], [0.1, 0.0, 0.0]])
         worst = 0.05 / np.sqrt(0.5 * 0.2)
         assert is_consistent(D, 1.0) == (True, pytest.approx(worst, rel=1e-15))
         assert is_consistent(D, 0.1) == (False, pytest.approx(worst, rel=1e-15))
@@ -607,7 +607,7 @@ class TestBlockForm:
 
     def test_dense_constructor_copies_its_matrix(self):
         m = np.array([[0.75, 0.1j], [-0.1j, 0.25]])
-        D = DecoherenceFunctional([(0,), (1,)], m)
+        D = DecoherenceFunctional.from_matrix([(0,), (1,)], m)
         m[0, 0] = 9.0
         assert m.flags.writeable and D.matrix[0, 0] == 0.75
 

@@ -207,7 +207,7 @@ class TestIndefinitenessScan:
         psi0 = random_state(rng, 8)
         scan = indefiniteness_scan(H, psi0, proj, np.linspace(0, 50, 1500))
         assert scan.classification == "never-zero"
-        assert scan.minimum > scan.threshold
+        assert scan.series.min() > scan.threshold
         assert not scan.kernel_invariant
 
     def test_stable_under_grid_refinement(self, rng):

@@ -4,6 +4,7 @@ import pytest
 from qmeasure import (
     DimensionMismatch,
     LinearOperator,
+    Observable,
     PureState,
     SIGMA_Z,
     basis_state,
@@ -198,17 +199,14 @@ class TestModeledSingleMeasurement:
                           @ tensor_product(s, ready).amplitudes)
         reduced = partial_trace(joint.to_density(),
                                 [model.system_dim, model.pointer_dim], keep={1})
-        pointer_dist = born_distribution(reduced, model.pointer_observable())
+        # the record variable: diagonal on the pointer space, one level per index
+        dp = model.pointer_dim
+        pointer = Observable(np.arange(dp), np.eye(dp), [slice(m, m + 1) for m in range(dp)])
+        pointer_dist = born_distribution(reduced, pointer)
         direct = modeled_single_measurement(s, model)
         for i, rec in enumerate(model.record_indices):
             assert pointer_dist.probability(float(rec)) == pytest.approx(
                 direct.probability(float(obs.eigenvalues[i])), abs=1e-10)
-
-    def test_pointer_observable_is_the_level_index(self):
-        pointer = build_measurement_unitary(OBS_Z).pointer_observable()
-        assert pointer._operator is None
-        np.testing.assert_allclose(pointer.operator.matrix, np.diag([0.0, 1.0, 2.0]),
-                                   rtol=0, atol=1e-15)
 
 
 class TestRepeatedMeasurementJoint:

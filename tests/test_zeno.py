@@ -194,7 +194,7 @@ class TestSurvivalProbability:
         # the dense evolution the amplitude stands for: unitary, and its
         # undecayed component is the model's A(t)
         evals, evecs = np.linalg.eigh(_band_hamiltonian(model))
-        psi0 = model.undecayed_state().amplitudes
+        psi0 = np.eye(model.n_modes + 1)[0]
         for t in (0.0, 0.4, 1.0, 2.7):
             psi = evecs @ (np.exp(-1j * evals * t) * (evecs.T @ psi0))
             assert abs(np.linalg.norm(psi) - 1.0) < 1e-10
