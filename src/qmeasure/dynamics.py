@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import UnresolvableWidth
-from .hilbert import LinearOperator, Observable, PureState, _DenseBasis, _FourierBasis, \
+from .hilbert import LinearOperator, Observable, PureState, _BASES, _DenseBasis, _FourierBasis, \
     _IndexOrder, _freeze, _identity_defect, _require_hermitian
 
 UNITARITY_TOL = 1e-9
@@ -88,70 +88,60 @@ def _phase_step(energies: np.ndarray, coefficients, times) -> np.ndarray:
 
 
 class Hamiltonian:
-    """A Hermitian generator of time evolution.
+    """A Hermitian generator of time evolution, which holds its spectrum from construction.
 
     Every propagation goes through :meth:`evolve_amplitudes`, except that
     ``indefiniteness_scan`` applies one block's phase table e^{-iEt} to
     several states over the same V and E.  Mostly it is
     U(t) = V e^{-iEt} V^dag from energies E and a basis V (see
-    :mod:`qmeasure.hilbert`): a dense operator is diagonalized once, on
-    first use, by a real symmetric ``eigh`` when its matrix is exactly real;
-    :meth:`from_eigenbasis` takes a spectrum that is already known, over a
-    dense basis or the grid's FFT-backed Fourier map.  A grid Hamiltonian
-    with a potential (see :func:`barrier_hamiltonian`) holds its kinetic
-    energies over the Fourier map plus the potential, and propagates by a
-    Chebyshev expansion.
+    :mod:`qmeasure.hilbert`): ``Hamiltonian(op)`` diagonalizes a dense
+    operator at construction, by a real symmetric ``eigh`` when its matrix
+    is exactly real; :meth:`from_eigenbasis` takes a spectrum that is
+    already known, over a dense basis or a basis object such as the grid's
+    FFT-backed Fourier map.  A grid Hamiltonian with a potential (see
+    :func:`barrier_hamiltonian`) holds its kinetic energies over the
+    Fourier map plus the potential, and propagates by a Chebyshev expansion.
     """
 
     __slots__ = ("_op", "dim", "_energies", "_basis", "_potential")
 
     def __init__(self, op: LinearOperator):
         _require_hermitian(op.matrix[None])
-        self._op, self.dim, self._energies, self._basis = op, op.dim, None, None
-        self._potential = None
+        m = op.matrix
+        evals, evecs = np.linalg.eigh(m if m.imag.any() else m.real)
+        # stored complex: mixed real/complex products in the kernel are slower
+        self._op, self.dim, self._potential = op, op.dim, None
+        self._energies, self._basis = _freeze(evals), _DenseBasis(evecs.astype(complex, copy=False))
 
     @classmethod
-    def from_eigenbasis(cls, energies, basis) -> "Hamiltonian":
-        """H = V diag(E) V^dag from finite real energies E and their eigenvectors V.
+    def from_eigenbasis(cls, energies, basis, potential=None) -> "Hamiltonian":
+        """H = V diag(E) V^dag + diag(potential) from finite real energies E and eigenvectors V.
 
-        ``basis`` is either a dense matrix, which is copied and must satisfy
-        max|V^dag V - 1| <= 1e-9 (else ValueError), or the grid's FFT-backed
-        Fourier map, unitary by construction.  The energies may come in any
-        order; they stay in the order of V's columns, and the arrays become
-        read-only.
+        ``basis`` is a dense matrix, copied and checked for
+        max|V^dag V - 1| <= 1e-9, or a basis object, taken as given; the
+        energies stay in the order of its columns.  A ``potential``, one
+        finite real value per grid point, needs the untagged Fourier map and
+        energies even under k -> -k, as k^2 / 2m is, so that H is real, as
+        the Chebyshev evolution needs.  Anything else raises ValueError.
+        Nothing is diagonalized, and the arrays become read-only.
         """
         evals = np.asarray(energies)
-        matrix = None if isinstance(basis, _FourierBasis) else np.array(basis, dtype=complex)
-        if matrix is not None:
-            basis = _DenseBasis(matrix)
+        matrix = None if isinstance(basis, _BASES) else np.array(basis, dtype=complex)
+        basis = basis if matrix is None else _DenseBasis(matrix)
         if (evals.ndim != 1 or not np.isrealobj(evals) or not np.all(np.isfinite(evals))
                 or basis.shape != (evals.size, evals.size)):
             raise ValueError("need finite real energies and a square basis, a column per energy")
-        if matrix is not None:
-            defect = _identity_defect(matrix.conj().T @ matrix)
-            if defect > UNITARITY_TOL:
-                raise ValueError(f"eigenbasis unitarity defect {defect:.3e}")
+        defect = 0.0 if matrix is None else _identity_defect(matrix.conj().T @ matrix)
+        if defect > UNITARITY_TOL:
+            raise ValueError(f"eigenbasis unitarity defect {defect:.3e}")
+        if potential is not None and not (
+                isinstance(basis, _FourierBasis) and basis.tags == 1 and np.isrealobj(potential)
+                and np.shape(potential) == evals.shape and np.all(np.isfinite(potential))):
+            raise ValueError("a potential needs the untagged Fourier map and one finite real "
+                             "value per grid point")
         H = object.__new__(cls)
-        H._op, H.dim, H._potential = None, evals.size, None
-        H._energies, H._basis = _freeze(evals.astype(float)), basis
-        return H
-
-    @classmethod
-    def _kinetic_plus_potential(cls, kinetic, potential, basis: _FourierBasis) -> "Hamiltonian":
-        """H = V diag(kinetic) V^dag + diag(potential) over the Fourier map V.
-
-        Both vectors, one value per grid point of the untagged map, must be
-        real and finite (else ValueError), so H is Hermitian by construction
-        and nothing is diagonalized.  The kinetic energies must also be even
-        under k -> -k, as k^2 / 2m is, so H is real: the Chebyshev evolution
-        relies on it.
-        """
-        kinetic, potential = np.asarray(kinetic, dtype=float), np.asarray(potential, dtype=float)
-        if not (np.all(np.isfinite(kinetic)) and np.all(np.isfinite(potential))):
-            raise ValueError("need finite kinetic energies and a finite potential")
-        H = object.__new__(cls)
-        H._op, H.dim, H._energies, H._basis = None, basis.shape[0], _freeze(kinetic), basis
-        H._potential = _freeze(potential)
+        H._op, H.dim, H._energies, H._basis = None, evals.size, _freeze(evals.astype(float)), basis
+        H._potential = None if potential is None else _freeze(np.array(potential, dtype=float))
         return H
 
     @property
@@ -162,23 +152,14 @@ class Hamiltonian:
             m = self._basis.apply(self._energies[:, None] * self._basis.apply_adjoint(eye))
             if self._potential is not None:
                 m += np.diag(self._potential)
-            self._op = LinearOperator._wrap((m + m.conj().T) / 2)
+            self._op = LinearOperator((m + m.conj().T) / 2)
         return self._op
 
     def _diagonalized(self) -> tuple[np.ndarray, _DenseBasis | _FourierBasis]:
-        """(E, V) with E in the order of V's columns; diagonalizes an operator once.
-
-        A grid potential's dense operator is diagonalized on each call.
-        """
-        if self._potential is not None:   # the Fourier map diagonalizes the kinetic part only
-            return Hamiltonian(self.op)._diagonalized()
-        if self._basis is None:
-            m = self.op.matrix
-            evals, evecs = np.linalg.eigh(m if m.imag.any() else m.real)
-            # stored complex: mixed real/complex products in the kernel are slower
-            self._energies = _freeze(evals)
-            self._basis = _DenseBasis(evecs.astype(complex, copy=False))
-        return self._energies, self._basis
+        """(E, V) with E in the order of V's columns; a grid potential's is computed per call."""
+        if self._potential is None:
+            return self._energies, self._basis
+        return Hamiltonian(self.op)._diagonalized()   # the Fourier map diagonalizes the kinetic part
 
     def eigensystem(self) -> tuple[np.ndarray, np.ndarray]:
         """Ascending energies and the dense unitary whose columns are their eigenvectors.
@@ -195,18 +176,24 @@ class Hamiltonian:
     def evolve_amplitudes(self, amplitudes, t) -> np.ndarray:
         """e^{-iHt} applied to unnormalized amplitudes: the one evolution kernel.
 
-        Columns of a matrix all evolve by ``t``; a vector with a 1-d array of
-        times gives one column per time.  Raises ValueError for a non-finite t
-        or one whose phase E*t overflows.
+        A vector (dim,) takes a scalar time or a 1-d array of times, one
+        column per time; a block (dim, m) takes a scalar time.  Other shapes
+        raise ValueError naming both, as do a non-finite t and one whose
+        phase E*t overflows.
         """
         times = np.asarray(t, dtype=float)
+        amplitudes = np.asarray(amplitudes)
+        if (amplitudes.shape[:1] != (self.dim,)
+                or (amplitudes.ndim, times.ndim) not in ((1, 0), (1, 1), (2, 0))):
+            raise ValueError(f"amplitudes of shape {amplitudes.shape} with times of shape "
+                             f"{times.shape}: need ({self.dim},) with a scalar or a 1-d array "
+                             f"of times, or ({self.dim}, m) with a scalar time")
         if not np.all(np.isfinite(times)):
             raise ValueError(f"time must be finite, got {t}")
-        amplitudes = np.asarray(amplitudes)
         if self._potential is not None:
             return self._chebyshev_evolution(amplitudes, times)
-        evals, basis = self._diagonalized()
-        return basis.apply(_phase_step(evals, basis.apply_adjoint(amplitudes), times))
+        return self._basis.apply(_phase_step(self._energies, self._basis.apply_adjoint(amplitudes),
+                                             times))
 
     def _chebyshev_evolution(self, amplitudes: np.ndarray, times: np.ndarray) -> np.ndarray:
         """e^{-iHt} a = e^{-ict} sum_k (2 - delta_k0) (-i)^k J_k(Rt) T_k((H - c)/R) a.
@@ -346,17 +333,17 @@ def build_grid_operators(g: GridSpace) -> tuple[Observable, Observable, LinearOp
     the identity index order, P over the FFT-backed Fourier map.  Nothing
     is diagonalized or checked, their dense operators are formed only when
     read, and the returned F, :func:`fourier_map`'s matrix, is the only
-    n x n array written.
+    n x n array written (and copied once, into its LinearOperator).
     """
     n = g.n_points
     slices = [slice(j, j + 1) for j in range(n)]
-    X = Observable._wrap(g.positions, _IndexOrder(np.arange(n)), slices)
-    P = Observable._wrap(g.wavenumbers, _FourierBasis(n), slices)
-    return X, P, LinearOperator._wrap(fourier_map(g))
+    X = Observable(g.positions, _IndexOrder(np.arange(n)), slices)
+    P = Observable(g.wavenumbers, _FourierBasis(n), slices)
+    return X, P, LinearOperator(fourier_map(g))
 
 
 def _check_width(g: GridSpace, width: float):
-    if width <= 3 * g.dx:
+    if not width > 3 * g.dx:   # NaN fails too
         raise UnresolvableWidth(
             f"width {width} must exceed 3*dx = {3 * g.dx:.4g} to be resolvable")
     if width >= g.box_length / 10:
@@ -368,7 +355,8 @@ def gaussian_packet(g: GridSpace, x0: float, k0: float, width: float) -> PureSta
     """A normalized Gaussian wavepacket exp(-(x-x0)^2 / 2 width^2) e^{i k0 x}.
 
     The width must be resolvable (width > 3 dx) and contained
-    (width < box_length/10); otherwise UnresolvableWidth is raised.
+    (width < box_length/10); otherwise UnresolvableWidth is raised.  A
+    non-finite x0 or k0 makes the norm non-finite, which PureState refuses.
     """
     _check_width(g, width)
     x = g.positions
@@ -409,8 +397,11 @@ def free_hamiltonian(g: GridSpace, mass: float = 1.0, tags: int = 1) -> Hamilton
     the dynamics leaves alone (a which-way record), over the basis
     kron(F^dag, I_tags) applied by FFT: nothing is diagonalized or checked,
     and each evolution costs O(n log n) per state.  A mass that is not
-    positive (NaN included) or gives non-finite energies raises ValueError.
+    positive (NaN included) or gives non-finite energies, and ``tags`` that
+    is not a positive integer, raise ValueError.
     """
+    if not (np.ndim(tags) == 0 and np.asarray(tags).dtype.kind in "iu" and tags >= 1):
+        raise ValueError(f"tags must be a positive integer, got {tags!r}")
     return Hamiltonian.from_eigenbasis(np.repeat(_kinetic_energies(g, mass), tags),
                                        _FourierBasis(g.n_points, tags))
 
@@ -436,7 +427,7 @@ def barrier_hamiltonian(g: GridSpace, mass: float, height: float,
         raise ValueError(f"barrier window {window} invalid for {n} points")
     v = np.zeros(n)
     v[lo:hi] = height
-    return Hamiltonian._kinetic_plus_potential(_kinetic_energies(g, mass), v, _FourierBasis(n))
+    return Hamiltonian.from_eigenbasis(_kinetic_energies(g, mass), _FourierBasis(n), v)
 
 
 def packet_width(g: GridSpace, state: PureState) -> float:

@@ -29,15 +29,9 @@ SPECTRAL_TOL = 1e-9
 OUTCOME_TOL = 1e-6
 
 
-def _as_complex_vector(data) -> np.ndarray:
-    vec = np.asarray(data, dtype=complex)
-    if vec.ndim != 1:
-        raise ValueError(f"expected a 1-d amplitude vector, got shape {vec.shape}")
-    return vec
-
-
 def _as_complex_matrix(data) -> np.ndarray:
-    mat = np.asarray(data, dtype=complex)
+    """A complex copy of a square matrix: the one copy each constructor makes."""
+    mat = np.array(data, dtype=complex)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {mat.shape}")
     return mat
@@ -114,9 +108,10 @@ def _unit_rows(vectors: np.ndarray) -> np.ndarray:
     The norm sqrt(re.re + im.im) is, bit for bit, ``np.linalg.norm`` of the row.
     """
     norms = np.sqrt(np.vecdot(vectors.real, vectors.real) + np.vecdot(vectors.imag, vectors.imag))
-    i = _first(norms < MIN_STATE_NORM)
+    i = _first(np.logical_not((norms >= MIN_STATE_NORM) & (norms < np.inf)))   # NaN fails too
     if i is not None:
-        raise ValueError(f"state norm {norms[i]:.3e} below floor {MIN_STATE_NORM:.0e}")
+        why = f"below floor {MIN_STATE_NORM:.0e}" if norms[i] < MIN_STATE_NORM else "not finite"
+        raise ValueError(f"state norm {norms[i]:.3e} {why}")
     return vectors / norms[:, None]
 
 
@@ -226,21 +221,25 @@ class _FourierBasis:
         return self.apply(np.eye(np.arange(self.shape[1])[cols].size, dtype=complex), cols)
 
 
+_BASES = (_DenseBasis, _IndexOrder, _FourierBasis)
+
+
 class PureState:
     """A normalized state vector.
 
     Input amplitudes are renormalized; vectors with norm below
     ``MIN_STATE_NORM`` are rejected rather than silently blown up, since a
     near-zero vector almost always signals an upstream bug (e.g. projecting
-    onto an impossible outcome).
+    onto an impossible outcome), and so are vectors whose norm is not finite.
     """
 
     __slots__ = ("amplitudes", "dim")
 
     def __init__(self, amplitudes):
-        vec = _as_complex_vector(amplitudes)
-        self.amplitudes = _freeze(_unit_rows(vec[None])[0])
-        self.dim = vec.shape[0]
+        vec = np.asarray(amplitudes, dtype=complex)
+        if vec.ndim != 1:
+            raise ValueError(f"expected a 1-d amplitude vector, got shape {vec.shape}")
+        self.amplitudes, self.dim = _freeze(_unit_rows(vec[None])[0]), vec.shape[0]
 
     def inner(self, other: "PureState") -> complex:
         """Inner product <self|other>."""
@@ -263,16 +262,7 @@ class LinearOperator:
 
     def __init__(self, matrix):
         mat = _as_complex_matrix(matrix)
-        self.matrix = _freeze(mat.copy())
-        self.dim = mat.shape[0]
-
-    @classmethod
-    def _wrap(cls, matrix: np.ndarray) -> "LinearOperator":
-        # internal fast path: takes ownership, skips the copy
-        op = object.__new__(cls)
-        op.matrix = _freeze(np.asarray(matrix, dtype=complex))
-        op.dim = matrix.shape[0]
-        return op
+        self.matrix, self.dim = _freeze(mat), mat.shape[0]
 
 
 class DensityOperator:
@@ -294,8 +284,7 @@ class DensityOperator:
         min_eig = float(np.linalg.eigvalsh((mat + mat.conj().T) / 2).min())
         if min_eig < -HERMITIAN_TOL:
             raise ValueError(f"negative eigenvalue {min_eig:.3e}")
-        self.matrix = _freeze(mat.copy())
-        self.dim = mat.shape[0]
+        self.matrix, self.dim = _freeze(mat), mat.shape[0]
 
     @classmethod
     def maximally_mixed(cls, dim: int) -> "DensityOperator":
@@ -316,29 +305,20 @@ class Observable:
     are built when read.  The basis is one of three kinds: a dense matrix,
     an index order (the position grid and its regions: a permutation of
     unit vectors, never written out) or the grid's FFT-backed Fourier map
-    (momentum).  The constructor takes a dense matrix; it checks that the
-    basis is square and orthonormal (within 1e-9), the eigenvalues ascend,
-    and the slices tile the columns in order, and it copies the caller's
-    arrays.
+    (momentum).  A dense array ``basis`` is copied and checked: square and
+    orthonormal (within 1e-9), ascending eigenvalues, and slices that tile
+    the columns in order.  A basis object, an exact construction, is taken
+    as given.
     """
 
     __slots__ = ("eigenvalues", "_basis", "_slices", "_operator")
 
     def __init__(self, eigenvalues, basis, slices):
-        vals = np.array(eigenvalues, dtype=float)
-        basis = _as_complex_matrix(basis).copy()
-        slices = tuple(slices)
-        _check_eigenbases(vals[None], basis[None], slices)
-        self._set(vals, _DenseBasis(basis), slices)
-
-    @classmethod
-    def _wrap(cls, eigenvalues, basis, slices) -> "Observable":
-        # internal fast path for exact constructions: takes a basis of any kind, skips the checks
-        obs = object.__new__(cls)
-        obs._set(np.asarray(eigenvalues, dtype=float), basis, tuple(slices))
-        return obs
-
-    def _set(self, vals, basis, slices):
+        vals, slices = np.array(eigenvalues, dtype=float), tuple(slices)
+        if not isinstance(basis, _BASES):
+            matrix = _as_complex_matrix(basis)
+            _check_eigenbases(vals[None], matrix[None], slices)
+            basis = _DenseBasis(matrix)
         self.eigenvalues, self._basis = _freeze(vals), basis
         self._slices, self._operator = slices, None
 
@@ -354,7 +334,7 @@ class Observable:
     def operator(self) -> LinearOperator:
         """The dense operator sum_i v_i Pi_i, built from the blocks on first read."""
         if self._operator is None:
-            self._operator = LinearOperator._wrap(
+            self._operator = LinearOperator(
                 _resolution(self.eigenvalues, self._basis.columns(), self._slices))
         return self._operator
 
@@ -372,7 +352,7 @@ class Observable:
 
     def projector(self, i: int) -> LinearOperator:
         block = self.eigenbasis(i)
-        return LinearOperator._wrap(block @ block.conj().T)
+        return LinearOperator(block @ block.conj().T)
 
     @property
     def spectrum(self) -> list[tuple[float, LinearOperator]]:
@@ -454,10 +434,8 @@ def spectral_decompose(op: LinearOperator) -> Observable:
     """
     evals, evecs = np.linalg.eigh(op.matrix)
     slices = _eigenspace_slices(evals)
-    vals, rebuilt = _check_spectra(op.matrix[None], evals[None], evecs[None], slices)
-    obs = Observable._wrap(vals[0], _DenseBasis(evecs), slices)
-    obs._operator = LinearOperator._wrap(rebuilt[0])
-    return obs
+    vals, _ = _check_spectra(op.matrix[None], evals[None], evecs[None], slices)
+    return Observable(vals[0], _DenseBasis(evecs), slices)
 
 
 def _born_weights(coefficients: np.ndarray, slices: Sequence[slice]) -> np.ndarray:
@@ -493,7 +471,7 @@ def tensor_product(a, b):
     mat = np.kron(a.matrix, b.matrix)
     if isinstance(a, DensityOperator) and isinstance(b, DensityOperator):
         return DensityOperator(mat)
-    return LinearOperator._wrap(mat)
+    return LinearOperator(mat)
 
 
 def partial_trace(rho: DensityOperator, subsystem_dims: Sequence[int],

@@ -142,7 +142,7 @@ def class_operator(hs: HistorySet, alpha: Sequence[int]) -> LinearOperator:
         # Pi = B B^dag with B the entry's columns of the family's basis
         C = basis.apply(basis.apply_adjoint(hs.hamiltonian.evolve_amplitudes(C, dt), slices[a]),
                         slices[a])
-    return LinearOperator._wrap(C)
+    return LinearOperator(C)
 
 
 class DecoherenceFunctional:

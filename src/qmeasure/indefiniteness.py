@@ -87,10 +87,10 @@ def region_projector(g: GridSpace, window: tuple[int, int]) -> Observable:
     inside = np.zeros(n, dtype=bool)
     inside[lo:hi] = True
     if inside.all():
-        return Observable._wrap([1.0], _IndexOrder(np.arange(n)), [slice(0, n)])
+        return Observable([1.0], _IndexOrder(np.arange(n)), [slice(0, n)])
     order = np.argsort(inside, kind="stable")  # eigenvalue 0 columns first
     n_out = n - int(inside.sum())
-    return Observable._wrap([0.0, 1.0], _IndexOrder(order), [slice(0, n_out), slice(n_out, n)])
+    return Observable([0.0, 1.0], _IndexOrder(order), [slice(0, n_out), slice(n_out, n)])
 
 
 def delocalization_demo(g: GridSpace, H: Hamiltonian, psi0: PureState,

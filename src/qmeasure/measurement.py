@@ -66,7 +66,7 @@ def _normalized(probs: np.ndarray, sum_tol: float = 1e-10) -> np.ndarray:
         raise InvalidDistribution(f"probability {worst[i]:.3e} below clamp limit")
     probs = np.clip(probs, 0.0, None)
     total = probs.sum(axis=-1)
-    i = _first(np.abs(total - 1.0) > sum_tol)
+    i = _first(np.logical_not(np.abs(total - 1.0) <= sum_tol))   # NaN fails too
     if i is not None:
         raise InvalidDistribution(f"probabilities sum to {float(total[i])!r}, not 1")
     return probs / total[:, None]
@@ -123,8 +123,8 @@ class Povm:
     row l = 1 (``_left`` is None).  Given ``boosts``, the left rows are
     l_a = sqrt(dim) V[:, boosts[a]] of the grid's Fourier basis V (``_left``
     is ``(V, boosts)``), which are never written out, as in the phase-space
-    family.  Mismatched shapes, effect indices outside the labels and
-    weights below -1e-9 raise InvalidPovm.  Completeness
+    family.  Mismatched shapes, effect indices outside the labels, boosts
+    outside [0, dim) and weights below -1e-9 raise InvalidPovm.  Completeness
     (||sum M - 1||_max <= 1e-8, or 1e-6 for a boosted family, a discretized
     phase-space tiling) is evaluated once, at construction.
     ``labels`` is an immutable sequence: a tuple, except for the phase-space
@@ -151,6 +151,8 @@ class Povm:
         total = (right.T * weights) @ right.conj()
         if boosts is not None:
             left = basis, boosts = _FourierBasis(n), np.asarray(boosts)
+            if boosts.ndim != 1 or not np.all((boosts >= 0) & (boosts < n)):
+                raise InvalidPovm(f"need a 1-d array of boost indices in [0, {n})")
             h = basis.apply(np.full(len(boosts), np.sqrt(n)), boosts)
             # G[x, y] = h[(x - y + n/2) mod n]: the windows of h's periodic extension, reversed
             windows = sliding_window_view(np.concatenate((h[n // 2 + 1:], h, h[:n // 2])), n)
@@ -208,7 +210,7 @@ class Povm:
         if self._left is not None:
             basis, boosts = self._left
             v = v * (np.sqrt(self.dim) * basis.columns(boosts[rows])).T
-        return LinearOperator._wrap((v.T * self._weights[cols]) @ v.conj())
+        return LinearOperator((v.T * self._weights[cols]) @ v.conj())
 
     @property
     def elements(self) -> list[tuple[Hashable, LinearOperator]]:
@@ -359,13 +361,16 @@ def build_phase_space_povm(g: GridSpace, packet_width: float,
     circulant Gram matrix.
 
     Restricting ``p_indices``/``q_indices`` to a partial tiling raises
-    IncompleteTiling once the completeness deficit exceeds 1e-6.
+    IncompleteTiling once the completeness deficit exceeds 1e-6, as does an
+    index outside [0, n).
     """
     n = g.n_points
     p_idx = list(range(n)) if p_indices is None else [int(a) for a in p_indices]
     q_idx = list(range(n)) if q_indices is None else [int(b) for b in q_indices]
     if len(set(p_idx)) != len(p_idx) or len(set(q_idx)) != len(q_idx):
         raise IncompleteTiling("cells must cover each lattice point at most once")
+    if not all(0 <= b < n for b in q_idx):
+        raise IncompleteTiling(f"need shift indices in [0, {n})")
     phi = gaussian_packet(g, 0.0, 0.0, packet_width).amplitudes.real
     shifted = phi[(np.arange(n) - np.array(q_idx)[:, None] + n // 2) % n]
     try:

@@ -92,7 +92,7 @@ class MeasurementModel:
             unitarity = _identity_defect(U.conj().T @ U)
             if unitarity > MODEL_TOL:
                 raise NonExtendable(f"completion failed: unitarity defect {unitarity:.3e}")
-            self._unitary = LinearOperator._wrap(U)
+            self._unitary = LinearOperator(U)
         return self._unitary
 
 

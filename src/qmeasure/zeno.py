@@ -25,7 +25,7 @@ SECULAR_MAX_SWEEPS = 60
 SECULAR_STEP_ULPS = 4
 WEIGHT_SUM_TOL = 1e-12
 # rabi_zeno's rotation by t radians about x, and the state it starts in and is projected onto
-RABI_GENERATOR = Hamiltonian(LinearOperator([[0, 0.5], [0.5, 0]]))
+RABI_GENERATOR = LinearOperator([[0, 0.5], [0.5, 0]])
 UP = basis_state(2, 0).amplitudes
 
 
@@ -263,7 +263,8 @@ def rabi_zeno(theta: float, n_projections):
 def _rabi_survivals(theta: float, n: np.ndarray) -> np.ndarray:
     """|<up|U(theta/N)|up>|^2N for an integer array of counts N >= 1, from one evolution."""
     counts = n.ravel()
-    magnitudes = np.abs(RABI_GENERATOR.evolve_amplitudes(UP, theta / counts)[0])
+    # diagonalized per call, not at import, where the first eigh costs every process ~0.8 MB RSS
+    magnitudes = np.abs(Hamiltonian(RABI_GENERATOR).evolve_amplitudes(UP, theta / counts)[0])
     # libm's pow per count: numpy's array power can differ from it in the last bit
     return np.reshape([m ** (2 * k) for m, k in zip(magnitudes.tolist(), counts.tolist())],
                       n.shape)

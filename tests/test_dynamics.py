@@ -441,7 +441,6 @@ class TestFourierBasis:
     def test_real_hamiltonian_uses_real_eigh_and_complex_vectors(self, rng, monkeypatch):
         a = rng.standard_normal((6, 6))
         m = a + a.T
-        H = Hamiltonian(LinearOperator(m))
         seen = []
         eigh = np.linalg.eigh
 
@@ -450,6 +449,7 @@ class TestFourierBasis:
             return eigh(matrix, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "eigh", spy)
+        H = Hamiltonian(LinearOperator(m))   # diagonalized here, once
         energies, basis = H.eigensystem()
         monkeypatch.undo()
         assert seen == [np.dtype(float)]
@@ -630,6 +630,67 @@ class TestChebyshevBarrier:
         for height in (np.nan, np.inf, -np.inf):
             with pytest.raises(ValueError, match="finite"):
                 barrier_hamiltonian(g, 1.0, height, (2, 4))
+
+
+def _hamiltonian_of_kind(kind):
+    """A 16-dimensional Hamiltonian of each construction route."""
+    g = GridSpace(16, 8.0)
+    if kind == "dense":
+        return Hamiltonian(random_hermitian(np.random.default_rng(3), 16))
+    if kind == "free":
+        return free_hamiltonian(g)
+    if kind == "tagged":
+        return free_hamiltonian(GridSpace(8, 8.0), tags=2)
+    return barrier_hamiltonian(g, 1.0, 5.0, (2, 4))
+
+
+class TestEvolveShapes:
+    """evolve_amplitudes checks its shape contract once, the same for every Hamiltonian."""
+
+    @pytest.mark.parametrize("kind", ["dense", "free", "tagged", "barrier"])
+    @pytest.mark.parametrize("amplitudes, t", [
+        ((16, 3), [0.1, 0.2, 0.3]), ((16, 3), [0.1, 0.2]), ((16, 2, 2), 0.1), ((15,), 0.1),
+        ((17,), [0.1, 0.2]), ((16,), [[0.1, 0.2]]), ((), 0.1)],
+        ids=["block-paired-times", "block-times", "3-d", "short", "long", "2-d-times", "0-d"])
+    def test_other_shapes_raise_one_value_error(self, kind, amplitudes, t):
+        # a block with an array of times was paired column by column, broadcast or
+        # outer-producted depending on the kernel; 3-d input and wrong lengths failed
+        # inside numpy, or as an IndexError on a barrier
+        H = _hamiltonian_of_kind(kind)
+        message = (re.escape(f"amplitudes of shape {amplitudes} with times of shape "
+                             f"{np.shape(t)}: need (16,) with a scalar or a 1-d array")
+                   + ".*" + re.escape("or (16, m) with a scalar time"))
+        with pytest.raises(ValueError, match=message):
+            H.evolve_amplitudes(np.ones(amplitudes, dtype=complex), t)
+
+    @pytest.mark.parametrize("tags", [0, -1, 1.5, 2.0, True, np.array([2])])
+    def test_free_hamiltonian_needs_positive_integer_tags(self, tags):
+        # tags=0 built a dim-0 Hamiltonian; tags=-1 failed inside np.repeat
+        with pytest.raises(ValueError, match="tags must be a positive integer"):
+            free_hamiltonian(GridSpace(16, 8.0), tags=tags)
+
+
+class TestConstruction:
+    def test_dense_hamiltonian_diagonalizes_once_at_construction(self, rng, monkeypatch):
+        calls = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda m: calls.append(1) or eigh(m))
+        H = Hamiltonian(random_hermitian(rng, 5))
+        assert calls == [1]
+        psi = random_state(rng, 5)
+        H.evolve(psi, 0.3)
+        H.evolve_amplitudes(np.eye(5, dtype=complex), 1.1)
+        H.eigensystem()
+        assert calls == [1]
+
+    def test_potential_needs_the_untagged_fourier_map(self):
+        v, energies = np.zeros(8), np.arange(8.0)
+        for basis in (_FourierBasis(4, 2), np.eye(8), _IndexOrder(np.arange(8))):
+            with pytest.raises(ValueError, match="untagged Fourier map"):
+                Hamiltonian.from_eigenbasis(energies, basis, v)
+        for potential in (np.zeros(7), v + 1j, np.full(8, np.nan)):
+            with pytest.raises(ValueError, match="one finite real value per grid point"):
+                Hamiltonian.from_eigenbasis(energies, _FourierBasis(8), potential)
 
 
 class TestTruncatedPacket:

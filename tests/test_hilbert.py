@@ -16,7 +16,8 @@ from qmeasure import (
     spectral_decompose,
     tensor_product,
 )
-from qmeasure import InvalidPovm, MeasurementModel, NonExtendable, Povm, Propagator
+from qmeasure import GridSpace, InvalidDistribution, InvalidPovm, MeasurementModel, \
+    NonExtendable, OutcomeDistribution, Povm, Propagator, UnresolvableWidth, gaussian_packet
 from qmeasure.dynamics import Hamiltonian
 from qmeasure.hilbert import _check_spectra, _hermitian_within_tol, _identity_defect, \
     _projector_defect, _require_hermitian, _unit_rows, hermiticity_defect
@@ -377,9 +378,18 @@ def _nan_isometry_model():
     (lambda: Hamiltonian.from_eigenbasis([0, 1], np.full((2, 2), np.nan)),
      ValueError, "eigenbasis unitarity defect inf"),
     (lambda: _projector_matrix(np.full((2, 2), np.nan)), ValueError, "not a projector: defect inf"),
+    (lambda: PureState([np.nan, 1.0]), ValueError, "state norm nan not finite"),
+    (lambda: PureState([np.inf, 1.0]), ValueError, "state norm inf not finite"),
+    (lambda: gaussian_packet(GridSpace(64, 16.0), 0.0, 0.0, np.nan), UnresolvableWidth,
+     "width nan must exceed 3"),
+    (lambda: gaussian_packet(GridSpace(64, 16.0), np.nan, 0.0, 1.0), ValueError,
+     "state norm nan not finite"),
+    (lambda: OutcomeDistribution(["a", "b"], [np.nan, 1.0]), InvalidDistribution,
+     "probabilities sum to nan, not 1"),
 ], ids=["povm-nan-vector", "povm-inf-weight", "measurement-model", "propagator",
-        "hamiltonian-eigenbasis", "scan-projector"])
+        "hamiltonian-eigenbasis", "scan-projector", "state-nan", "state-inf",
+        "packet-nan-width", "packet-nan-x0", "distribution-nan"])
 def test_nan_fails_the_defect_checks_where_it_enters(build, error, message):
-    # NaN > tol is False: a NaN defect once passed every check it reached
+    # NaN > tol is False: a NaN defect, norm, width or total once passed every check it reached
     with np.errstate(invalid="ignore"), pytest.raises(error, match=message):
         build()

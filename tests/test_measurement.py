@@ -167,7 +167,7 @@ def _observable_of_kind(kind, n, rng):
     else:
         basis, dense = _FourierBasis(n), fourier_map(GridSpace(n, 20.0)).conj().T
     slices = [slice(0, 3), slice(3, 4), slice(4, n)]
-    return Observable._wrap([-1.0, 0.5, 2.0], basis, slices), dense, slices
+    return Observable([-1.0, 0.5, 2.0], basis, slices), dense, slices
 
 
 class TestProjectionThroughTheBasis:
@@ -199,7 +199,7 @@ class TestProjectionThroughTheBasis:
         # one pair of full adjoint applications serves every outcome: one transform
         # of rho per outcome made a Fourier observable's n outcomes cost O(n^3 log n)
         obs, dense, _ = _observable_of_kind(kind, 16, rng)
-        fine = Observable._wrap(np.arange(16.0), obs._basis, [slice(j, j + 1) for j in range(16)])
+        fine = Observable(np.arange(16.0), obs._basis, [slice(j, j + 1) for j in range(16)])
         rho = random_density(rng, 16)
         calls = []
         adjoint = type(obs._basis).apply_adjoint
@@ -445,6 +445,17 @@ class TestPhaseSpacePovm:
         g = GridSpace(64, 16.0)
         with pytest.raises(IncompleteTiling):
             build_phase_space_povm(g, 0.8, p_indices=range(32))
+
+    @pytest.mark.parametrize("indices, message", [
+        ({"p_indices": [64]}, r"boost indices in \[0, 64\)"),
+        ({"p_indices": range(-1, 63)}, r"boost indices in \[0, 64\)"),
+        ({"q_indices": range(-1, 63)}, r"need shift indices in \[0, 64\)")],
+        ids=["boost-64", "boosts-from-minus-1", "shifts-from-minus-1"])
+    def test_cell_indices_outside_the_grid_rejected(self, indices, message):
+        # index 64 raised a bare IndexError, and -1 wrapped round to 63: a complete
+        # family whose cells at 63 were labelled -1
+        with pytest.raises(IncompleteTiling, match=message):
+            build_phase_space_povm(GridSpace(64, 16.0), 0.8, **indices)
 
     @pytest.mark.parametrize("p_indices", [None, range(32), range(0, 64, 3)])
     def test_incomplete_position_tiling_rejected(self, p_indices):
