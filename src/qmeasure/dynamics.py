@@ -90,9 +90,9 @@ def _phase_step(energies: np.ndarray, coefficients, times) -> np.ndarray:
 class Hamiltonian:
     """A Hermitian generator of time evolution, which holds its spectrum from construction.
 
-    Every propagation goes through :meth:`evolve_amplitudes`, except that
-    ``indefiniteness_scan`` applies one block's phase table e^{-iEt} to
-    several states over the same V and E.  Mostly it is
+    Every propagation goes through :meth:`evolve_amplitudes`;
+    ``indefiniteness_scan`` propagates no state, and reads only
+    :meth:`eigensystem` for its ||Q^dag V e^{-iEt} V^dag psi||^2.  Mostly it is
     U(t) = V e^{-iEt} V^dag from energies E and a basis V (see
     :mod:`qmeasure.hilbert`): ``Hamiltonian(op)`` diagonalizes a dense
     operator at construction, by a real symmetric ``eigh`` when its matrix
@@ -155,20 +155,16 @@ class Hamiltonian:
             self._op = LinearOperator((m + m.conj().T) / 2)
         return self._op
 
-    def _diagonalized(self) -> tuple[np.ndarray, _DenseBasis | _FourierBasis]:
-        """(E, V) with E in the order of V's columns; a grid potential's is computed per call."""
-        if self._potential is None:
-            return self._energies, self._basis
-        return Hamiltonian(self.op)._diagonalized()   # the Fourier map diagonalizes the kinetic part
-
     def eigensystem(self) -> tuple[np.ndarray, np.ndarray]:
         """Ascending energies and the dense unitary whose columns are their eigenvectors.
 
         The columns of a known basis are sorted by energy and written out
         on each call; a grid potential's dense operator is diagonalized on
-        each call.
+        each call, because the Fourier map diagonalizes only its kinetic part.
         """
-        evals, basis = self._diagonalized()
+        if self._potential is not None:
+            return Hamiltonian(self.op).eigensystem()
+        evals, basis = self._energies, self._basis
         # an ascending spectrum (every eigh) keeps its basis as it is stored
         order = slice(None) if np.all(evals[:-1] <= evals[1:]) else np.argsort(evals, kind="stable")
         return _freeze(evals[order]), _freeze(basis.columns(order))

@@ -106,10 +106,18 @@ def _unit_rows(vectors: np.ndarray) -> np.ndarray:
     """Each complex row of a stack (m, n) over its norm; raises below MIN_STATE_NORM.
 
     The norm sqrt(re.re + im.im) is, bit for bit, ``np.linalg.norm`` of the row.
+    A row of finite entries whose squares overflow is first divided by its
+    largest real or imaginary magnitude.
     """
-    norms = np.sqrt(np.vecdot(vectors.real, vectors.real) + np.vecdot(vectors.imag, vectors.imag))
+    with np.errstate(over="ignore"):   # squares past the double range are rescaled below
+        norms = np.sqrt(np.vecdot(vectors.real, vectors.real)
+                        + np.vecdot(vectors.imag, vectors.imag))
     i = _first(np.logical_not((norms >= MIN_STATE_NORM) & (norms < np.inf)))   # NaN fails too
     if i is not None:
+        huge = np.isinf(norms) & np.isfinite(vectors).all(axis=-1)
+        if huge.any():
+            scale = np.maximum(np.abs(vectors.real), np.abs(vectors.imag)).max(axis=-1)
+            return _unit_rows(vectors / np.where(huge, scale, 1.0)[:, None])
         why = f"below floor {MIN_STATE_NORM:.0e}" if norms[i] < MIN_STATE_NORM else "not finite"
         raise ValueError(f"state norm {norms[i]:.3e} {why}")
     return vectors / norms[:, None]

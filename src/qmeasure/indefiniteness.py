@@ -17,7 +17,7 @@ import numpy as np
 from .errors import DimensionMismatch, EmptyRegion
 from .dynamics import GridSpace, Hamiltonian, _phases
 from .hilbert import LinearOperator, Observable, PureState, _IndexOrder, \
-    _cluster_slices, _projector_defect
+    _cluster_slices, _projector_range
 
 ZERO_THRESHOLD = 1e-10
 INVARIANCE_TOL = 1e-9
@@ -54,14 +54,14 @@ def ee_link_status(state: PureState, obs: Observable) -> DefinitenessReport:
     if state.dim != obs.dim:
         raise DimensionMismatch(f"state dim {state.dim} vs observable dim {obs.dim}")
     weights = obs._weights(state.amplitudes)
-    # ||psi - Pi psi||^2 = 1 - <Pi> for a normalized state
-    residuals = np.sqrt(np.clip(1.0 - weights, 0.0, None))
-    best = int(np.argmin(residuals))
-    if residuals[best] < ZERO_THRESHOLD:
+    best = int(np.argmax(weights))
+    # ||psi - Pi psi||^2 is the other eigenspaces' weight: 1 - <Pi> would cancel
+    residual = float(np.sqrt(np.sum(np.delete(weights, best))))
+    if residual < ZERO_THRESHOLD:
         return DefinitenessReport(
             status="definite",
             value=float(obs.eigenvalues[best]),
-            residual=float(residuals[best]),
+            residual=residual,
             support=((float(obs.eigenvalues[best]), float(weights[best])),),
             threshold=ZERO_THRESHOLD,
         )
@@ -134,14 +134,6 @@ class IndefinitenessScan:
     threshold: float
 
 
-def _projector_matrix(projector) -> np.ndarray:
-    mat = projector.matrix if isinstance(projector, LinearOperator) else np.asarray(projector, complex)
-    defect = _projector_defect(mat)
-    if defect > 1e-9:
-        raise ValueError(f"not a projector: defect {defect:.3e}")
-    return mat
-
-
 def _kernel_criterion(evals: np.ndarray, evecs: np.ndarray, psi0: PureState,
                       proj: np.ndarray) -> bool:
     """Whether the evolved ray stays in ker(Pi) for all times.
@@ -161,7 +153,7 @@ def _kernel_criterion(evals: np.ndarray, evecs: np.ndarray, psi0: PureState,
     return True
 
 
-SCAN_BLOCK = 4096  # times per block: one block's phases and evolved states are live at once
+SCAN_BLOCK = 2048  # times per block: one block's phases and range amplitudes are live at once
 
 
 def indefiniteness_scan(H: Hamiltonian, psi0, projector, times):
@@ -173,13 +165,23 @@ def indefiniteness_scan(H: Hamiltonian, psi0, projector, times):
     and projectors that share H and the times: the result is then a list of
     scans, one per pair, and each block of times has its phases e^{-iEt}
     computed once for every pair.  A state or projector whose dimension is
-    not H's raises DimensionMismatch.
+    not H's raises DimensionMismatch.  With H = V diag(E) V^dag, c = V^dag psi0
+    and Q orthonormal columns spanning Pi's range, each value is
+    ||Q^dag V diag(c) e^{-iEt}||^2: r numbers per time for a rank-r
+    projector, and no evolved state is written out.
     """
     single = isinstance(psi0, PureState)
     states, projectors = ([psi0], [projector]) if single else (list(psi0), list(projector))
     if len(states) != len(projectors):
         raise ValueError(f"{len(states)} states vs {len(projectors)} projectors")
-    mats = [_projector_matrix(p) for p in projectors]
+    mats = [p.matrix if isinstance(p, LinearOperator) else np.asarray(p, complex)
+            for p in projectors]
+    ranges = []
+    for mat in mats:
+        block, defect = _projector_range(mat)
+        if block is None:
+            raise ValueError(f"not a projector: defect {defect:.3e}")
+        ranges.append(block)
     for state, mat in zip(states, mats):
         for kind, dim in (("state", state.dim), ("projector", mat.shape[0])):
             if dim != H.dim:
@@ -189,27 +191,20 @@ def indefiniteness_scan(H: Hamiltonian, psi0, projector, times):
         raise ValueError(f"need a time grid of at least 1000 points, got {times.size}")
     if not np.all(np.isfinite(times)):
         raise ValueError("times must be finite")
-    evals, basis = H._diagonalized()
-    coefficients = [basis.apply_adjoint(state.amplitudes)[:, None] for state in states]
+    evals, evecs = H.eigensystem()
+    tables = [(q.conj().T @ evecs) * (evecs.conj().T @ state.amplitudes)  # Q^dag V diag(c)
+              for state, q in zip(states, ranges)]
     series = np.empty((len(states), times.size))
     for block in np.array_split(np.arange(times.size), 1 + times.size // SCAN_BLOCK):
         lo, hi = block[0], block[-1] + 1
         phases = _phases(evals, times[lo:hi])
-        for row, c, mat in zip(series, coefficients, mats):
-            row[lo:hi] = _expectations(basis.apply(phases * c), mat)  # a column per time
+        for row, table in zip(series, tables):
+            amplitudes = table @ phases  # Q^dag psi(t), a column per time
+            row[lo:hi] = np.vecdot(amplitudes, amplitudes, axis=0).real
         del phases  # the next block's phases replace these rather than join them
-    np.clip(series, 0.0, None, out=series)
-    eigensystem = H.eigensystem()
-    scans = [_classified(times, row, _kernel_criterion(*eigensystem, state, mat))
+    scans = [_classified(times, row, _kernel_criterion(evals, evecs, state, mat))
              for row, state, mat in zip(series, states, mats)]
     return scans[0] if single else scans
-
-
-def _expectations(psi_t: np.ndarray, proj: np.ndarray) -> np.ndarray:
-    """Re sum_j conj(psi_j) (Pi psi)_j per column, overwriting ``psi_t`` with its conjugate."""
-    weighted = proj @ psi_t
-    np.multiply(np.conjugate(psi_t, out=psi_t), weighted, out=weighted)
-    return np.sum(weighted, axis=0).real
 
 
 def _classified(times: np.ndarray, series: np.ndarray, kernel_invariant: bool) -> IndefinitenessScan:

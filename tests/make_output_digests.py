@@ -10,6 +10,9 @@ console's ``wrote`` line reads the same on every machine.  The file keeps
 each run's exit code and the SHA-256 of its console lines, CSV, sidecar and
 JSON output, and the numpy and BLAS builds that made them.
 ``tests/test_output_digests.py`` checks the installed package against it.
+Before it overwrites the file, the script prints each config whose digests
+moved against the committed ones, with the keys that moved: the list
+``tests/test_output_digests.py`` reports on a mismatch.
 """
 
 from __future__ import annotations
@@ -100,9 +103,29 @@ def all_digests() -> dict[str, dict]:
     return result
 
 
+def moved(expected: dict[str, dict], actual: dict[str, dict]) -> dict[str, list[str]]:
+    """Config name -> the keys whose digests differ, for every config in either record.
+
+    A config present on one side only has all of its keys moved.
+    """
+    result = {}
+    for name in sorted(expected.keys() | actual.keys()):
+        old, new = expected.get(name, {}), actual.get(name, {})
+        keys = sorted(key for key in old.keys() | new.keys() if old.get(key) != new.get(key))
+        if keys:
+            result[name] = keys
+    return result
+
+
 def main() -> None:
     DIGESTS.parent.mkdir(exist_ok=True)
     record = {"environment": environment(), "configs": all_digests()}
+    if DIGESTS.exists():
+        committed = json.loads(DIGESTS.read_text())
+        changes = moved(committed["configs"], record["configs"])
+        for name, keys in changes.items():
+            print(f"moved {name}: {', '.join(keys)}")
+        print(f"{len(changes)} of {len(record['configs'])} configs moved")
     DIGESTS.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
     print(f"wrote {len(record['configs'])} configs to {DIGESTS}")
 

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -21,7 +23,7 @@ from qmeasure import GridSpace, InvalidDistribution, InvalidPovm, MeasurementMod
 from qmeasure.dynamics import Hamiltonian
 from qmeasure.hilbert import _check_spectra, _hermitian_within_tol, _identity_defect, \
     _projector_defect, _require_hermitian, _unit_rows, hermiticity_defect
-from qmeasure.indefiniteness import _projector_matrix
+from qmeasure.indefiniteness import indefiniteness_scan
 from conftest import random_density, random_hermitian, random_projector, random_state
 
 
@@ -44,6 +46,24 @@ class TestPureState:
         for _ in range(20):
             s = random_state(rng, int(rng.integers(2, 9)))
             assert abs(np.vdot(s.amplitudes, s.amplitudes) - 1) < 1e-10
+
+    def test_accepts_finite_amplitudes_whose_squares_overflow(self):
+        # 1e200 squared is inf; the row is rescaled by its largest magnitude first
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            np.testing.assert_array_equal(PureState([1e200, 0.0]).amplitudes, [1.0, 0.0])
+            np.testing.assert_allclose(PureState([1e200, 1e200]).amplitudes,
+                                       [2 ** -0.5] * 2, rtol=0, atol=1e-15)
+            np.testing.assert_allclose(PureState([-1e200j, 1.0]).amplitudes, [-1j, 0.0],
+                                       rtol=0, atol=1e-15)
+
+    def test_huge_row_leaves_the_other_rows_bit_for_bit(self, rng):
+        rows = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
+        plain = _unit_rows(rows)
+        rows[1] *= 1e300
+        unit = _unit_rows(rows)
+        np.testing.assert_array_equal(unit[[0, 2]], plain[[0, 2]])
+        np.testing.assert_allclose(unit[1], plain[1], rtol=0, atol=1e-15)
 
 
 class TestDensityOperator:
@@ -377,7 +397,9 @@ def _nan_isometry_model():
      ValueError, "propagator unitarity defect inf"),
     (lambda: Hamiltonian.from_eigenbasis([0, 1], np.full((2, 2), np.nan)),
      ValueError, "eigenbasis unitarity defect inf"),
-    (lambda: _projector_matrix(np.full((2, 2), np.nan)), ValueError, "not a projector: defect inf"),
+    (lambda: indefiniteness_scan(Hamiltonian(SIGMA_Z), basis_state(2, 0), np.full((2, 2), np.nan),
+                                 np.linspace(0.0, 1.0, 1000)),
+     ValueError, "not a projector: defect inf"),
     (lambda: PureState([np.nan, 1.0]), ValueError, "state norm nan not finite"),
     (lambda: PureState([np.inf, 1.0]), ValueError, "state norm inf not finite"),
     (lambda: gaussian_packet(GridSpace(64, 16.0), 0.0, 0.0, np.nan), UnresolvableWidth,

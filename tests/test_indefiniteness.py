@@ -74,6 +74,30 @@ class TestEeLinkStatus:
         d = born_distribution(s, obs)
         assert d.probability(report.value) == pytest.approx(1.0, abs=1e-10)
 
+    def test_phased_nondegenerate_eigenvectors_are_definite(self):
+        # a weight of 1 - 1e-16 once read as the residual sqrt(1e-16) = 1e-8
+        rng = np.random.default_rng(2024)
+        for _ in range(2000):
+            obs = spectral_decompose(random_hermitian(rng, 5))
+            i = int(rng.integers(5))
+            psi = PureState(np.exp(2j * np.pi * rng.random()) * obs.eigenbasis(i)[:, 0])
+            report = ee_link_status(psi, obs)
+            assert report.is_definite and report.value == obs.eigenvalues[i]
+            assert report.residual < 1e-14
+
+    def test_states_in_a_twofold_eigenspace_are_definite(self):
+        rng = np.random.default_rng(2025)
+        for _ in range(2000):
+            v, _ = np.linalg.qr(rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)))
+            levels = np.array([-1.0, -1.0, 0.5, 1.5, 2.0, 3.0])
+            obs = spectral_decompose(LinearOperator((v * levels) @ v.conj().T))
+            assert obs.multiplicity(0) == 2
+            psi = PureState(obs.eigenbasis(0) @ (rng.standard_normal(2)
+                                                 + 1j * rng.standard_normal(2)))
+            report = ee_link_status(psi, obs)
+            assert report.is_definite and report.value == pytest.approx(-1.0)
+            assert report.residual < 1e-14
+
 
 class TestRegionProjector:
     def test_full_grid_is_identity(self):
@@ -279,6 +303,44 @@ class TestIndefinitenessScan:
         np.testing.assert_allclose(scan.series, np.clip(oracle, 0.0, None), rtol=0, atol=1e-12)
         assert scan.classification == "isolated-zeros"
 
+    def test_barrier_hamiltonian_is_diagonalized_once_per_scan(self, monkeypatch):
+        g = GridSpace(64, 20.0)
+        H = barrier_hamiltonian(g, 1.0, 2.0, (30, 34))
+        dense = H.op.matrix
+        arguments = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda m: arguments.append(m) or eigh(m))
+        psi0 = truncated_gaussian_packet(g, -4.0, 1.0, 1.0, (10, 30))
+        proj = region_projector(g, (34, 64)).projector(1)
+        indefiniteness_scan(H, psi0, proj, np.linspace(0.0, 3.0, 1000))
+        # the projector is factored by its own eigh; the Hamiltonian's is the other one
+        assert [m.shape for m in arguments] == [(64, 64)] * 2
+        assert sum(np.array_equal(m, dense) for m in arguments) == 1
+
+    def test_zero_projector_scans_exactly_zero(self, rng):
+        H = Hamiltonian(random_hermitian(rng, 5))
+        scan = indefiniteness_scan(H, random_state(rng, 5), LinearOperator(np.zeros((5, 5))),
+                                   np.linspace(0.0, 10.0, 1000))
+        assert np.array_equal(scan.series, np.zeros(1000))
+        assert scan.classification == "identically-zero"
+
+    @pytest.mark.parametrize("grid", [False, True], ids=["dense", "fourier"])
+    def test_identity_projector_scans_one(self, rng, grid):
+        H = free_hamiltonian(GridSpace(32, 20.0), 1.0) if grid else Hamiltonian(random_hermitian(rng, 5))
+        scan = indefiniteness_scan(H, random_state(rng, H.dim), LinearOperator(np.eye(H.dim)),
+                                   np.linspace(0.0, 10.0, 1000))
+        np.testing.assert_allclose(scan.series, 1.0, rtol=0, atol=1e-12)
+        assert scan.classification == "never-zero"
+
+    def test_rank_above_half_matches_dense_oracle(self, rng):
+        H = Hamiltonian(random_hermitian(rng, 12))
+        psi0, proj = random_state(rng, 12), random_projector(rng, 12, 9)
+        times = np.linspace(0.0, 20.0, 5000)
+        scan = indefiniteness_scan(H, psi0, proj, times)
+        oracle = [np.vdot(psi, proj.matrix @ psi).real
+                  for psi in (H.evolve(psi0, t).amplitudes for t in times)]
+        np.testing.assert_allclose(scan.series, oracle, rtol=0, atol=1e-12)
+
 
 def _three_pairs(rng, H):
     """A generic pair, a state in an invariant kernel, and one that is zero at t = 0 only."""
@@ -295,7 +357,8 @@ class TestStackedScan:
     """Several (state, projector) pairs scanned on one H and one time grid.
 
     The oracle evolves each state by itself with ``evolve_amplitudes`` over
-    the whole grid and applies the dense projector.
+    the whole grid and applies the dense projector.  The scan reads the
+    projector through its range instead, so the two agree to roundoff.
     """
 
     @pytest.mark.parametrize("grid", [False, True], ids=["dense", "fourier"])
@@ -310,14 +373,14 @@ class TestStackedScan:
         for scan, state, projector in zip(scans, states, projectors):
             psi_t = H.evolve_amplitudes(state.amplitudes, times)
             oracle = np.real(np.sum(psi_t.conj() * (projector.matrix @ psi_t), axis=0))
-            assert np.array_equal(scan.series, np.clip(oracle, 0.0, None))
+            np.testing.assert_allclose(scan.series, np.clip(oracle, 0.0, None), rtol=0, atol=1e-12)
             single = indefiniteness_scan(H, state, projector, times)
             assert np.array_equal(single.series, scan.series)
             assert (single.classification, single.kernel_invariant) == (
                 scan.classification, scan.kernel_invariant)
 
     def test_holds_one_block_of_phases_at_a_time(self, rng):
-        # 65,536 times at dim 32: each of the 17 blocks' phases take 1.9 MiB, all
+        # 65,536 times at dim 32: each of the 33 blocks' phases take 1 MiB, all
         # of them 32 MiB; the series table of two pairs takes 1 MiB
         H = Hamiltonian(random_hermitian(rng, 32))
         states = [random_state(rng, 32), random_state(rng, 32)]

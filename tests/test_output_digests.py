@@ -15,8 +15,7 @@ def test_outputs_match_the_committed_digests():
     record = json.loads(digests.DIGESTS.read_text())
     expected, actual = record["configs"], digests.all_digests()
     assert sorted(actual) == sorted(expected), "the digest configs changed"
-    moved = {name: sorted(key for key in entry if actual[name][key] != entry[key])
-             for name, entry in expected.items() if actual[name] != entry}
+    moved = digests.moved(expected, actual)
     installed = digests.environment()
     builds = "" if installed == record["environment"] else (
         f"; the digests were made with {record['environment']}, this run uses {installed}")
