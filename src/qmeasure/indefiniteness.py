@@ -134,15 +134,15 @@ class IndefinitenessScan:
     threshold: float
 
 
-def _kernel_criterion(evals: np.ndarray, evecs: np.ndarray, psi0: PureState,
+def _kernel_criterion(evals: np.ndarray, evecs: np.ndarray, coeff: np.ndarray,
                       proj: np.ndarray) -> bool:
     """Whether the evolved ray stays in ker(Pi) for all times.
 
-    ``evals`` and ``evecs`` are H's ascending eigensystem.  The trajectory
-    spans the eigenspace components of the initial state, so psi(t) remains
-    in the kernel iff Pi kills every energy-eigenspace projection of psi0.
+    ``evals`` and ``evecs`` are H's ascending eigensystem and ``coeff`` is
+    V^dag psi0.  The trajectory spans the eigenspace components of the
+    initial state, so psi(t) remains in the kernel iff Pi kills every
+    energy-eigenspace projection of psi0.
     """
-    coeff = evecs.conj().T @ psi0.amplitudes
     radius = float(np.max(np.abs(evals))) if len(evals) else 0.0
     for sl in _cluster_slices(evals, 1e-9 * max(radius, 1.0)):
         component = evecs[:, sl] @ coeff[sl]
@@ -192,8 +192,8 @@ def indefiniteness_scan(H: Hamiltonian, psi0, projector, times):
     if not np.all(np.isfinite(times)):
         raise ValueError("times must be finite")
     evals, evecs = H.eigensystem()
-    tables = [(q.conj().T @ evecs) * (evecs.conj().T @ state.amplitudes)  # Q^dag V diag(c)
-              for state, q in zip(states, ranges)]
+    coeffs = [evecs.conj().T @ state.amplitudes for state in states]  # c = V^dag psi0
+    tables = [(q.conj().T @ evecs) * c for c, q in zip(coeffs, ranges)]  # Q^dag V diag(c)
     series = np.empty((len(states), times.size))
     for block in np.array_split(np.arange(times.size), 1 + times.size // SCAN_BLOCK):
         lo, hi = block[0], block[-1] + 1
@@ -202,8 +202,8 @@ def indefiniteness_scan(H: Hamiltonian, psi0, projector, times):
             amplitudes = table @ phases  # Q^dag psi(t), a column per time
             row[lo:hi] = np.vecdot(amplitudes, amplitudes, axis=0).real
         del phases  # the next block's phases replace these rather than join them
-    scans = [_classified(times, row, _kernel_criterion(evals, evecs, state, mat))
-             for row, state, mat in zip(series, states, mats)]
+    scans = [_classified(times, row, _kernel_criterion(evals, evecs, c, mat))
+             for row, c, mat in zip(series, coeffs, mats)]
     return scans[0] if single else scans
 
 

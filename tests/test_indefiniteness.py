@@ -365,7 +365,7 @@ class TestStackedScan:
     def test_matches_per_state_loop_bit_for_bit(self, rng, grid):
         H = free_hamiltonian(GridSpace(64, 20.0), 1.0) if grid else Hamiltonian(random_hermitian(rng, 6))
         states, projectors = _three_pairs(rng, H)
-        times = np.linspace(0.0, 40.0, 9000)  # three blocks of 3000 times
+        times = np.linspace(0.0, 40.0, 9000)  # several blocks of SCAN_BLOCK or fewer times
         scans = indefiniteness_scan(H, states, projectors, times)
         assert [scan.classification for scan in scans] == ["never-zero", "identically-zero",
                                                            "isolated-zeros"]
