@@ -47,7 +47,6 @@ from .hilbert import (
 from .dynamics import (
     GridSpace,
     Hamiltonian,
-    Propagator,
     barrier_hamiltonian,
     build_grid_operators,
     fourier_map,

@@ -247,34 +247,14 @@ class Hamiltonian:
         return PureState(self.evolve_amplitudes(state.amplitudes, t))
 
 
-class Propagator:
-    """The unitary exp(-iHt) at a fixed time."""
-
-    __slots__ = ("t", "matrix", "dim")
-
-    def __init__(self, t: float, matrix):
-        mat = np.asarray(matrix, dtype=complex)
-        defect = _identity_defect(mat.conj().T @ mat)
-        if defect > UNITARITY_TOL:
-            raise ValueError(f"propagator unitarity defect {defect:.3e}")
-        if t == 0.0 and _identity_defect(mat) > UNITARITY_TOL:
-            raise ValueError("U(0) must be the identity")
-        self.t = float(t)
-        self.matrix = _freeze(mat)
-        self.dim = mat.shape[0]
-
-    def apply(self, state: PureState) -> PureState:
-        return PureState(self.matrix @ state.amplitudes)
-
-
-def propagate(H: Hamiltonian | LinearOperator, t: float) -> Propagator:
-    """U(t) = exp(-iHt) as a matrix: the evolution kernel applied to the identity.
+def propagate(H: Hamiltonian | LinearOperator, t: float) -> LinearOperator:
+    """U(t) = exp(-iHt) as a dense operator: the evolution kernel applied to the identity.
 
     U is unitary, and obeys U(a)U(b) = U(a+b), up to roundoff.
     """
     if isinstance(H, LinearOperator):
         H = Hamiltonian(H)
-    return Propagator(t, H.evolve_amplitudes(np.eye(H.dim, dtype=complex), t))
+    return LinearOperator(H.evolve_amplitudes(np.eye(H.dim, dtype=complex), t))
 
 
 @dataclass(frozen=True)

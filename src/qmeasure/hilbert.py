@@ -259,6 +259,11 @@ class PureState:
         """|<self|other>|^2."""
         return abs(self.inner(other)) ** 2
 
+    @property
+    def columns(self) -> np.ndarray:
+        """The state as its one ensemble column, psi[:, None]: rho = psi psi^dag."""
+        return self.amplitudes[:, None]
+
     def to_density(self) -> "DensityOperator":
         return DensityOperator(np.outer(self.amplitudes, self.amplitudes.conj()))
 
@@ -274,13 +279,18 @@ class LinearOperator:
 
 
 class DensityOperator:
-    """A trace-one positive operator (mixed state).
+    """A trace-one positive operator (mixed state), held also as its ensemble columns.
 
     Construction enforces Hermiticity within 1e-10, eigenvalues >= -1e-10,
-    and unit trace within 1e-10.
+    and unit trace within 1e-10.  ``columns`` is the read-only (dim, r)
+    array C = [sqrt(p_k) v_k] with rho ~ C C^dag, from one ``eigh`` of the
+    symmetrized matrix: the eigenvalues above dim * eps * max(p) (the
+    numerical rank, so a rank-r rho keeps r columns, not its roundoff),
+    rescaled to sum to 1, and their eigenvectors.  Every Born-rule reader
+    takes a state through its columns, so a pure state is the case r = 1.
     """
 
-    __slots__ = ("matrix", "dim")
+    __slots__ = ("matrix", "dim", "columns")
 
     def __init__(self, matrix):
         mat = _as_complex_matrix(matrix)
@@ -289,10 +299,13 @@ class DensityOperator:
         trace = complex(np.trace(mat))
         if abs(trace - 1.0) > HERMITIAN_TOL:
             raise ValueError(f"trace {trace} differs from 1")
-        min_eig = float(np.linalg.eigvalsh((mat + mat.conj().T) / 2).min())
-        if min_eig < -HERMITIAN_TOL:
-            raise ValueError(f"negative eigenvalue {min_eig:.3e}")
+        evals, evecs = np.linalg.eigh((mat + mat.conj().T) / 2)
+        if evals[0] < -HERMITIAN_TOL:
+            raise ValueError(f"negative eigenvalue {float(evals[0]):.3e}")
+        keep = evals > evals[-1] * mat.shape[0] * np.finfo(float).eps   # matrix_rank's cut
+        weights = evals[keep] / np.sum(evals[keep])
         self.matrix, self.dim = _freeze(mat), mat.shape[0]
+        self.columns = _freeze(evecs[:, keep] * np.sqrt(weights))
 
     @classmethod
     def maximally_mixed(cls, dim: int) -> "DensityOperator":
@@ -515,12 +528,10 @@ def partial_trace(rho: DensityOperator, subsystem_dims: Sequence[int],
 
 
 def expectation(state: State, op: LinearOperator) -> complex:
-    """<psi|A|psi> for pure states, Tr(rho A) for density operators."""
+    """Tr(rho A) = sum_k <c_k|A|c_k> over the state's ensemble columns; <psi|A|psi> when pure."""
     if state.dim != op.dim:
         raise DimensionMismatch(f"state dim {state.dim} vs operator dim {op.dim}")
-    if isinstance(state, PureState):
-        return complex(np.vdot(state.amplitudes, op.matrix @ state.amplitudes))
-    return complex(np.trace(state.matrix @ op.matrix))
+    return complex(np.vdot(state.columns, op.matrix @ state.columns))
 
 
 def basis_state(dim: int, index: int) -> PureState:

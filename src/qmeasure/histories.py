@@ -47,7 +47,8 @@ class HistorySet:
     ``(basis, slices)`` pair, entry a being the columns ``slices[a]`` of
     the basis: an index order (see :mod:`qmeasure.hilbert`) for index sets,
     a dense basis otherwise; the caller's arrays are copied.  Evolution
-    starts from ``initial_state`` at t = 0.
+    starts from ``initial_state`` at t = 0, pure or mixed, read through its
+    ensemble columns (see :class:`~qmeasure.hilbert.DensityOperator`).
     """
 
     __slots__ = ("hamiltonian", "initial_state", "times", "families")
@@ -202,8 +203,9 @@ class DecoherenceFunctional:
 def decoherence_functional(hs: HistorySet) -> DecoherenceFunctional:
     """D(alpha, beta) = Tr(C_alpha rho_0 C_beta^dag) over all history pairs.
 
-    Computed from branches, not class operators: each column sqrt(p_k) v_k
-    of rho_0 (|psi> for a pure state) is evolved and split by every family
+    Computed from branches, not class operators: each ensemble column
+    c_k = sqrt(p_k) v_k of rho_0 = C C^dag (the state's ``columns``, read as
+    they are; |psi> for a pure state) is evolved and split by every family
     but the last, column j into j*len + a, so the newest choice nests
     fastest, as in the labels.  Final entries are orthogonal, so D is exactly
     zero between histories ending in different ones, and entry B_a's block
@@ -212,11 +214,7 @@ def decoherence_functional(hs: HistorySet) -> DecoherenceFunctional:
     get their blocks from one batched product into an (n, paths, paths)
     stack, n * paths^2 entries in all.
     """
-    if isinstance(hs.initial_state, PureState):
-        columns = hs.initial_state.amplitudes[:, None]
-    else:
-        evals, evecs = np.linalg.eigh(hs.initial_state.matrix)
-        columns = evecs[:, evals > 1e-14] * np.sqrt(evals[evals > 1e-14])
+    columns = hs.initial_state.columns
     *earlier, (basis, slices) = hs.families
     *steps, last = hs._steps()
     paths, n = math.prod(hs.shape[:-1]), len(slices)

@@ -9,6 +9,7 @@ here for projective outcomes.
 
 from __future__ import annotations
 
+import functools
 from collections import abc
 from itertools import product
 from typing import Hashable, Sequence
@@ -19,8 +20,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .dynamics import GridSpace, gaussian_packet
 from .errors import DimensionMismatch, ImpossibleOutcome, IncompleteTiling, \
     InvalidDistribution, InvalidPovm, InvalidSmearing
-from .hilbert import LinearOperator, Observable, PureState, State, _FourierBasis, _adjoint, \
-    _first, _freeze, _hermitian_within_tol, _identity_defect, hermiticity_defect
+from .hilbert import LinearOperator, Observable, PureState, State, _FourierBasis, _first, \
+    _freeze, _hermitian_within_tol, _identity_defect, hermiticity_defect
 
 NEGATIVE_CLAMP_LIMIT = 1e-9
 PSD_TOL = 1e-9
@@ -80,17 +81,10 @@ def total_variation(a: OutcomeDistribution, b: OutcomeDistribution) -> float:
 
 
 def born_distribution(state: State, obs: Observable) -> OutcomeDistribution:
-    """Pr(o_i) = <psi|Pi_i|psi> (or Tr(rho Pi_i)), ascending eigenvalue order."""
+    """Pr(o_i) = Tr(rho Pi_i), ascending eigenvalue order: one V^dag of the state's columns."""
     if state.dim != obs.dim:
         raise DimensionMismatch(f"state dim {state.dim} vs observable dim {obs.dim}")
-    if isinstance(state, PureState):
-        probs = obs._weights(state.amplitudes)
-    else:
-        # Tr(B^dag rho B) for B = V[:, cols], summed from the diagonal of V^dag rho V, which
-        # two full adjoint applications give: no block is formed, nor one transform per outcome
-        basis = obs._basis
-        diagonal = np.diagonal(basis.apply_adjoint(_adjoint(basis.apply_adjoint(state.matrix)))).real
-        probs = [float(np.sum(diagonal[sl])) for sl in obs._slices]
+    probs = obs._weights(state.columns.T).sum(axis=0)
     return OutcomeDistribution([float(v) for v in obs.eigenvalues], probs)
 
 
@@ -222,22 +216,14 @@ class Povm:
 
 
 def povm_distribution(state: State, povm: Povm) -> OutcomeDistribution:
-    """Pr(k) = <psi|M_k|psi> (or Tr(rho M_k)) over the family's labels."""
+    """Pr(k) = Tr(rho M_k) over the labels, summed over the state's columns one at a time.
+
+    A stacked (dim, r, q) product of a boosted family would hold r term
+    tables; ``reduce`` passes a pure state's one table on without a copy.
+    """
     if state.dim != povm.dim:
         raise DimensionMismatch(f"state dim {state.dim} vs POVM dim {povm.dim}")
-    if isinstance(state, PureState):
-        terms = _pure_terms(povm, state.amplitudes[None])
-    elif povm._left is None:
-        # <r_j|rho|r_j> is row j's sum of (conj R rho) o R
-        r = povm._right
-        terms = np.sum((r.conj() @ state.matrix) * r, axis=1).real[None, None]
-    else:
-        # <l_a o r_b|rho|l_a o r_b> = n (V^dag (conj r_b rho r_b) V)[a, a]: one transform per shift
-        basis, boosts = povm._left
-        columns = basis.columns(boosts).T
-        terms = povm.dim * np.array([
-            np.sum(basis.apply_adjoint(r.conj()[:, None] * state.matrix * r, boosts) * columns,
-                   axis=1).real for r in povm._right]).T[None]
+    terms = functools.reduce(np.add, (_pure_terms(povm, c[None]) for c in state.columns.T))
     probs = _effect_weights(povm, terms)[0]
     return OutcomeDistribution(povm.labels, probs, sum_tol=POVM_SUM_TOL)
 

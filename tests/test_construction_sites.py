@@ -6,7 +6,8 @@ spectrum from construction: ``Hamiltonian(op)`` diagonalizes, and
 ``Hamiltonian.from_eigenbasis`` is the one place that allocates an instance
 without ``__init__``.  A side door that skips a constructor's checks, or a
 half-built instance completed later, would bring back a second construction
-path; these tests fail instead.
+path; these tests fail instead.  Likewise every Born-rule reader takes a
+state through its ensemble columns, so none branches on pure or mixed.
 """
 
 import ast
@@ -46,3 +47,19 @@ def test_one_allocation_without_init():
     method = dict(_defs(TREES["dynamics"], "dynamics"))["dynamics.Hamiltonian.from_eigenbasis"]
     assert len(sites) == 1
     assert sites == [("dynamics", line) for line in _new_calls(method)]
+
+
+def _isinstance_targets(node) -> set[str]:
+    """Each name an ``isinstance(x, T)`` or ``isinstance(x, (T, ...))`` under ``node`` checks."""
+    return {name.id for call in ast.walk(node) if isinstance(call, ast.Call)
+            and isinstance(call.func, ast.Name) and call.func.id == "isinstance"
+            for name in ast.walk(call.args[1]) if isinstance(name, ast.Name)}
+
+
+def test_state_readers_have_no_pure_or_mixed_branch():
+    hilbert = dict(_defs(TREES["hilbert"], "hilbert"))
+    readers = {"measurement": TREES["measurement"], "histories": TREES["histories"],
+               "hilbert.expectation": hilbert["hilbert.expectation"]}
+    branches = {name: _isinstance_targets(node) & {"PureState", "DensityOperator"}
+                for name, node in readers.items()}
+    assert branches == dict.fromkeys(readers, set())

@@ -48,7 +48,7 @@ class TestPropagate:
         psi = PureState(evecs[:, 1])
         proj = np.outer(evecs[:, 1], evecs[:, 1].conj())
         for t in (0.3, 1.7, 9.0):
-            evolved = propagate(H, t).apply(psi)
+            evolved = PureState(propagate(H, t).matrix @ psi.amplitudes)
             phase_expected = np.exp(-1j * evals[1] * t)
             np.testing.assert_allclose(evolved.amplitudes,
                                        phase_expected * psi.amplitudes, atol=1e-10)
@@ -65,7 +65,7 @@ class TestPropagate:
         H = random_hermitian(rng, 6)
         s = random_state(rng, 6)
         for t in np.linspace(0.0, 12.0, 7):
-            evolved = propagate(H, t).apply(s)
+            evolved = PureState(propagate(H, t).matrix @ s.amplitudes)
             assert abs(np.linalg.norm(evolved.amplitudes) - 1.0) < 1e-10
 
     def test_rejects_non_hermitian(self):
@@ -97,7 +97,7 @@ class TestPropagate:
     def test_hamiltonian_evolve_matches_propagator(self, rng):
         H = Hamiltonian(random_hermitian(rng, 5))
         s = random_state(rng, 5)
-        via_matrix = propagate(H, 2.1).apply(s)
+        via_matrix = PureState(propagate(H, 2.1).matrix @ s.amplitudes)
         via_evolve = H.evolve(s, 2.1)
         np.testing.assert_allclose(via_evolve.amplitudes, via_matrix.amplitudes,
                                    atol=1e-12)

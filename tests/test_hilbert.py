@@ -19,12 +19,13 @@ from qmeasure import (
     tensor_product,
 )
 from qmeasure import GridSpace, InvalidDistribution, InvalidPovm, MeasurementModel, \
-    NonExtendable, OutcomeDistribution, Povm, Propagator, UnresolvableWidth, gaussian_packet
+    NonExtendable, OutcomeDistribution, Povm, UnresolvableWidth, gaussian_packet
 from qmeasure.dynamics import Hamiltonian
 from qmeasure.hilbert import _check_spectra, _hermitian_within_tol, _identity_defect, \
     _projector_defect, _require_hermitian, _unit_rows, hermiticity_defect
 from qmeasure.indefiniteness import indefiniteness_scan
-from conftest import random_density, random_hermitian, random_projector, random_state
+from conftest import near_boundary_density, random_density, random_hermitian, random_projector, \
+    random_state
 
 
 class TestPureState:
@@ -83,6 +84,26 @@ class TestDensityOperator:
     def test_rejects_negative_eigenvalue(self):
         with pytest.raises(ValueError, match="negative"):
             DensityOperator([[1.5, 0.0], [0.0, -0.5]])
+
+    def test_columns_rebuild_rho_at_its_numerical_rank(self, rng):
+        rho = random_density(rng, 6)
+        C = rho.columns
+        assert C.shape == (6, 6) and not C.flags.writeable
+        np.testing.assert_allclose(C @ C.conj().T, rho.matrix, rtol=0, atol=1e-12)
+        # a rank-4 rho at dim 128 keeps 4 columns, not the roundoff of its null space
+        cols = rng.standard_normal((128, 4)) + 1j * rng.standard_normal((128, 4))
+        low = DensityOperator(cols @ cols.conj().T / np.vdot(cols, cols).real)
+        assert low.columns.shape == (128, 4)
+        np.testing.assert_allclose(low.columns @ low.columns.conj().T, low.matrix,
+                                   rtol=0, atol=1e-12)
+        psi = random_state(rng, 5)
+        assert psi.to_density().columns.shape == (5, 1)
+        np.testing.assert_array_equal(psi.columns, psi.amplitudes[:, None])
+
+    def test_columns_of_a_rho_with_small_negative_eigenvalues_carry_unit_weight(self, rng):
+        rho = near_boundary_density(rng)
+        assert rho.columns.shape == (10, 5)
+        assert abs(expectation(rho, LinearOperator(np.eye(10))) - 1.0) <= 1e-12
 
 
 class TestSpectralDecompose:
@@ -393,8 +414,6 @@ def _nan_isometry_model():
     (lambda: Povm.from_rank_one(["a", "b"], [np.inf, 1], [[1, 0], [0, 1]]),
      InvalidPovm, "effects sum to identity with defect inf"),
     (_nan_isometry_model, NonExtendable, "interaction is not an isometry: Gram defect inf"),
-    (lambda: Propagator(1.0, np.full((2, 2), np.nan)),
-     ValueError, "propagator unitarity defect inf"),
     (lambda: Hamiltonian.from_eigenbasis([0, 1], np.full((2, 2), np.nan)),
      ValueError, "eigenbasis unitarity defect inf"),
     (lambda: indefiniteness_scan(Hamiltonian(SIGMA_Z), basis_state(2, 0), np.full((2, 2), np.nan),
@@ -408,7 +427,7 @@ def _nan_isometry_model():
      "state norm nan not finite"),
     (lambda: OutcomeDistribution(["a", "b"], [np.nan, 1.0]), InvalidDistribution,
      "probabilities sum to nan, not 1"),
-], ids=["povm-nan-vector", "povm-inf-weight", "measurement-model", "propagator",
+], ids=["povm-nan-vector", "povm-inf-weight", "measurement-model",
         "hamiltonian-eigenbasis", "scan-projector", "state-nan", "state-inf",
         "packet-nan-width", "packet-nan-x0", "distribution-nan"])
 def test_nan_fails_the_defect_checks_where_it_enters(build, error, message):

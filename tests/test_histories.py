@@ -282,6 +282,19 @@ class TestDecoherenceFunctional:
                 oracle = np.trace(Ca @ rho.matrix @ Cb.conj().T)
                 assert abs(D.matrix[a, b] - oracle) < 1e-10
 
+    def test_mixed_state_is_read_through_its_columns(self, rng, monkeypatch):
+        # rho's ensemble columns come from its constructor; each call diagonalized rho again
+        dim = 4
+        rho = random_density(rng, dim)
+        hs = HistorySet(Hamiltonian(random_hermitian(rng, dim)), rho, [0.4, 1.0],
+                        random_families(rng, dim, [2, 2]))
+        calls = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda *a, **k: calls.append(a) or eigh(*a, **k))
+        first, second = decoherence_functional(hs), decoherence_functional(hs)
+        assert calls == []
+        np.testing.assert_array_equal(first.blocks, second.blocks)
+
     def test_pure_state_matches_taylor_branches(self, rng):
         # oracle: branch vectors built with a Taylor-series propagator, no
         # eigendecomposition; D is their Gram matrix

@@ -33,7 +33,7 @@ from qmeasure import (
 from qmeasure.dynamics import fourier_map
 from qmeasure.hilbert import _DenseBasis, _FourierBasis, _IndexOrder
 from qmeasure.indefiniteness import region_projector
-from conftest import random_density, random_hermitian, random_state
+from conftest import near_boundary_density, random_density, random_hermitian, random_state
 
 OBS_Z = spectral_decompose(SIGMA_Z)
 PLUS_X = PureState([1.0, 1.0])
@@ -195,9 +195,10 @@ class TestProjectionThroughTheBasis:
                                        rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("kind", ["dense", "index", "fourier"])
-    def test_mixed_born_weights_take_one_transform_pair(self, kind, rng, monkeypatch):
-        # one pair of full adjoint applications serves every outcome: one transform
-        # of rho per outcome made a Fourier observable's n outcomes cost O(n^3 log n)
+    def test_mixed_born_weights_take_one_transform(self, kind, rng, monkeypatch):
+        # one adjoint application of the ensemble columns serves every column and every
+        # outcome: one transform of rho per outcome made a Fourier observable's n outcomes
+        # cost O(n^3 log n), and V^dag rho V took two full applications
         obs, dense, _ = _observable_of_kind(kind, 16, rng)
         fine = Observable(np.arange(16.0), obs._basis, [slice(j, j + 1) for j in range(16)])
         rho = random_density(rng, 16)
@@ -206,9 +207,25 @@ class TestProjectionThroughTheBasis:
         monkeypatch.setattr(type(obs._basis), "apply_adjoint",
                             lambda basis, *args: calls.append(args[1:]) or adjoint(basis, *args))
         probs = born_distribution(rho, fine).probabilities
-        assert calls == [(), ()]
+        assert calls == [()]
         oracle = np.diagonal(dense.conj().T @ rho.matrix @ dense).real
         np.testing.assert_allclose(probs, oracle, rtol=0, atol=1e-12)
+
+    def test_rho_with_small_negative_eigenvalues_matches_the_dense_oracle(self, rng):
+        # the constructor accepts eigenvalues down to -1e-10; columns that dropped them
+        # without rescaling the rest gave weights summing to 1 + 2.5e-10, which
+        # OutcomeDistribution refuses
+        rho = near_boundary_density(rng)
+        q, _ = np.linalg.qr(rng.standard_normal((10, 10)) + 1j * rng.standard_normal((10, 10)))
+        slices = [slice(0, 3), slice(3, 4), slice(4, 10)]
+        obs = Observable([-1.0, 0.5, 2.0], q, slices)
+        sharp = np.array([np.trace(q[:, sl].conj().T @ rho.matrix @ q[:, sl]).real
+                          for sl in slices])
+        np.testing.assert_allclose(born_distribution(rho, obs).probabilities, sharp,
+                                   rtol=0, atol=1e-9)
+        smearing = np.array([[0.7, 0.2, 0.1], [0.3, 0.8, 0.9]])
+        np.testing.assert_allclose(povm_distribution(rho, build_fuzzy_povm(obs, smearing))
+                                   .probabilities, smearing @ sharp, rtol=0, atol=1e-9)
 
     def test_collapse_on_a_region_writes_no_dense_block(self):
         # the block of the 4,091 points outside the window took 511 MiB as a dense n x k array
